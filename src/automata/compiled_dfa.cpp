@@ -121,9 +121,53 @@ void CompiledDfa::throw_invalid(std::string_view text) const {
   throw std::invalid_argument("scan: invalid base");  // unreachable for sink entries
 }
 
+std::size_t CompiledDfa::split_streams(std::size_t bytes) const noexcept {
+  if (sync_bound_ == 0) return 1;
+  const std::size_t min_len = std::max(kSplitMinBytes, 8 * sync_bound_);
+  return std::clamp<std::size_t>(bytes / min_len, 1, kMaxStreams);
+}
+
 ScanResult CompiledDfa::count(std::string_view text, StateId state) const {
+  if (const std::size_t streams = split_streams(text.size()); streams > 1) {
+    return count_split(text, state, streams);
+  }
   return text.size() >= kPairedMin ? count_paired(text, state)
                                    : count_fused(text, state);
+}
+
+ScanResult CompiledDfa::count_split(std::string_view text, StateId state,
+                                    std::size_t streams) const {
+  check_entry(state);
+  const std::size_t lead = sync_bound_ - 1;
+  const std::size_t len = text.size() / streams;
+  std::string_view views[kMaxStreams];
+  StateId entries[kMaxStreams];
+  ScanResult res[kMaxStreams];
+  // Warm-up pass: sub-stream 0 enters at `state` (empty lead), every later
+  // one runs from start() over the lead bytes before its cut. Cuts are at
+  // least 8 leads into the text, so the lead never runs off its front.
+  entries[0] = state;
+  for (std::size_t k = 1; k < streams; ++k) {
+    views[k] = text.substr(k * len - lead, lead);
+    entries[k] = start_;
+  }
+  count_multi_batch(views, entries, res, streams);
+  // Body pass from the warmed states; the last body takes the remainder.
+  for (std::size_t k = 0; k < streams; ++k) {
+    entries[k] = res[k].final_state;
+    views[k] = text.substr(k * len, k + 1 < streams ? len : std::string_view::npos);
+  }
+  count_multi_batch(views, entries, res, streams);
+  ScanResult out{res[streams - 1].final_state, 0};
+  bool bad = false;
+  for (std::size_t k = 0; k < streams; ++k) {
+    out.match_count += res[k].match_count;
+    bad |= res[k].final_state == sink();
+  }
+  // The sink is absorbing, so a bad byte anywhere (a body or a lead) leaves
+  // some sub-stream in it; report the whole text's first bad byte.
+  if (bad) throw_invalid(text);
+  return out;
 }
 
 ScanResult CompiledDfa::count_fused(std::string_view text, StateId state) const {
@@ -183,15 +227,19 @@ ScanResult CompiledDfa::count_paired(std::string_view text, StateId state) const
 
 void CompiledDfa::count_multi(const std::string_view* texts, const StateId* entries,
                               ScanResult* results, std::size_t n) const {
+  for (std::size_t k = 0; k < n; ++k) check_entry(entries[k]);
   for (std::size_t first = 0; first < n; first += kMaxStreams) {
-    count_multi_batch(texts + first, entries + first, results + first,
-                      std::min(kMaxStreams, n - first));
+    const std::size_t m = std::min(kMaxStreams, n - first);
+    count_multi_batch(texts + first, entries + first, results + first, m);
+    for (std::size_t k = first; k < first + m; ++k) {
+      if (results[k].final_state == sink()) throw_invalid(texts[k]);
+    }
   }
 }
 
 void CompiledDfa::count_multi_batch(const std::string_view* texts,
                                     const StateId* entries, ScanResult* results,
-                                    std::size_t n) const {
+                                    std::size_t n) const noexcept {
   const std::uint32_t* const nx = byte_next_.data();
   const std::uint32_t* const ac = accept_count_.data();
   const unsigned char* p[kMaxStreams];
@@ -200,7 +248,6 @@ void CompiledDfa::count_multi_batch(const std::string_view* texts,
   std::uint64_t c[kMaxStreams];
   std::size_t which[kMaxStreams];
   for (std::size_t k = 0; k < n; ++k) {
-    check_entry(entries[k]);
     p[k] = reinterpret_cast<const unsigned char*>(texts[k].data());
     e[k] = p[k] + texts[k].size();
     s[k] = entries[k];
@@ -209,12 +256,11 @@ void CompiledDfa::count_multi_batch(const std::string_view* texts,
   }
   std::size_t active = n;
   while (active > 0) {
-    // Retire finished streams (checking invalid input once per stream) and
-    // compact the arrays so the interleave loop only touches live ones.
+    // Retire finished streams and compact the arrays so the interleave loop
+    // only touches live ones.
     std::size_t live = 0;
     for (std::size_t k = 0; k < active; ++k) {
       if (p[k] == e[k]) {
-        if (s[k] == sink()) throw_invalid(texts[which[k]]);
         results[which[k]] = ScanResult{s[k], c[k]};
       } else {
         p[live] = p[k];

@@ -27,6 +27,16 @@
 //                latency a single chain must eat serially — this is how one
 //                worker scans K chunks at far more than 1x speed.
 //
+//  split count   count() applies the same interleave *inside* one long input:
+//                on a bounded automaton (synchronization_bound() > 0) it cuts
+//                the text into up to kMaxStreams contiguous sub-streams and
+//                scans them through the multi-stream loop. Sub-stream 0 enters
+//                at the caller's state; every later one warms up from start()
+//                over the bound - 1 bytes before its cut (the PaREM warm-up,
+//                exact because those bytes lie inside the text). So a caller
+//                handing count() one big chunk per worker still gets K load
+//                chains in flight, with no stream bookkeeping of its own.
+//
 // Accept metadata lives in flat arrays indexed without bounds checks; the
 // constructor validates the automaton once (and throws std::invalid_argument
 // on corruption) so the hot loops never have to.
@@ -74,10 +84,22 @@ class CompiledDfa {
     return accept_mask_[s];
   }
 
-  /// Counts occurrences from `state`: auto-dispatches to the paired kernel
-  /// for long runs and the byte kernel for short ones. Same results and
-  /// errors as scan_count_naive.
+  /// Counts occurrences from `state`. Long inputs on a bounded automaton are
+  /// split into split_streams(text.size()) warmed sub-streams scanned
+  /// interleaved; other inputs go to the paired kernel (long runs) or the
+  /// byte kernel (short ones). Same results and errors as scan_count_naive:
+  /// invalid input raises the exception for the first bad byte of the whole
+  /// text, whichever sub-stream it fell in.
   [[nodiscard]] ScanResult count(std::string_view text, StateId state) const;
+
+  /// Sub-streams count() scans an input of `bytes` bytes as: 1 (no split)
+  /// for unbounded automata and short inputs, else bytes / kSplitMinBytes
+  /// capped at kMaxStreams (sub-streams are also at least 8x the warm-up
+  /// lead, so long motifs never spend most of a sub-stream warming up).
+  [[nodiscard]] std::size_t split_streams(std::size_t bytes) const noexcept;
+
+  /// Smallest sub-stream count() cuts; fixed, not a tuning knob.
+  static constexpr std::size_t kSplitMinBytes = std::size_t{16} << 10;
 
   /// The byte-at-a-time fused kernel (one table load + one accept load per
   /// byte, no branches). Exposed for benchmarks and tests.
@@ -88,10 +110,9 @@ class CompiledDfa {
 
   /// Scans `n` independent (texts[i], entries[i]) streams, interleaving up to
   /// kMaxStreams of them per loop to hide load latency; results[i] receives
-  /// what count() would return for stream i. Invalid input is reported when
-  /// its stream finishes: the first failing stream to retire throws (its
-  /// first bad byte; deterministic for given inputs) and the remaining
-  /// results are discarded.
+  /// what count() would return for stream i. Invalid input is reported per
+  /// batch of kMaxStreams: the lowest-index failing stream of the batch
+  /// throws (its first bad byte) and the remaining results are discarded.
   void count_multi(const std::string_view* texts, const StateId* entries,
                    ScanResult* results, std::size_t n) const;
 
@@ -111,8 +132,14 @@ class CompiledDfa {
 
  private:
   void check_entry(StateId state) const;
+  /// The interleave loop for n <= kMaxStreams streams. Unchecked and
+  /// throw-free: entries may be any state including the sink, and a stream
+  /// over invalid input simply ends in the sink.
   void count_multi_batch(const std::string_view* texts, const StateId* entries,
-                         ScanResult* results, std::size_t n) const;
+                         ScanResult* results, std::size_t n) const noexcept;
+  /// count()'s split path over `streams` >= 2 sub-streams.
+  [[nodiscard]] ScanResult count_split(std::string_view text, StateId state,
+                                       std::size_t streams) const;
   /// Locates the first non-ACGT byte of `text` and throws the seed scanner's
   /// exact exception for it.
   [[noreturn]] void throw_invalid(std::string_view text) const;

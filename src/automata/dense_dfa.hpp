@@ -51,9 +51,11 @@ class DenseDfa {
     return accept_count_[s];
   }
 
-  /// Longest motif this automaton matches; any scan state is fully determined
-  /// by the previous `synchronization_bound()` input bytes (0 = unknown, e.g.
-  /// for automata with unbounded patterns).
+  /// Longest motif this automaton matches (0 = unknown, e.g. for automata
+  /// with unbounded patterns). A scan warmed up from start() over the
+  /// previous `synchronization_bound() - 1` input bytes counts every later
+  /// position exactly — the PaREM warm-up every chunked path uses (see
+  /// match_engine.hpp).
   void set_synchronization_bound(std::size_t n) noexcept { sync_bound_ = n; }
   [[nodiscard]] std::size_t synchronization_bound() const noexcept { return sync_bound_; }
 

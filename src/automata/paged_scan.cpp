@@ -40,10 +40,12 @@ namespace {
   d.loads = after.loads - before.loads;
   d.evictions = after.evictions - before.evictions;
   d.cold_stalls = after.cold_stalls - before.cold_stalls;
+  d.waiter_stalls = after.waiter_stalls - before.waiter_stalls;
   d.backpressure_waits = after.backpressure_waits - before.backpressure_waits;
   d.bytes_read = after.bytes_read - before.bytes_read;
   d.load_seconds = after.load_seconds - before.load_seconds;
   d.cold_stall_seconds = after.cold_stall_seconds - before.cold_stall_seconds;
+  d.waiter_stall_seconds = after.waiter_stall_seconds - before.waiter_stall_seconds;
   return d;
 }
 

@@ -19,14 +19,17 @@
 //
 // The matcher is engine-generic: construct it from any automata::MatchEngine.
 // DFA-backed engines (compiled-dfa, aho-corasick) run on the compiled kernels
-// (automata/compiled_dfa.hpp) with both strategies available; counting can
-// further interleave several chunk scans per worker (multi-stream) to hide
-// the per-byte load latency a single scan chain serializes on — by default
-// the matcher picks the stream width from the chunk/worker ratio. Engines
-// without a DFA behind them (bitap) are driven through the chunk-aware
-// MatchEngine interface with the warm-up strategy (they must declare a
-// positive synchronization bound). The legacy DenseDfa constructor lowers
-// the automaton itself and behaves exactly as before.
+// (automata/compiled_dfa.hpp) with both strategies available; counting
+// interleaves scan chains to hide the per-byte load latency a single chain
+// serializes on, at two levels: the matcher groups several chunks per worker
+// task (streams_per_worker, by default the chunk/worker ratio), and the
+// kernel's count() splits every long chunk on a bounded automaton into up to
+// CompiledDfa::kMaxStreams warmed sub-streams. So the stream width a worker
+// runs at is not only the chunk/worker ratio: one chunk per worker still
+// scans interleaved. Engines without a DFA behind them (bitap) are driven
+// through the chunk-aware MatchEngine interface with the warm-up strategy
+// (they must declare a positive synchronization bound). The legacy DenseDfa
+// constructor lowers the automaton itself and behaves exactly as before.
 //
 // Both strategies return byte-identical results to a sequential scan (this is
 // property-tested). A matcher instance reuses per-chunk scratch buffers
@@ -70,7 +73,8 @@ struct MatcherOptions {
   /// Independent chunk scans interleaved per worker task when counting.
   /// 0 = auto (chunks / pool workers, capped at CompiledDfa::kMaxStreams);
   /// 1 = one chunk per task (the seed behavior). Match collection always
-  /// scans one chunk per task (events need per-chunk append order).
+  /// scans one chunk per task (events need per-chunk append order). A chunk
+  /// scanned on its own is still split inside CompiledDfa::count() when long.
   std::size_t streams_per_worker = 0;
   /// How chunks reach the workers (parallel/schedule.hpp): kStatic
   /// pre-assigns contiguous chunk groups (the seed behavior); kDynamic and
@@ -130,9 +134,11 @@ struct PagedScanStats {
   dna::CacheStats cache;
   dna::PrefetchStats prefetch;
 
-  /// Fraction of page-load time hidden from the consumers: 1 minus
-  /// cold-stall time over load time, clamped to [0, 1] (1 when nothing was
-  /// loaded). The io_bound bench's overlap metric.
+  /// Fraction of page-load time hidden from the consumers: 1 minus the
+  /// demand loads' stall time over all load time, clamped to [0, 1] (1 when
+  /// nothing was loaded). Waiter stalls are left out, so N workers blocked
+  /// on one load do not count it N times. The io_bound bench's overlap
+  /// metric.
   [[nodiscard]] double overlap_efficiency() const noexcept {
     if (cache.load_seconds <= 0.0) return 1.0;
     const double ratio = cache.cold_stall_seconds / cache.load_seconds;

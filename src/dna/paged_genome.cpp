@@ -191,6 +191,7 @@ PagedGenome::PageRef PagedGenome::acquire_impl(std::size_t page, bool prefetch,
   for (;;) {
     if (cancel != nullptr && cancel->load(std::memory_order_acquire)) return PageRef();
     std::size_t slot = kNoPage;
+    util::AlignedBuffer<char> bytes;  // the claimed slot's buffer, refilled below
     {
       util::MutexLock lock(mutex_);
       if (const std::size_t resident = slot_of_[page]; resident != kNoPage) {
@@ -202,14 +203,16 @@ PagedGenome::PageRef PagedGenome::acquire_impl(std::size_t page, bool prefetch,
         }
         ++s.pins;
         s.last_use = ++tick_;
+        // Waiting on another thread's load is a waiter stall, not a cold
+        // stall: that load is counted once, by whoever performs it.
         if (stalled && !prefetch) {
-          ++stats_.cold_stalls;
-          stats_.cold_stall_seconds += waited.seconds();
+          ++stats_.waiter_stalls;
+          stats_.waiter_stall_seconds += waited.seconds();
         } else if (!stalled) {
           ++stats_.hits;
         }
         return PageRef(this, resident, page, page_begin(page), s.halo,
-                       std::string_view(s.bytes.data(), s.bytes.size()));
+                       std::string_view(s.bytes.data(), s.length));
       }
       slot = pick_slot_locked();
       if (slot == kNoPage) {
@@ -230,22 +233,28 @@ PagedGenome::PageRef PagedGenome::acquire_impl(std::size_t page, bool prefetch,
       s.pins = 1;
       s.last_use = ++tick_;
       slot_of_[page] = slot;
+      // Recycle the evicted page's buffer: the slot had no pins and was not
+      // loading, so no PageRef can still read it.
+      bytes = std::move(s.bytes);
     }
     // Load outside the lock: other pages stay acquirable, waiters for this
     // page sleep on cv_ until the loading flag clears.
     const std::size_t begin = page_begin(page);
-    const std::size_t payload = page_payload_bytes(page);
     const std::size_t halo = std::min(options_.halo_bytes, begin);
-    util::AlignedBuffer<char> bytes(halo + payload);
+    const std::size_t length = halo + page_payload_bytes(page);
+    if (bytes.size() < length) {
+      bytes = util::AlignedBuffer<char>(options_.halo_bytes + options_.page_bytes);
+    }
     const util::Timer load_timer;
     try {
-      source_->read(begin - halo, bytes.data(), halo + payload);
+      source_->read(begin - halo, bytes.data(), length);
     } catch (...) {
       // Return the slot to the free pool so waiters re-try (and re-throw
       // from their own load) instead of hanging on a forever-loading page.
       {
         const util::MutexLock lock(mutex_);
         Slot& s = slots_[slot];
+        s.bytes = std::move(bytes);
         slot_of_[page] = kNoPage;
         s.page = kNoPage;
         s.loading = false;
@@ -260,17 +269,18 @@ PagedGenome::PageRef PagedGenome::acquire_impl(std::size_t page, bool prefetch,
       const util::MutexLock lock(mutex_);
       Slot& s = slots_[slot];
       s.bytes = std::move(bytes);
+      s.length = length;
       s.halo = halo;
       s.loading = false;
       ++stats_.loads;
-      stats_.bytes_read += halo + payload;
+      stats_.bytes_read += length;
       stats_.load_seconds += load_seconds;
       if (!prefetch) {
         ++stats_.cold_stalls;
         stats_.cold_stall_seconds += waited.seconds();
       }
       ref = PageRef(this, slot, page, begin, halo,
-                    std::string_view(s.bytes.data(), s.bytes.size()));
+                    std::string_view(s.bytes.data(), s.length));
     }
     cv_.notify_all();
     return ref;

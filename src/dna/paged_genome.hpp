@@ -23,10 +23,15 @@
 // resident budget is at least the number of concurrent callers (the scan
 // layer validates this; dna/prefetch_reader.hpp clamps its ring accordingly).
 //
-// CacheStats separates the two costs an out-of-core scan pays — time spent
-// *reading* pages (load_seconds, charged to whoever loads) and time a
-// consumer spent *waiting* for a page it needed now (cold_stall_seconds) —
-// so the bench can measure how much IO a prefetcher actually hides.
+// CacheStats separates the costs an out-of-core scan pays — time spent
+// *reading* pages (load_seconds, charged to whoever loads), time a consumer
+// spent loading a page it needed now (cold_stall_seconds, once per demand
+// load), and time other consumers spent waiting on a load already in flight
+// (waiter_stall_seconds) — so the bench can measure how much IO a prefetcher
+// actually hides without counting one load once per waiting worker.
+//
+// Page buffers are recycled: a load reuses the evicted slot's buffer, so a
+// steady-state scan allocates nothing after the cache fills.
 #pragma once
 
 #include <atomic>
@@ -154,14 +159,18 @@ struct CacheStats {
   std::uint64_t hits = 0;    // acquires served without waiting
   std::uint64_t loads = 0;   // pages read from the source
   std::uint64_t evictions = 0;
-  /// Consumer acquires that had to wait for a load (their own or another
-  /// thread's). Prefetch acquires never count: prefetching IS the load.
+  /// Demand loads: consumer acquires that read the page themselves. At most
+  /// one per load. Prefetch acquires never count: prefetching IS the load.
   std::uint64_t cold_stalls = 0;
+  /// Consumer acquires that waited for a load another thread had in flight
+  /// (a demand load or a prefetch).
+  std::uint64_t waiter_stalls = 0;
   /// Acquires that waited for a pin to drop (budget full).
   std::uint64_t backpressure_waits = 0;
   std::uint64_t bytes_read = 0;
-  double load_seconds = 0.0;        // time inside PageSource::read
-  double cold_stall_seconds = 0.0;  // consumer wall time lost to cold pages
+  double load_seconds = 0.0;          // time inside PageSource::read
+  double cold_stall_seconds = 0.0;    // demand loaders' wall time, acquire to pin
+  double waiter_stall_seconds = 0.0;  // summed wall time of the waiter stalls
 };
 
 class PagedGenome {
@@ -254,7 +263,8 @@ class PagedGenome {
 
   struct Slot {
     std::size_t page = kNoPage;
-    util::AlignedBuffer<char> bytes;  // halo + payload
+    util::AlignedBuffer<char> bytes;  // halo + payload, possibly oversized (recycled)
+    std::size_t length = 0;           // halo + payload bytes of `page`
     std::size_t halo = 0;
     std::size_t pins = 0;
     std::uint64_t last_use = 0;

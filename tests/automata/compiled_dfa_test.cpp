@@ -2,7 +2,8 @@
 // paired 2-bases-per-step, multi-stream interleaved, and the kernel-backed
 // ParallelMatcher modes — must be byte-identical to the seed per-byte scanner
 // loops (scan_count_naive / scan_collect_naive): counts, collected matches,
-// final states, and invalid-byte errors.
+// final states, and invalid-byte errors. That includes count()'s split path,
+// which scans long inputs on bounded automata as warmed sub-streams.
 #include "automata/compiled_dfa.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "automata/aho_corasick.hpp"
+#include "automata/hopcroft.hpp"
 #include "automata/parallel_matcher.hpp"
 #include "automata/regex.hpp"
 #include "automata/scanner.hpp"
@@ -178,6 +180,201 @@ TEST(CompiledDfa, ExposesAutomatonMetadata) {
   for (StateId s = 0; s < dfa.state_count(); ++s) {
     EXPECT_EQ(compiled.accept_count(s), dfa.accept_count(s));
     EXPECT_EQ(compiled.accept_mask(s), dfa.accept_mask(s));
+  }
+}
+
+// --- count()'s split path ---------------------------------------------------
+
+/// A hand-built bounded automaton: the state is the last three bases read (a
+/// shift register over 4^3 states), so the bound is 3 — two warm-up bytes
+/// plus the first counted byte fix the state. Accepts and start are random.
+DenseDfa shift_register_dfa(std::mt19937_64& rng) {
+  constexpr std::uint32_t kStates = 64;
+  DenseDfa dfa(kStates);
+  for (StateId s = 0; s < kStates; ++s) {
+    for (unsigned b = 0; b < dna::kAlphabetSize; ++b) {
+      dfa.set_transition(s, static_cast<dna::Base>(b), (s * 4 + b) % kStates);
+    }
+    if (rng() % 3 == 0) dfa.set_accept(s, 1, 1 + static_cast<std::uint32_t>(rng() % 3));
+  }
+  dfa.set_start(static_cast<StateId>(rng() % kStates));
+  dfa.set_synchronization_bound(3);
+  EXPECT_TRUE(dfa.validate().empty());
+  return dfa;
+}
+
+/// A bounded automaton plus a bound-length occurrence to plant so it ends on
+/// the first byte after a cut: only a full bound - 1 warm-up lead counts it.
+struct BoundedCase {
+  DenseDfa dfa;
+  std::string plant;  // empty: the automaton needs no planting
+};
+
+/// The bounded automata the split path must stay exact on: Aho-Corasick
+/// (one set with a motif long enough that 8x its lead outgrows the 16 KiB
+/// sub-stream floor), regex/IUPAC motifs determinized with and without
+/// minimization, and the hand-built shift register.
+std::vector<BoundedCase> bounded_automata(std::mt19937_64& rng) {
+  std::vector<BoundedCase> out;
+  out.push_back({build_aho_corasick({"GATTACA", "TTT", "ACGTACGTAC"}), "ACGTACGTAC"});
+  static constexpr char kBases[] = {'A', 'C', 'G', 'T'};
+  std::string long_motif(2500, 'A');
+  for (char& c : long_motif) c = kBases[rng() % 4];
+  out.push_back({build_aho_corasick({long_motif, "CCGG"}), long_motif});
+  const auto iupac = compile_motifs({"TATAWAW", "GGN?CC", "RYACGT"});
+  out.push_back({minimize(determinize(iupac.nfa, iupac.synchronization_bound)), "TATAAAT"});
+  out.push_back({determinize(iupac.nfa, iupac.synchronization_bound), "TATATAA"});
+  out.push_back({shift_register_dfa(rng), ""});
+  for (const BoundedCase& c : out) {
+    EXPECT_GT(c.dfa.synchronization_bound(), 0u);
+    EXPECT_TRUE(c.plant.empty() || c.plant.size() == c.dfa.synchronization_bound());
+  }
+  return out;
+}
+
+/// Smallest input count() splits on `kernel` (two sub-streams).
+std::size_t split_threshold(const CompiledDfa& kernel) {
+  return 2 * std::max(CompiledDfa::kSplitMinBytes, 8 * kernel.synchronization_bound());
+}
+
+/// Random text of `size` bytes with `plant` ending on the first byte of every
+/// sub-stream count() cuts it into.
+std::string split_text(std::mt19937_64& rng, const CompiledDfa& kernel, std::size_t size,
+                       const std::string& plant) {
+  std::string text = random_text(rng, size);
+  const std::size_t streams = kernel.split_streams(size);
+  for (std::size_t k = 1; k < streams && !plant.empty(); ++k) {
+    const std::size_t cut = k * (size / streams);
+    text.replace(cut + 1 - plant.size(), plant.size(), plant);
+  }
+  return text;
+}
+
+TEST(CompiledDfaSplit, StreamCountFollowsThresholdAndBound) {
+  std::mt19937_64 rng(19);
+  for (const BoundedCase& c : bounded_automata(rng)) {
+    const CompiledDfa compiled(c.dfa);
+    const std::size_t t = split_threshold(compiled);
+    EXPECT_EQ(compiled.split_streams(0), 1u);
+    EXPECT_EQ(compiled.split_streams(t - 1), 1u);
+    EXPECT_EQ(compiled.split_streams(t), 2u);
+    EXPECT_EQ(compiled.split_streams(3 * t / 2), 3u);
+    EXPECT_EQ(compiled.split_streams(4 * t), CompiledDfa::kMaxStreams);
+    EXPECT_EQ(compiled.split_streams(100 * t), CompiledDfa::kMaxStreams);
+  }
+  // Unbounded automata never split.
+  const CompiledDfa unbounded(random_dfa(rng, 9));
+  EXPECT_EQ(unbounded.split_streams(std::size_t{1} << 30), 1u);
+}
+
+TEST(CompiledDfaSplit, CountMatchesNaiveAroundTheThreshold) {
+  std::mt19937_64 rng(23);
+  for (const auto& [dfa, plant] : bounded_automata(rng)) {
+    const CompiledDfa compiled(dfa);
+    const std::size_t t = split_threshold(compiled);
+    // Below/at/above the threshold, 8x it, and lengths the stream count does
+    // not divide (3, 5 and 7 sub-streams with odd remainders).
+    for (const std::size_t size :
+         {t - 1, t, t + 1, 8 * t, 3 * t / 2 + 1, 5 * t / 2 + 3, 7 * t / 2 + 5}) {
+      const std::string text = split_text(rng, compiled, size, plant);
+      for (int trial = 0; trial < 3; ++trial) {
+        const StateId entry =
+            trial == 0 ? dfa.start() : static_cast<StateId>(rng() % dfa.state_count());
+        const ScanResult expect = scan_count_naive(dfa, text, entry);
+        const ScanResult got = compiled.count(text, entry);
+        EXPECT_EQ(got.final_state, expect.final_state)
+            << "bound=" << dfa.synchronization_bound() << " size=" << size
+            << " entry=" << entry;
+        EXPECT_EQ(got.match_count, expect.match_count)
+            << "bound=" << dfa.synchronization_bound() << " size=" << size
+            << " entry=" << entry;
+      }
+    }
+  }
+}
+
+TEST(CompiledDfaSplit, InvalidBytesThrowTheSeedErrorForTheWholeText) {
+  std::mt19937_64 rng(29);
+  for (const auto& [dfa, plant] : bounded_automata(rng)) {
+    const CompiledDfa compiled(dfa);
+    const std::size_t n = 4 * split_threshold(compiled) + 7;  // 8 sub-streams
+    ASSERT_EQ(compiled.split_streams(n), CompiledDfa::kMaxStreams);
+    const std::size_t len = n / CompiledDfa::kMaxStreams;
+    const std::size_t lead = compiled.synchronization_bound() - 1;
+    // First and last byte, the middle of every sub-stream body, every cut,
+    // and the first and last byte of every warm-up lead.
+    std::vector<std::size_t> positions = {0, n - 1};
+    for (std::size_t k = 0; k < CompiledDfa::kMaxStreams; ++k) {
+      positions.push_back(k * len + len / 2);
+      if (k == 0) continue;
+      positions.push_back(k * len);
+      positions.push_back(k * len - 1);
+      positions.push_back(k * len - std::max<std::size_t>(lead, 1));
+    }
+    const std::string clean = split_text(rng, compiled, n, plant);
+    std::vector<std::string> texts;
+    for (const std::size_t pos : positions) {
+      texts.push_back(clean);
+      texts.back()[pos] = 'X';
+      // A second, later bad byte in the last sub-stream must not win.
+      if (pos + 2 < n) {
+        texts.push_back(texts.back());
+        texts.back()[n - 2] = '#';
+      }
+    }
+    for (const std::string& text : texts) {
+      const StateId entry = static_cast<StateId>(rng() % dfa.state_count());
+      std::string expect_message;
+      try {
+        (void)scan_count_naive(dfa, text, entry);
+        FAIL() << "naive scanner accepted invalid input";
+      } catch (const std::invalid_argument& e) {
+        expect_message = e.what();
+      }
+      for (const auto& scan : std::vector<std::function<ScanResult()>>{
+               [&] { return compiled.count(text, entry); },
+               [&] { return scan_count(dfa, text, entry); }}) {
+        try {
+          (void)scan();
+          FAIL() << "kernel accepted invalid input (" << expect_message << ")";
+        } catch (const std::invalid_argument& e) {
+          EXPECT_EQ(std::string(e.what()), expect_message);
+        }
+      }
+    }
+  }
+}
+
+TEST(CompiledDfaSplit, BadEntryStateStillThrowsOutOfRange) {
+  const DenseDfa dfa = build_aho_corasick({"ACGT"});
+  const CompiledDfa compiled(dfa);
+  const std::string text(split_threshold(compiled), 'A');
+  ASSERT_GT(compiled.split_streams(text.size()), 1u);
+  EXPECT_THROW((void)compiled.count(text, dfa.state_count()), std::out_of_range);
+}
+
+TEST(CompiledDfaSplit, OneChunkPerWorkerMatcherStaysExact) {
+  // The matcher's one-chunk-per-worker shapes hand count() chunks long
+  // enough to split; every schedule and strategy must still agree with the
+  // sequential oracle.
+  parallel::ThreadPool pool(3);
+  std::mt19937_64 rng(31);
+  for (const BoundedCase& c : bounded_automata(rng)) {
+    const DenseDfa& dfa = c.dfa;
+    const CompiledDfa compiled(dfa);
+    const std::string text = random_text(rng, 3 * 4 * split_threshold(compiled) + 11);
+    const std::uint64_t expect = scan_count_naive(dfa, text, dfa.start()).match_count;
+    ParallelMatcher matcher(dfa, pool);
+    for (const std::size_t chunks : {1u, 3u}) {
+      for (const auto strategy : {ParallelStrategy::kWarmup, ParallelStrategy::kSpeculative}) {
+        for (const parallel::SchedulePolicy schedule : parallel::kAllSchedulePolicies) {
+          MatcherOptions options{strategy, 0};
+          options.schedule = schedule;
+          EXPECT_EQ(matcher.count(text, chunks, options).match_count, expect)
+              << "chunks=" << chunks << " schedule=" << parallel::to_string(schedule);
+        }
+      }
+    }
   }
 }
 

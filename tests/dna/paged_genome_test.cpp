@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -225,6 +226,89 @@ TEST(PagedGenome, ColdStallsCountConsumerLoadsOnly) {
   EXPECT_EQ(stats.cold_stalls, 1u);
   genome.reset_stats();
   EXPECT_EQ(genome.stats().loads, 0u);
+}
+
+TEST(PagedGenome, RecycledSlotsServeExactViews) {
+  // A corpus over 4x the resident budget, odd page size, short last page and
+  // a halo-less page 0: every load after the first three reuses an evicted
+  // slot's buffer, so every view must still be byte-exact and exactly
+  // halo + payload long — stale bytes past a short page must never show.
+  constexpr std::size_t kPage = 1000;
+  constexpr std::size_t kHalo = 16;
+  const std::string text = pattern_text(4 * 3 * kPage + 517);
+  PagedGenome genome = make_buffer_genome(text, kPage, /*resident=*/3, kHalo);
+  ASSERT_EQ(genome.page_count(), 13u);
+  const auto scan = [&](bool reverse) {
+    std::vector<std::string> views(genome.page_count());
+    for (std::size_t i = 0; i < genome.page_count(); ++i) {
+      const std::size_t p = reverse ? genome.page_count() - 1 - i : i;
+      const auto ref = genome.acquire(p);
+      const std::size_t halo = p == 0 ? 0 : kHalo;
+      const std::size_t payload = genome.page_payload_bytes(p);
+      EXPECT_EQ(ref.halo(), halo) << "page " << p;
+      EXPECT_EQ(ref.view().size(), halo + payload) << "page " << p;
+      EXPECT_EQ(ref.view(), std::string_view(text).substr(p * kPage - halo, halo + payload))
+          << "page " << p;
+      EXPECT_EQ(ref.end(), p * kPage + payload) << "page " << p;
+      views[p] = std::string(ref.view());
+    }
+    return views;
+  };
+  const auto first = scan(/*reverse=*/false);
+  EXPECT_EQ(first.back().size(), kHalo + 517);
+  EXPECT_EQ(scan(/*reverse=*/false), first);
+  // Reversed, the short last page and halo-less page 0 land in slots whose
+  // buffers last held full pages (and the other way round).
+  EXPECT_EQ(scan(/*reverse=*/true), first);
+  EXPECT_EQ(genome.stats().loads, 3 * genome.page_count() - 3);  // 3 stay warm across the turn
+}
+
+/// A page source whose reads block until opened, so a test can hold a load
+/// in flight while other threads pile up behind it.
+class GatedSource final : public PageSource {
+ public:
+  explicit GatedSource(std::string bytes) : inner_(std::move(bytes)) {}
+  [[nodiscard]] std::size_t size() const noexcept override { return inner_.size(); }
+  void read(std::size_t offset, char* out, std::size_t n) const override {
+    reads_.fetch_add(1, std::memory_order_acq_rel);
+    while (!open_.load(std::memory_order_acquire)) std::this_thread::yield();
+    inner_.read(offset, out, n);
+  }
+  [[nodiscard]] std::string describe() const override { return "gated"; }
+  void open() { open_.store(true, std::memory_order_release); }
+  [[nodiscard]] int reads() const { return reads_.load(std::memory_order_acquire); }
+
+ private:
+  BufferPageSource inner_;
+  mutable std::atomic<int> reads_{0};
+  std::atomic<bool> open_{false};
+};
+
+TEST(PagedGenome, WaitersOnOneLoadCountOneColdStall) {
+  // One demand load, three consumers queued behind it: one cold stall (the
+  // loader's), the rest are waiter stalls (or hits, if a thread arrives
+  // after the load finished) — never more cold stalls than loads.
+  auto source = std::make_unique<GatedSource>(pattern_text(1024));
+  GatedSource* gate = source.get();
+  PagedGenomeOptions options;
+  options.page_bytes = 256;
+  options.resident_pages = 4;
+  PagedGenome genome(std::move(source), options);
+  std::thread loader([&] { EXPECT_EQ(genome.acquire(1).payload().size(), 256u); });
+  while (gate->reads() == 0) std::this_thread::yield();
+  std::vector<std::thread> waiters;
+  for (int i = 0; i < 3; ++i) {
+    waiters.emplace_back([&] { EXPECT_EQ(genome.acquire(1).payload().size(), 256u); });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  gate->open();
+  loader.join();
+  for (std::thread& t : waiters) t.join();
+  const CacheStats stats = genome.stats();
+  EXPECT_EQ(stats.loads, 1u);
+  EXPECT_EQ(stats.cold_stalls, 1u);
+  EXPECT_EQ(stats.waiter_stalls + stats.hits, 3u);
+  EXPECT_GE(stats.waiter_stall_seconds, 0.0);
 }
 
 // --- PrefetchReader ----------------------------------------------------------
