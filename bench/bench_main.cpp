@@ -63,6 +63,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -841,14 +842,30 @@ int main(int argc, char** argv) {
   bool schedule_parity = true;
   {
     const std::size_t sched_reps = suite == "full" ? 3 : 2;
-    core::HeterogeneousExecutor executor(
-        rw.engine(automata::EngineKind::kCompiledDfa), hw, hw);
+    // One host + device pair per chunk count (PoolSpec::chunks cuts each
+    // pool's segment), built on first use.
+    std::map<std::size_t, std::unique_ptr<core::HeterogeneousExecutor>> executors;
+    const auto executor_for = [&](std::size_t chunks_per_side) -> core::HeterogeneousExecutor& {
+      std::unique_ptr<core::HeterogeneousExecutor>& slot = executors[chunks_per_side];
+      if (!slot) {
+        std::vector<core::PoolSpec> specs(2);
+        for (core::PoolSpec& spec : specs) {
+          spec.threads = hw;
+          spec.share_percent = 50.0;
+          spec.chunks = chunks_per_side;
+        }
+        slot = std::make_unique<core::HeterogeneousExecutor>(
+            rw.engine(automata::EngineKind::kCompiledDfa), std::move(specs));
+      }
+      return *slot;
+    };
     const auto best_run = [&](double fraction, std::size_t chunks_per_side,
                               parallel::SchedulePolicy policy, std::size_t reps) {
+      core::HeterogeneousExecutor& executor = executor_for(chunks_per_side);
       core::ExecutionReport best;
       for (std::size_t rep = 0; rep < reps; ++rep) {
-        const core::ExecutionReport r = executor.run(rw.text(), fraction, chunks_per_side,
-                                                     chunks_per_side, policy);
+        const core::ExecutionReport r =
+            executor.run_fleet(rw.text(), {fraction, 100.0 - fraction}, policy);
         if (rep == 0 || r.total_seconds < best.total_seconds) best = r;
       }
       return best;
@@ -861,15 +878,15 @@ int main(int argc, char** argv) {
       schedule_parity = schedule_parity && parity;
       json.begin_object()
           .member("schedule", parallel::to_string(r.schedule))
-          .member("host_percent", r.configured_host_percent)
+          .member("host_percent", r.pools[0].configured_percent)
           .member("chunks_per_side", chunks_per_side)
           .member("seconds", r.total_seconds)
           .member("mb_s", mb_s)
           .member("matches", r.total_matches())
           .member("match_parity", parity)
-          .member("realized_host_percent", r.realized_host_percent)
-          .member("host_steals", r.host_steals)
-          .member("device_steals", r.device_steals)
+          .member("realized_host_percent", r.pools[0].realized_percent)
+          .member("host_steals", r.pools[0].steals)
+          .member("device_steals", r.pools[1].steals)
           .member("imbalance", r.imbalance)
           .end_object();
       return mb_s;

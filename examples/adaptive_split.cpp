@@ -16,6 +16,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/hetopt.hpp"
@@ -79,17 +80,18 @@ int main(int argc, char** argv) {
             << parallel::to_string(tuned.config.schedule) << "' schedule\n";
 
   // Execute the winner once more and show the distribution runtime's view.
-  core::HeterogeneousExecutor executor(
-      real.engine(tuned.config.engine),
-      static_cast<std::size_t>(tuned.config.host_threads),
-      static_cast<std::size_t>(tuned.config.device_threads));
-  const core::ExecutionReport report =
-      executor.run(real.text(), tuned.config.host_percent, 0, 0, tuned.config.schedule);
+  std::vector<core::PoolSpec> pair(2);
+  pair[0].threads = static_cast<std::size_t>(tuned.config.host_threads);
+  pair[0].share_percent = tuned.config.host_percent;
+  pair[1].threads = static_cast<std::size_t>(tuned.config.device_threads);
+  pair[1].share_percent = 100.0 - tuned.config.host_percent;
+  core::HeterogeneousExecutor executor(real.engine(tuned.config.engine), std::move(pair));
+  const core::ExecutionReport report = executor.run_fleet(real.text(), tuned.config.schedule);
   std::cout << "  " << report.to_string() << "\n"
             << "  realized host fraction "
-            << util::format_trimmed(report.realized_host_percent, 1)
+            << util::format_trimmed(report.pools[0].realized_percent, 1)
             << "% vs configured " << util::format_trimmed(tuned.config.host_percent, 1)
-            << "% (" << report.host_steals << " host / " << report.device_steals
+            << "% (" << report.pools[0].steals << " host / " << report.pools[1].steals
             << " device chunks stolen)\n";
 
   const bool ok = report.total_matches() == real.sequential_matches();

@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <iostream>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "core/hetopt.hpp"
 #include "util/cli.hpp"
@@ -67,22 +69,27 @@ int main(int argc, char** argv) {
   std::cout << "  chose " << opt::to_string(tuned.config) << " after " << tuned.evaluations
             << " real experiments\n";
 
-  // Execute the winner once more, reporting both halves of the split.
-  core::HeterogeneousExecutor exec(
-      real.dfa(), static_cast<std::size_t>(tuned.config.host_threads),
-      static_cast<std::size_t>(tuned.config.device_threads), tuned.config.host_affinity,
-      tuned.config.device_affinity);
+  // Execute the winner once more as a host + device pair, reporting both
+  // halves of the split.
+  std::vector<core::PoolSpec> pair(2);
+  pair[0].threads = static_cast<std::size_t>(tuned.config.host_threads);
+  pair[0].share_percent = tuned.config.host_percent;
+  pair[0].host_affinity = tuned.config.host_affinity;
+  pair[1].threads = static_cast<std::size_t>(tuned.config.device_threads);
+  pair[1].share_percent = 100.0 - tuned.config.host_percent;
+  pair[1].device_affinity = tuned.config.device_affinity;
+  core::HeterogeneousExecutor exec(real.dfa(), std::move(pair));
   util::Timer timer;
-  const core::ExecutionReport report = exec.run(real.text(), tuned.config.host_percent);
+  const core::ExecutionReport report = exec.run_fleet(real.text());
   const double wall = timer.seconds();
 
   std::cout << "Scan complete in " << wall << " s (" << real.physical_mb() / wall
             << " MB/s overlapped)\n"
             << "  " << report.to_string() << "\n"
-            << "  host share:   " << report.host_bytes << " bytes, "
-            << report.host_matches << " motif hits\n"
-            << "  device share: " << report.device_bytes << " bytes, "
-            << report.device_matches << " motif hits\n";
+            << "  host share:   " << report.pools[0].bytes << " bytes, "
+            << report.pools[0].matches << " motif hits\n"
+            << "  device share: " << report.pools[1].bytes << " bytes, "
+            << report.pools[1].matches << " motif hits\n";
 
   // Cross-check against the plain sequential scan.
   const std::uint64_t sequential = real.sequential_matches();

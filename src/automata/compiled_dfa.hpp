@@ -98,8 +98,10 @@ class CompiledDfa {
   /// lead, so long motifs never spend most of a sub-stream warming up).
   [[nodiscard]] std::size_t split_streams(std::size_t bytes) const noexcept;
 
-  /// Smallest sub-stream count() cuts; fixed, not a tuning knob.
-  static constexpr std::size_t kSplitMinBytes = std::size_t{16} << 10;
+  /// Smallest sub-stream count() cuts (4 KiB, so any input of at least
+  /// 8 KiB splits — a paged scan's per-worker slice of one page included);
+  /// fixed, not a tuning knob.
+  static constexpr std::size_t kSplitMinBytes = std::size_t{4} << 10;
 
   /// The byte-at-a-time fused kernel (one table load + one accept load per
   /// byte, no branches). Exposed for benchmarks and tests.

@@ -25,8 +25,12 @@ namespace {
   return parallel::make_chunks(total, chunks, /*halo=*/0);
 }
 
-}  // namespace
-
+/// Scans chunks ids[0..m) of `text` as interleaved streams on `kernel`: one
+/// count_multi pass warms the entry states over each chunk's lead bytes (up
+/// to `warmup` before chunk.begin), a second scans the chunk bodies from the
+/// warmed states; res[k] receives chunk ids[k]'s result. Exact for any
+/// subset of chunks — the PaREM warm-up protocol, batched.
+/// m must be <= CompiledDfa::kMaxStreams.
 void scan_chunk_streams(const CompiledDfa& kernel, std::string_view text,
                         std::size_t warmup, const parallel::Chunk* chunks,
                         const std::size_t* ids, std::size_t m, ScanResult* res) {
@@ -46,6 +50,8 @@ void scan_chunk_streams(const CompiledDfa& kernel, std::string_view text,
   }
   kernel.count_multi(views, entries, res, m);
 }
+
+}  // namespace
 
 ParallelMatcher::ParallelMatcher(const DenseDfa& dfa, parallel::ThreadPool& pool)
     : dfa_(&dfa), pool_(pool) {

@@ -54,18 +54,6 @@
 
 namespace hetopt::automata {
 
-/// Scans chunks ids[0..m) of `text` as interleaved streams on `kernel`: one
-/// count_multi pass warms the entry states over each chunk's lead bytes (up
-/// to `warmup` before chunk.begin), a second scans the chunk bodies from the
-/// warmed states; res[k] receives chunk ids[k]'s result. Exact for any
-/// subset of chunks — the PaREM warm-up protocol, batched. Shared by the
-/// matcher's schedule paths and the executor's shared-queue runtime so
-/// warm-up semantics can never diverge between layers.
-/// m must be <= CompiledDfa::kMaxStreams.
-void scan_chunk_streams(const CompiledDfa& kernel, std::string_view text,
-                        std::size_t warmup, const parallel::Chunk* chunks,
-                        const std::size_t* ids, std::size_t m, ScanResult* res);
-
 enum class ParallelStrategy { kWarmup, kSpeculative };
 
 struct MatcherOptions {
@@ -200,8 +188,7 @@ class ParallelMatcher {
                                              const PagedScanOptions& options = {}) const;
 
   /// The lowered automaton (shared with callers that scan outside the
-  /// chunked path, e.g. the heterogeneous executor's boundary scans). Only
-  /// valid for DFA-backed matchers — see dfa_backed().
+  /// chunked path). Only valid for DFA-backed matchers — see dfa_backed().
   [[nodiscard]] const CompiledDfa& compiled() const noexcept { return *kernel_; }
 
   /// True when the matcher runs on the compiled DFA kernels (the DenseDfa

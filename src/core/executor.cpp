@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <future>
 #include <limits>
 #include <stdexcept>
+#include <stop_token>
 #include <thread>
 #include <utility>
 
-#include "automata/compiled_dfa.hpp"
 #include "automata/scanner.hpp"
 #include "parallel/chunk_queue.hpp"
 #include "parallel/partitioner.hpp"
@@ -37,93 +36,51 @@ namespace {
   return nullptr;
 }
 
-[[nodiscard]] std::vector<PoolSpec> pair_specs(
-    std::size_t host_threads, std::size_t device_threads,
-    std::optional<parallel::HostAffinity> host_affinity,
-    std::optional<parallel::DeviceAffinity> device_affinity) {
-  PoolSpec host;
-  host.threads = host_threads;
-  host.host_affinity = host_affinity;
-  PoolSpec device;
-  device.threads = device_threads;
-  device.device_affinity = device_affinity;
-  return {host, device};
-}
-
-void validate_shares(const std::vector<double>& shares, std::size_t pool_count) {
+/// Segment bounds of a run: one share per pool (the arity is the executor's
+/// rule; parallel::share_bounds checks the range and the sum).
+[[nodiscard]] std::vector<std::size_t> fleet_bounds(std::size_t total,
+                                                    const std::vector<double>& shares,
+                                                    std::size_t pool_count) {
   if (shares.size() != pool_count) {
     throw std::invalid_argument("HeterogeneousExecutor: one share per pool required");
   }
-  double sum = 0.0;
-  for (const double s : shares) {
-    if (!(s >= 0.0 && s <= 100.0)) {
-      throw std::invalid_argument("HeterogeneousExecutor: share out of [0,100]");
-    }
-    sum += s;
-  }
-  if (std::abs(sum - 100.0) > 1e-6) {
-    throw std::invalid_argument("HeterogeneousExecutor: shares must sum to 100");
-  }
+  return parallel::share_bounds(total, shares);
 }
 
-/// Byte boundaries of the configured segments: bounds[i]..bounds[i+1] is pool
-/// i's share. Cumulative llround so a 2-pool fleet reproduces
-/// parallel::split_by_percent exactly; the last boundary absorbs rounding.
-[[nodiscard]] std::vector<std::size_t> segment_bounds(std::size_t total,
-                                                      const std::vector<double>& shares) {
-  std::vector<std::size_t> bounds(shares.size() + 1, 0);
-  double cumulative = 0.0;
-  for (std::size_t i = 0; i + 1 < shares.size(); ++i) {
-    cumulative += shares[i];
-    const auto cut = static_cast<std::size_t>(
-        std::llround(static_cast<double>(total) * cumulative / 100.0));
-    bounds[i + 1] = std::max(bounds[i], std::min(total, cut));
-  }
-  bounds[shares.size()] = total;
-  return bounds;
-}
-
-/// Derives realized shares and the imbalance metric from the filled per-pool
-/// bytes/seconds fields, and mirrors the fleet into the legacy host/device
-/// scalars (host = pool 0, device = the aggregate of pools 1..N-1).
+/// Derives realized shares, the imbalance metric, and the overlapped wall
+/// time from the filled per-pool bytes/seconds fields.
 void finalize_fleet(ExecutionReport& report) {
   std::size_t total = 0;
   for (const PoolReport& p : report.pools) total += p.bytes;
-  for (PoolReport& p : report.pools) {
-    p.realized_percent =
-        total > 0 ? 100.0 * static_cast<double>(p.bytes) / static_cast<double>(total) : 0.0;
-  }
   double slow = 0.0;
   double fast = std::numeric_limits<double>::infinity();
   std::size_t active = 0;
-  for (const PoolReport& p : report.pools) {
+  for (PoolReport& p : report.pools) {
+    p.realized_percent =
+        total > 0 ? 100.0 * static_cast<double>(p.bytes) / static_cast<double>(total) : 0.0;
+    report.total_seconds = std::max(report.total_seconds, p.seconds);
     if (p.bytes == 0) continue;
     ++active;
     slow = std::max(slow, p.seconds);
     fast = std::min(fast, p.seconds);
   }
   report.imbalance = active >= 2 && slow > 0.0 ? (slow - fast) / slow : 0.0;
+}
 
-  const PoolReport& host = report.pools.front();
-  report.host_matches = host.matches;
-  report.host_bytes = host.bytes;
-  report.host_seconds = host.seconds;
-  report.host_steals = host.steals;
-  report.configured_host_percent = host.configured_percent;
-  report.realized_host_percent = host.realized_percent;
-  report.device_matches = 0;
-  report.device_bytes = 0;
-  report.device_seconds = 0.0;
-  report.device_steals = 0;
-  for (std::size_t i = 1; i < report.pools.size(); ++i) {
-    report.device_matches += report.pools[i].matches;
-    report.device_bytes += report.pools[i].bytes;
-    report.device_steals += report.pools[i].steals;
-    report.device_seconds = std::max(report.device_seconds, report.pools[i].seconds);
+/// Runs task(i) for every pool i with active(i): pools 1..N-1 each on an
+/// async launch thread (the "offload"), pool 0 on the calling thread, then
+/// joins them all, so the pools overlap. An exception from any task reaches
+/// the caller only after every launched task has joined (a std::async
+/// future blocks in its destructor).
+template <typename Active, typename Task>
+void for_each_pool(std::size_t n, const Active& active, const Task& task) {
+  std::vector<std::future<void>> futures(n);
+  for (std::size_t i = 1; i < n; ++i) {
+    if (active(i)) futures[i] = std::async(std::launch::async, [&task, i] { task(i); });
   }
-  report.total_seconds = 0.0;
-  for (const PoolReport& p : report.pools) {
-    report.total_seconds = std::max(report.total_seconds, p.seconds);
+  if (active(0)) task(0);
+  for (std::future<void>& f : futures) {
+    if (f.valid()) f.get();
   }
 }
 
@@ -152,8 +109,6 @@ struct FleetLayout {
                        schedule == parallel::SchedulePolicy::kAdaptive;
   layout.seg_offset.assign(n + 1, 0);
   if (layout.per_segment) {
-    // Seed each pool with its configured segment, cut exactly as the static
-    // path would have cut it.
     for (std::size_t i = 0; i < n; ++i) {
       layout.seg_offset[i] = layout.chunks.size();
       for (const parallel::Chunk& c :
@@ -194,9 +149,9 @@ struct PoolTotals {
   std::atomic<std::uint64_t> steals{0};
 };
 
-/// Shared state of one fault-tolerant run (run_recovery_fleet). The failed
-/// mask and the per-pool progress words are the only state read across
-/// threads mid-run; everything else is telemetry merged after the joins.
+/// Shared state of the recovery policy. The failed mask and the per-pool
+/// progress words are the only state read across threads mid-run;
+/// everything else is telemetry merged after the joins.
 struct RecoveryContext {
   explicit RecoveryContext(std::size_t pools)
       : progress(pools), started(pools), finished(pools) {}
@@ -212,7 +167,6 @@ struct RecoveryContext {
   std::atomic<std::uint64_t> requeued{0};
   std::atomic<std::uint64_t> retries{0};
   std::atomic<bool> degraded{false};
-  std::atomic<bool> done{false};
   util::Mutex mutex;
   util::CondVar cv;  // parks stalled pools; signaled by mark_failed
 
@@ -241,14 +195,15 @@ struct RecoveryContext {
 
 /// The watchdog: ticks on a fraction of the tightest deadline and declares a
 /// pool failed once it has gone `deadlines[i]` seconds without completing a
-/// chunk. Runs on its own thread until RecoveryContext::done.
-void watchdog_loop(RecoveryContext& ctx, const std::vector<double>& deadlines) {
+/// chunk. Runs on its own thread until a stop is requested.
+void watchdog_loop(const std::stop_token& stop, RecoveryContext& ctx,
+                   const std::vector<double>& deadlines) {
   const std::size_t n = deadlines.size();
   double tick = *std::min_element(deadlines.begin(), deadlines.end()) / 4.0;
   tick = std::max(tick, 0.001);
   std::vector<std::uint64_t> last(n, 0);
   std::vector<double> stagnant(n, 0.0);
-  while (!ctx.done.load(std::memory_order_acquire)) {
+  while (!stop.stop_requested()) {
     std::this_thread::sleep_for(std::chrono::duration<double>(tick));
     for (std::size_t i = 0; i < n; ++i) {
       if (!ctx.started[i].load(std::memory_order_relaxed) ||
@@ -271,31 +226,8 @@ void watchdog_loop(RecoveryContext& ctx, const std::vector<double>& deadlines) {
 }  // namespace
 
 std::string ExecutionReport::to_string() const {
-  // Pre-fleet reports (pools empty) render through the legacy 2-pool view.
-  std::vector<PoolReport> view = pools;
-  if (view.empty()) {
-    const std::size_t total = host_bytes + device_bytes;
-    PoolReport host;
-    host.matches = host_matches;
-    host.bytes = host_bytes;
-    host.seconds = host_seconds;
-    host.configured_percent = configured_host_percent;
-    host.realized_percent = realized_host_percent;
-    host.steals = host_steals;
-    PoolReport device;
-    device.matches = device_matches;
-    device.bytes = device_bytes;
-    device.seconds = device_seconds;
-    device.configured_percent = 100.0 - configured_host_percent;
-    device.realized_percent =
-        total > 0 ? 100.0 * static_cast<double>(device_bytes) / static_cast<double>(total)
-                  : 0.0;
-    device.steals = device_steals;
-    view.push_back(host);
-    view.push_back(device);
-  }
   std::size_t total_bytes = 0;
-  for (const PoolReport& p : view) total_bytes += p.bytes;
+  for (const PoolReport& p : pools) total_bytes += p.bytes;
   const double total_mb = static_cast<double>(total_bytes) / (1024.0 * 1024.0);
   std::string out = "[";
   out += parallel::to_string(schedule);
@@ -306,26 +238,27 @@ std::string ExecutionReport::to_string() const {
   out += " MB in ";
   out += util::format_double(total_seconds, 4);
   out += " s";
-  for (std::size_t i = 0; i < view.size(); ++i) {
+  for (std::size_t i = 0; i < pools.size(); ++i) {
     out += " | ";
     out += i == 0 ? "host" : "dev" + std::to_string(i);
     out += " ";
-    out += util::format_trimmed(view[i].realized_percent, 1);
+    out += util::format_trimmed(pools[i].realized_percent, 1);
     out += "% of bytes (configured ";
-    out += util::format_trimmed(view[i].configured_percent, 1);
+    out += util::format_trimmed(pools[i].configured_percent, 1);
     out += "%), ";
-    out += util::format_double(view[i].seconds, 4);
+    out += util::format_double(pools[i].seconds, 4);
     out += " s";
   }
   out += " | steals ";
-  for (std::size_t i = 0; i < view.size(); ++i) {
+  for (std::size_t i = 0; i < pools.size(); ++i) {
     if (i > 0) out += "+";
-    out += std::to_string(view[i].steals);
+    out += std::to_string(pools[i].steals);
   }
   out += " | imbalance ";
   out += util::format_double(imbalance, 2);
-  // Failure section only when the recovery path did something — the no-fault
-  // report line stays byte-identical to the pre-fault-tolerance format.
+  // Failure section only when the recovery policy did something — the
+  // no-fault report line stays byte-identical to the pre-fault-tolerance
+  // format.
   if (!failed_pools.empty() || requeued_chunks > 0 || chunk_retries > 0 || degraded) {
     out += " | faults: failed={";
     for (std::size_t i = 0; i < failed_pools.size(); ++i) {
@@ -339,24 +272,6 @@ std::string ExecutionReport::to_string() const {
     if (degraded) out += ", degraded";
   }
   return out;
-}
-
-HeterogeneousExecutor::HeterogeneousExecutor(
-    const automata::DenseDfa& dfa, std::size_t host_threads, std::size_t device_threads,
-    std::optional<parallel::HostAffinity> host_affinity,
-    std::optional<parallel::DeviceAffinity> device_affinity)
-    : owned_engine_(std::make_unique<automata::DenseDfaEngine>(
-          automata::EngineKind::kCompiledDfa, dfa)),
-      engine_(owned_engine_.get()) {
-  build_fleet(pair_specs(host_threads, device_threads, host_affinity, device_affinity));
-}
-
-HeterogeneousExecutor::HeterogeneousExecutor(
-    const automata::MatchEngine& engine, std::size_t host_threads,
-    std::size_t device_threads, std::optional<parallel::HostAffinity> host_affinity,
-    std::optional<parallel::DeviceAffinity> device_affinity)
-    : engine_(&engine) {
-  build_fleet(pair_specs(host_threads, device_threads, host_affinity, device_affinity));
 }
 
 HeterogeneousExecutor::HeterogeneousExecutor(const automata::DenseDfa& dfa,
@@ -391,66 +306,52 @@ void HeterogeneousExecutor::build_fleet(std::vector<PoolSpec> pools) {
   matchers_.reserve(specs_.size());
   for (const PoolSpec& spec : specs_) {
     pools_.push_back(std::make_unique<parallel::ThreadPool>(spec.threads, pool_init(spec)));
-    // A boundless engine without a DFA is rejected by the ParallelMatcher
-    // constructor, so the unbounded branches below can rely on kernel().
+    // The ParallelMatcher constructor rejects a boundless engine without a
+    // DFA, so every engine the run loop sees can scan any chunk exactly.
     matchers_.push_back(std::make_unique<automata::ParallelMatcher>(*engine_, *pools_.back()));
   }
 }
 
-ExecutionReport HeterogeneousExecutor::run(std::string_view text, double host_percent) {
-  return run(text, host_percent, 0, 0);
-}
-
-ExecutionReport HeterogeneousExecutor::run(std::string_view text, double host_percent,
-                                           std::size_t host_chunks,
-                                           std::size_t device_chunks) {
-  return run(text, host_percent, host_chunks, device_chunks,
-             parallel::SchedulePolicy::kStatic);
-}
-
-ExecutionReport HeterogeneousExecutor::run(std::string_view text, double host_percent,
-                                           std::size_t host_chunks,
-                                           std::size_t device_chunks,
-                                           parallel::SchedulePolicy schedule) {
-  if (specs_.size() != 2) {
-    throw std::logic_error(
-        "HeterogeneousExecutor::run(host_percent) needs the 2-pool fleet; use run_fleet");
-  }
-  if (!(host_percent >= 0.0 && host_percent <= 100.0)) {
-    throw std::invalid_argument("run: percent out of [0,100]");
-  }
-  if (host_chunks == 0) host_chunks = pools_[0]->thread_count();
-  if (device_chunks == 0) device_chunks = pools_[1]->thread_count();
-  return run_impl(text, {host_percent, 100.0 - host_percent}, {host_chunks, device_chunks},
-                  schedule);
+std::vector<double> HeterogeneousExecutor::configured_shares() const {
+  std::vector<double> shares;
+  shares.reserve(specs_.size());
+  for (const PoolSpec& spec : specs_) shares.push_back(spec.share_percent);
+  return shares;
 }
 
 ExecutionReport HeterogeneousExecutor::run_fleet(std::string_view text,
                                                  parallel::SchedulePolicy schedule) {
-  std::vector<double> shares;
-  shares.reserve(specs_.size());
-  for (const PoolSpec& spec : specs_) shares.push_back(spec.share_percent);
-  return run_fleet(text, shares, schedule);
+  return run_chunks(text, configured_shares(), schedule, nullptr);
 }
 
 ExecutionReport HeterogeneousExecutor::run_fleet(std::string_view text,
                                                  const std::vector<double>& shares,
                                                  parallel::SchedulePolicy schedule) {
-  return run_impl(text, shares, resolve_chunk_counts(), schedule);
+  return run_chunks(text, shares, schedule, nullptr);
+}
+
+ExecutionReport HeterogeneousExecutor::collect_fleet(std::string_view text,
+                                                     const std::vector<double>& shares,
+                                                     parallel::SchedulePolicy schedule,
+                                                     std::vector<automata::Match>& out) {
+  if (!engine_->supports_collect()) {
+    throw std::invalid_argument("collect_fleet: engine does not support collection");
+  }
+  return run_chunks(text, shares, schedule, &out);
 }
 
 ExecutionReport HeterogeneousExecutor::run_fleet_paged(dna::PagedGenome& genome,
                                                        const PagedFleetOptions& options) {
-  std::vector<double> shares;
-  shares.reserve(specs_.size());
-  for (const PoolSpec& spec : specs_) shares.push_back(spec.share_percent);
-  return run_fleet_paged(genome, shares, options);
+  return run_fleet_paged(genome, configured_shares(), options);
 }
 
 ExecutionReport HeterogeneousExecutor::run_fleet_paged(dna::PagedGenome& genome,
                                                        const std::vector<double>& shares,
                                                        const PagedFleetOptions& options) {
-  validate_shares(shares, specs_.size());
+  // Page-granular segment cuts: the same cumulative-rounding split as the
+  // in-memory run, but over pages so every pool boundary is a page seam
+  // (the halo makes counts exact across it, like any other seam).
+  const auto bounds = fleet_bounds(genome.page_count(), shares, specs_.size());
   const std::size_t n = specs_.size();
   std::size_t total_workers = 0;
   for (const auto& pool : pools_) total_workers += pool->thread_count();
@@ -461,11 +362,6 @@ ExecutionReport HeterogeneousExecutor::run_fleet_paged(dna::PagedGenome& genome,
         " pages) must cover the fleet's " + std::to_string(total_workers) +
         " workers for a paged run");
   }
-
-  // Page-granular segment cuts: the same cumulative-rounding split as the
-  // static byte path, but over pages so every pool boundary is a page seam
-  // (the halo makes counts exact across it, like any other seam).
-  const auto bounds = segment_bounds(genome.page_count(), shares);
 
   // The shared cache serves every pool at once, so the resident budget is
   // divided up front in proportion to worker counts: each slice covers its
@@ -484,414 +380,47 @@ ExecutionReport HeterogeneousExecutor::run_fleet_paged(dna::PagedGenome& genome,
   report.pools.resize(n);
   for (std::size_t i = 0; i < n; ++i) report.pools[i].configured_percent = shares[i];
 
-  const auto scan_pages = [&](std::size_t i) {
-    automata::PagedScanOptions popts;
-    popts.schedule = report.schedule;
-    popts.chunks_per_page = options.chunks_per_page;
-    popts.prefetch_depth = options.prefetch_depth;
-    popts.first_page = bounds[i];
-    popts.last_page = bounds[i + 1];
-    popts.pin_budget = budget[i];
-    return matchers_[i]->count_paged(genome, popts);
-  };
-
-  // Pools 1..N-1 stream their page ranges asynchronously (the "offload");
-  // pool 0 streams on the calling thread's pool. Zero-page shares are
-  // skipped entirely, as under the static in-memory schedule.
-  std::vector<std::future<automata::PagedScanStats>> futures(n);
-  for (std::size_t i = 1; i < n; ++i) {
-    if (bounds[i + 1] > bounds[i]) {
-      futures[i] = std::async(std::launch::async, scan_pages, i);
-    }
-  }
-  if (bounds[1] > 0) {
-    const automata::PagedScanStats stats = scan_pages(0);
-    report.pools[0].matches = stats.match_count;
-    report.pools[0].bytes = stats.bytes;
-    report.pools[0].seconds = stats.seconds;
-  }
-  for (std::size_t i = 1; i < n; ++i) {
-    if (!futures[i].valid()) continue;
-    const automata::PagedScanStats stats = futures[i].get();
-    report.pools[i].matches = stats.match_count;
-    report.pools[i].bytes = stats.bytes;
-    report.pools[i].seconds = stats.seconds;
-  }
+  // Every pool streams its page range through its own matcher; zero-page
+  // shares are skipped entirely, as under the static in-memory schedule.
+  for_each_pool(
+      n, [&](std::size_t i) { return bounds[i + 1] > bounds[i]; },
+      [&](std::size_t i) {
+        automata::PagedScanOptions popts;
+        popts.schedule = report.schedule;
+        popts.chunks_per_page = options.chunks_per_page;
+        popts.prefetch_depth = options.prefetch_depth;
+        popts.first_page = bounds[i];
+        popts.last_page = bounds[i + 1];
+        popts.pin_budget = budget[i];
+        const automata::PagedScanStats stats = matchers_[i]->count_paged(genome, popts);
+        report.pools[i].matches = stats.match_count;
+        report.pools[i].bytes = stats.bytes;
+        report.pools[i].seconds = stats.seconds;
+      });
   finalize_fleet(report);
   return report;
 }
 
-std::vector<std::size_t> HeterogeneousExecutor::resolve_chunk_counts() const {
-  std::vector<std::size_t> counts(specs_.size());
-  for (std::size_t i = 0; i < specs_.size(); ++i) {
-    counts[i] = specs_[i].chunks > 0 ? specs_[i].chunks : pools_[i]->thread_count();
-  }
-  return counts;
-}
-
-ExecutionReport HeterogeneousExecutor::run_impl(std::string_view text,
-                                                const std::vector<double>& shares,
-                                                const std::vector<std::size_t>& chunk_counts,
-                                                parallel::SchedulePolicy schedule) {
-  validate_shares(shares, specs_.size());
-  // Shared-queue schedules scan every chunk independently (per-chunk
-  // warm-up); an unbounded engine cannot, so it runs the static path.
-  if (schedule != parallel::SchedulePolicy::kStatic &&
-      engine_->synchronization_bound() == 0) {
-    schedule = parallel::SchedulePolicy::kStatic;
-  }
-  // The fault-tolerant twin takes over only while an armed plan carries
-  // execution faults. It needs position-independent chunk scans (a positive
-  // synchronization bound) and one mask bit per pool; unbounded engines and
-  // >64-pool fleets keep the plain path (no injection there).
-  if (const util::FaultInjector* injector = util::FaultInjector::current();
-      injector != nullptr && injector->exercises_recovery() &&
-      engine_->synchronization_bound() > 0 && specs_.size() <= 64) {
-    return run_recovery_fleet(text, shares, chunk_counts, schedule, nullptr);
-  }
-  if (schedule == parallel::SchedulePolicy::kStatic) {
-    return run_static_fleet(text, shares, chunk_counts);
-  }
-  return run_shared_fleet(text, shares, chunk_counts, schedule);
-}
-
-ExecutionReport HeterogeneousExecutor::run_static_fleet(
-    std::string_view text, const std::vector<double>& shares,
-    const std::vector<std::size_t>& chunk_counts) {
+ExecutionReport HeterogeneousExecutor::run_chunks(std::string_view text,
+                                                  const std::vector<double>& shares,
+                                                  parallel::SchedulePolicy schedule,
+                                                  std::vector<automata::Match>* out) {
+  const auto bounds = fleet_bounds(text.size(), shares, specs_.size());
   const std::size_t n = specs_.size();
-  const auto bounds = segment_bounds(text.size(), shares);
-  ExecutionReport report;
-  report.pools.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    report.pools[i].configured_percent = shares[i];
-    report.pools[i].bytes = bounds[i + 1] - bounds[i];
-  }
-  if (!text.empty()) {
-    const bool bounded = engine_->synchronization_bound() > 0;
-    const auto scan_segment = [&](std::size_t i) {
-      util::Timer timer;
-      const std::size_t begin = bounds[i];
-      const std::size_t end = bounds[i + 1];
-      std::uint64_t matches = 0;
-      if (bounded) {
-        // Warm up over the boundary bytes so motifs spanning the cut are
-        // counted exactly once: scan from (begin - lead) and subtract the
-        // matches that end inside the warm-up prefix (the pool to the left
-        // owns those). Pool 0 has lead 0, so this is a plain segment scan.
-        const std::size_t lead = std::min(engine_->synchronization_bound() - 1, begin);
-        const auto stats =
-            matchers_[i]->count(text.substr(begin - lead, end - begin + lead),
-                                chunk_counts[i]);
-        matches = stats.match_count - engine_->count(text.substr(begin - lead, lead));
-      } else if (begin == 0) {
-        matches = matchers_[i]->count(text.substr(0, end), chunk_counts[i]).match_count;
-      } else {
-        // Unbounded patterns: the entry state depends on the whole prefix,
-        // so derive it by replaying [0, begin), then scan sequentially. Only
-        // DFA-backed engines can have unbounded patterns (checked at
-        // construction), so the kernel is available here.
-        const automata::CompiledDfa& kernel = *engine_->kernel();
-        const automata::StateId entry =
-            kernel.count(text.substr(0, begin), kernel.start()).final_state;
-        matches = kernel.count(text.substr(begin, end - begin), entry).match_count;
-      }
-      return std::pair<std::uint64_t, double>(matches, timer.seconds());
-    };
-
-    // A zero-byte share gives a pool nothing: skip that pool's dispatch
-    // entirely — no empty-share scan, no async launch, no pool wake — and
-    // keep its matches/bytes/seconds fields exactly zero. Pools 1..N-1 run
-    // asynchronously (the "offload"); pool 0 scans on the calling thread's
-    // pool; the joins make the execution overlapped.
-    std::vector<std::future<std::pair<std::uint64_t, double>>> futures(n);
-    for (std::size_t i = 1; i < n; ++i) {
-      if (bounds[i + 1] > bounds[i]) {
-        futures[i] = std::async(std::launch::async, scan_segment, i);
-      }
-    }
-    if (bounds[1] > 0) {
-      const auto [matches, seconds] = scan_segment(0);
-      report.pools[0].matches = matches;
-      report.pools[0].seconds = seconds;
-    }
-    for (std::size_t i = 1; i < n; ++i) {
-      if (!futures[i].valid()) continue;
-      const auto [matches, seconds] = futures[i].get();
-      report.pools[i].matches = matches;
-      report.pools[i].seconds = seconds;
-    }
-  }
-  finalize_fleet(report);
-  return report;
-}
-
-ExecutionReport HeterogeneousExecutor::run_shared_fleet(
-    std::string_view text, const std::vector<double>& shares,
-    const std::vector<std::size_t>& chunk_counts, parallel::SchedulePolicy schedule) {
-  const std::size_t n = specs_.size();
-  const auto bounds = segment_bounds(text.size(), shares);
-  ExecutionReport report;
-  report.schedule = schedule;
-  report.pools.resize(n);
-  for (std::size_t i = 0; i < n; ++i) report.pools[i].configured_percent = shares[i];
-  if (text.empty()) {
-    finalize_fleet(report);
-    return report;
-  }
-
-  std::size_t total_workers = 0;
-  for (const auto& pool : pools_) total_workers += pool->thread_count();
-  const FleetLayout layout =
-      build_layout(text.size(), bounds, chunk_counts, total_workers, schedule);
-  const std::vector<parallel::Chunk>& chunks = layout.chunks;
-
-  // Adaptive: one queue per configured segment; every other shared schedule
-  // races every pool down one queue's front — fully demand-driven.
-  std::vector<std::unique_ptr<parallel::ChunkQueue>> queues;
-  if (layout.per_segment) {
-    for (std::size_t i = 0; i < n; ++i) {
-      queues.push_back(std::make_unique<parallel::ChunkQueue>(layout.seg_offset[i + 1] -
-                                                              layout.seg_offset[i]));
-    }
-  } else {
-    queues.push_back(std::make_unique<parallel::ChunkQueue>(chunks.size()));
-  }
-  // Claims a global chunk index for pool i. Adaptive: the pool drains its
-  // own segment first (the last pool descending from the back, everyone else
-  // ascending from the front), then steals from the nearest unfinished
-  // segment — forward steals take the stolen segment's front, backward
-  // steals its back, so every segment boundary keeps the two-ended meeting
-  // dynamics of the 2-pool host/device scheme.
-  const auto take_for = [&](std::size_t i) -> std::optional<std::size_t> {
-    if (!layout.per_segment) return queues[0]->take_front();
-    if (const auto t = i + 1 == n ? queues[i]->take_back() : queues[i]->take_front()) {
-      return layout.seg_offset[i] + *t;
-    }
-    for (std::size_t d = 1; d < n; ++d) {
-      if (i + d < n) {
-        if (const auto t = queues[i + d]->take_front()) return layout.seg_offset[i + d] + *t;
-      }
-      if (d <= i) {
-        if (const auto t = queues[i - d]->take_back()) return layout.seg_offset[i - d] + *t;
-      }
-    }
-    return std::nullopt;
-  };
-
-  std::vector<PoolTotals> totals(n);
-  // DFA-backed engines pull several tickets per claim and scan them as
-  // interleaved streams (the same latency-hiding the static matcher path
-  // uses); generic engines pull one chunk at a time through the chunk-aware
-  // interface. Batch size = the chunks one worker would own anyway.
-  const automata::CompiledDfa* kernel = engine_->kernel();
-  const auto drain = [&](std::size_t pool_idx) {
-    parallel::ThreadPool& pool = *pools_[pool_idx];
-    PoolTotals& mine = totals[pool_idx];
-    const std::size_t streams = std::clamp<std::size_t>(
-        chunks.size() / std::max<std::size_t>(1, pool.thread_count()), 1,
-        automata::CompiledDfa::kMaxStreams);
-    pool.parallel_pull([&, pool_idx, streams](std::size_t) {
-      std::uint64_t matches = 0;
-      std::uint64_t steals = 0;
-      std::size_t bytes = 0;
-      if (kernel == nullptr || streams == 1) {
-        for (;;) {
-          const auto t = take_for(pool_idx);
-          if (!t) break;
-          const parallel::Chunk& c = chunks[*t];
-          // Chunk-aware engine scan: the engine reads its own warm-up lead
-          // before c.begin, so any pool can scan any chunk exactly.
-          matches += engine_->count_chunk(text, c.begin, c.end);
-          bytes += c.end - c.begin;
-          if (layout.owners[*t] != pool_idx) ++steals;
-        }
-      } else {
-        const std::size_t warmup = engine_->synchronization_bound() - 1;
-        std::size_t ids[automata::CompiledDfa::kMaxStreams] = {};
-        automata::ScanResult res[automata::CompiledDfa::kMaxStreams];
-        for (;;) {
-          std::size_t m = 0;
-          while (m < streams) {
-            const auto t = take_for(pool_idx);
-            if (!t) break;
-            ids[m++] = *t;
-          }
-          if (m == 0) break;
-          automata::scan_chunk_streams(*kernel, text, warmup, chunks.data(), ids, m,
-                                       res);
-          for (std::size_t k = 0; k < m; ++k) {
-            matches += res[k].match_count;
-            bytes += chunks[ids[k]].end - chunks[ids[k]].begin;
-            if (layout.owners[ids[k]] != pool_idx) ++steals;
-          }
-        }
-      }
-      mine.matches.fetch_add(matches, std::memory_order_relaxed);
-      mine.bytes.fetch_add(bytes, std::memory_order_relaxed);
-      mine.steals.fetch_add(steals, std::memory_order_relaxed);
-    });
-  };
-
-  std::vector<std::future<double>> futures(n);
-  for (std::size_t i = 1; i < n; ++i) {
-    futures[i] = std::async(std::launch::async, [&drain, i]() {
-      util::Timer timer;
-      drain(i);
-      return timer.seconds();
-    });
-  }
-  util::Timer host_timer;
-  drain(0);
-  report.pools[0].seconds = host_timer.seconds();
-  for (std::size_t i = 1; i < n; ++i) report.pools[i].seconds = futures[i].get();
-
-  // Relaxed is enough: every drain has joined above, so these are
-  // single-threaded reads ordered by the pool/future synchronization.
-  for (std::size_t i = 0; i < n; ++i) {
-    report.pools[i].matches = totals[i].matches.load(std::memory_order_relaxed);
-    report.pools[i].bytes = totals[i].bytes.load(std::memory_order_relaxed);
-    report.pools[i].steals = totals[i].steals.load(std::memory_order_relaxed);
-  }
-  finalize_fleet(report);
-  return report;
-}
-
-ExecutionReport HeterogeneousExecutor::collect_fleet(std::string_view text,
-                                                     const std::vector<double>& shares,
-                                                     parallel::SchedulePolicy schedule,
-                                                     std::vector<automata::Match>& out) {
-  if (!engine_->supports_collect()) {
-    throw std::invalid_argument("collect_fleet: engine does not support collection");
-  }
-  validate_shares(shares, specs_.size());
-  if (schedule != parallel::SchedulePolicy::kStatic &&
-      engine_->synchronization_bound() == 0) {
-    schedule = parallel::SchedulePolicy::kStatic;
-  }
-  // Same routing as run_impl: an armed execution-fault plan sends the
-  // collection run through the fault-tolerant twin.
-  if (const util::FaultInjector* injector = util::FaultInjector::current();
-      injector != nullptr && injector->exercises_recovery() &&
-      engine_->synchronization_bound() > 0 && specs_.size() <= 64) {
-    return run_recovery_fleet(text, shares, resolve_chunk_counts(), schedule, &out);
-  }
-  const std::size_t n = specs_.size();
-  const auto chunk_counts = resolve_chunk_counts();
-  const auto bounds = segment_bounds(text.size(), shares);
-  ExecutionReport report;
-  report.schedule = schedule;
-  report.pools.resize(n);
-  for (std::size_t i = 0; i < n; ++i) report.pools[i].configured_percent = shares[i];
-  if (text.empty()) {
-    finalize_fleet(report);
-    return report;
-  }
-
-  std::size_t total_workers = 0;
-  for (const auto& pool : pools_) total_workers += pool->thread_count();
-  const FleetLayout layout =
-      build_layout(text.size(), bounds, chunk_counts, total_workers, schedule);
-  const std::vector<parallel::Chunk>& chunks = layout.chunks;
+  const std::size_t sync_bound = engine_->synchronization_bound();
+  // Without a synchronization bound a chunk cannot warm up on its own lead:
+  // the run is static with one chunk per pool, and count_chunk replays the
+  // whole prefix to enter each segment exactly.
+  if (sync_bound == 0) schedule = parallel::SchedulePolicy::kStatic;
   const bool is_static = schedule == parallel::SchedulePolicy::kStatic;
+  // The recovery policy is on only while an armed plan exercises it. Its
+  // naive fallback warms up per chunk (a positive bound) and the failed mask
+  // holds one bit per pool, so unbounded engines and >64-pool fleets run
+  // without it (no injection there).
+  const util::FaultInjector* injector = util::FaultInjector::current();
+  const bool recover = injector != nullptr && injector->exercises_recovery() &&
+                       sync_bound > 0 && n <= 64;
 
-  std::vector<std::unique_ptr<parallel::ChunkQueue>> queues;
-  if (layout.per_segment) {
-    for (std::size_t i = 0; i < n; ++i) {
-      queues.push_back(std::make_unique<parallel::ChunkQueue>(layout.seg_offset[i + 1] -
-                                                              layout.seg_offset[i]));
-    }
-  } else {
-    queues.push_back(std::make_unique<parallel::ChunkQueue>(chunks.size()));
-  }
-  // Static collection drains own-segment queues only (no stealing — the
-  // configured split is the realized split); the shared schedules use the
-  // same claim order as the counting path.
-  const auto take_for = [&](std::size_t i) -> std::optional<std::size_t> {
-    if (!layout.per_segment) return queues[0]->take_front();
-    if (const auto t = i + 1 == n ? queues[i]->take_back() : queues[i]->take_front()) {
-      return layout.seg_offset[i] + *t;
-    }
-    if (is_static) return std::nullopt;
-    for (std::size_t d = 1; d < n; ++d) {
-      if (i + d < n) {
-        if (const auto t = queues[i + d]->take_front()) return layout.seg_offset[i + d] + *t;
-      }
-      if (d <= i) {
-        if (const auto t = queues[i - d]->take_back()) return layout.seg_offset[i - d] + *t;
-      }
-    }
-    return std::nullopt;
-  };
-
-  // Whoever claims chunk t owns slot t exclusively; the joins below publish
-  // the slots before the single-threaded merge.
-  std::vector<std::vector<automata::Match>> slots(chunks.size());
-  std::vector<PoolTotals> totals(n);
-  const auto drain = [&](std::size_t pool_idx) {
-    PoolTotals& mine = totals[pool_idx];
-    pools_[pool_idx]->parallel_pull([&, pool_idx](std::size_t) {
-      std::uint64_t matches = 0;
-      std::uint64_t steals = 0;
-      std::size_t bytes = 0;
-      for (;;) {
-        const auto t = take_for(pool_idx);
-        if (!t) break;
-        const parallel::Chunk& c = chunks[*t];
-        matches += engine_->collect_chunk(text, c.begin, c.end, slots[*t]);
-        bytes += c.end - c.begin;
-        if (layout.owners[*t] != pool_idx) ++steals;
-      }
-      mine.matches.fetch_add(matches, std::memory_order_relaxed);
-      mine.bytes.fetch_add(bytes, std::memory_order_relaxed);
-      mine.steals.fetch_add(steals, std::memory_order_relaxed);
-    });
-  };
-
-  // Static runs skip pools with empty segments entirely, exactly like the
-  // counting path.
-  const auto pool_runs = [&](std::size_t i) {
-    return !is_static || layout.seg_offset[i + 1] > layout.seg_offset[i];
-  };
-  std::vector<std::future<double>> futures(n);
-  for (std::size_t i = 1; i < n; ++i) {
-    if (!pool_runs(i)) continue;
-    futures[i] = std::async(std::launch::async, [&drain, i]() {
-      util::Timer timer;
-      drain(i);
-      return timer.seconds();
-    });
-  }
-  if (pool_runs(0)) {
-    util::Timer host_timer;
-    drain(0);
-    report.pools[0].seconds = host_timer.seconds();
-  }
-  for (std::size_t i = 1; i < n; ++i) {
-    if (futures[i].valid()) report.pools[i].seconds = futures[i].get();
-  }
-
-  for (std::size_t i = 0; i < n; ++i) {
-    report.pools[i].matches = totals[i].matches.load(std::memory_order_relaxed);
-    report.pools[i].bytes = totals[i].bytes.load(std::memory_order_relaxed);
-    report.pools[i].steals = totals[i].steals.load(std::memory_order_relaxed);
-  }
-  // Chunks are laid out in ascending byte order and every match end belongs
-  // to exactly one chunk, so a chunk-ordered merge is globally sorted — the
-  // same order scan_collect_naive produces.
-  std::size_t events = 0;
-  for (const auto& slot : slots) events += slot.size();
-  out.reserve(out.size() + events);
-  for (const auto& slot : slots) out.insert(out.end(), slot.begin(), slot.end());
-  finalize_fleet(report);
-  return report;
-}
-
-ExecutionReport HeterogeneousExecutor::run_recovery_fleet(
-    std::string_view text, const std::vector<double>& shares,
-    const std::vector<std::size_t>& chunk_counts, parallel::SchedulePolicy schedule,
-    std::vector<automata::Match>* out) {
-  const std::size_t n = specs_.size();
-  const auto bounds = segment_bounds(text.size(), shares);
   ExecutionReport report;
   report.schedule = schedule;
   report.pools.resize(n);
@@ -901,18 +430,19 @@ ExecutionReport HeterogeneousExecutor::run_recovery_fleet(
     return report;
   }
 
+  std::vector<std::size_t> chunk_counts(n, 1);
   std::size_t total_workers = 0;
-  for (const auto& pool : pools_) total_workers += pool->thread_count();
-  // kStatic gets the per-segment layout too (build_layout cuts it exactly as
-  // the static path would), so a failed pool's segment has a queue the
-  // survivors can drain; healthy pools never leave their own segment under
-  // static, keeping the configured split.
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t workers = pools_[i]->thread_count();
+    total_workers += workers;
+    if (sync_bound > 0) chunk_counts[i] = specs_[i].chunks > 0 ? specs_[i].chunks : workers;
+  }
   const FleetLayout layout =
       build_layout(text.size(), bounds, chunk_counts, total_workers, schedule);
   const std::vector<parallel::Chunk>& chunks = layout.chunks;
-  const bool collect = out != nullptr;
-  const bool steal_live = layout.per_segment && schedule != parallel::SchedulePolicy::kStatic;
 
+  // Per-segment layouts get one queue per configured segment; the shared
+  // schedules race every pool down one queue's front — fully demand-driven.
   std::vector<std::unique_ptr<parallel::ChunkQueue>> queues;
   if (layout.per_segment) {
     for (std::size_t i = 0; i < n; ++i) {
@@ -924,49 +454,63 @@ ExecutionReport HeterogeneousExecutor::run_recovery_fleet(
   }
 
   RecoveryContext ctx(n);
-  const util::FaultInjector* injector = util::FaultInjector::current();
-
-  // Claim order mirrors the plain paths (own segment, then nearest-first
-  // steal), with two changes: a failed pool claims nothing more, and under
-  // static the only legal steal source is a failed pool's segment — that
-  // steal IS the requeue of its unclaimed remainder.
+  const auto failed_in = [recover](std::uint64_t mask, std::size_t pool) {
+    return recover && ((mask >> pool) & 1) != 0;
+  };
+  // Claims a global chunk index for pool i: its own segment first (the last
+  // pool descending from the back, everyone else ascending from the front),
+  // then the nearest segment it may steal from — forward steals take that
+  // segment's front, backward steals its back, so every boundary keeps the
+  // two-ended meeting dynamics of the 2-pool host/device scheme. Adaptive
+  // steals from any segment; static only from a failed pool's, and that
+  // steal IS the requeue of its unclaimed remainder. A failed pool claims
+  // nothing more.
+  const bool steal_live = layout.per_segment && !is_static;
   const auto take_for = [&](std::size_t i) -> std::optional<std::size_t> {
-    if (ctx.failed(i)) return std::nullopt;
+    if (recover && ctx.failed(i)) return std::nullopt;
     if (!layout.per_segment) return queues[0]->take_front();
     if (const auto t = i + 1 == n ? queues[i]->take_back() : queues[i]->take_front()) {
       return layout.seg_offset[i] + *t;
     }
-    const std::uint64_t mask = ctx.failed_mask.load(std::memory_order_acquire);
+    const std::uint64_t mask = recover ? ctx.failed_mask.load(std::memory_order_acquire) : 0;
+    if (!steal_live && mask == 0) return std::nullopt;
+    const auto steal = [&](std::size_t j, bool front) -> std::optional<std::size_t> {
+      if (!steal_live && !failed_in(mask, j)) return std::nullopt;
+      const auto t = front ? queues[j]->take_front() : queues[j]->take_back();
+      if (!t) return std::nullopt;
+      if (failed_in(mask, j)) ctx.requeued.fetch_add(1, std::memory_order_relaxed);
+      return layout.seg_offset[j] + *t;
+    };
     for (std::size_t d = 1; d < n; ++d) {
-      if (i + d < n && (steal_live || ((mask >> (i + d)) & 1) != 0)) {
-        if (const auto t = queues[i + d]->take_front()) {
-          if (((mask >> (i + d)) & 1) != 0) ctx.requeued.fetch_add(1, std::memory_order_relaxed);
-          return layout.seg_offset[i + d] + *t;
-        }
+      if (i + d < n) {
+        if (const auto t = steal(i + d, /*front=*/true)) return t;
       }
-      if (d <= i && (steal_live || ((mask >> (i - d)) & 1) != 0)) {
-        if (const auto t = queues[i - d]->take_back()) {
-          if (((mask >> (i - d)) & 1) != 0) ctx.requeued.fetch_add(1, std::memory_order_relaxed);
-          return layout.seg_offset[i - d] + *t;
-        }
+      if (d <= i) {
+        if (const auto t = steal(i - d, /*front=*/false)) return t;
       }
     }
     return std::nullopt;
   };
 
+  // Whoever claims chunk t owns slot t exclusively; the joins publish the
+  // slots before the single-threaded merge.
+  const bool collect = out != nullptr;
   std::vector<std::vector<automata::Match>> slots(collect ? chunks.size() : 0);
-  const automata::DenseDfa* dfa = engine_->dfa();
-  const std::size_t sync_bound = engine_->synchronization_bound();
+  // Chunk-aware engine scan: the engine reads its own warm-up lead before
+  // c.begin, so any pool can scan any chunk exactly.
+  const auto scan = [&](std::size_t t) -> std::uint64_t {
+    const parallel::Chunk& c = chunks[t];
+    return collect ? engine_->collect_chunk(text, c.begin, c.end, slots[t])
+                   : engine_->count_chunk(text, c.begin, c.end);
+  };
 
   // Degradation ladder, bottom rung: the per-byte reference scanner over the
-  // raw DFA with the same warm-up subtraction the static path uses. Engines
-  // without a DFA behind them get one last engine scan with no injection.
+  // raw DFA, warmed up over the chunk's lead. Engines without a DFA behind
+  // them get one last engine scan with no injection.
+  const automata::DenseDfa* dfa = engine_->dfa();
   const auto scan_degraded = [&](std::size_t t) -> std::uint64_t {
+    if (dfa == nullptr) return scan(t);
     const parallel::Chunk& c = chunks[t];
-    if (dfa == nullptr) {
-      return collect ? engine_->collect_chunk(text, c.begin, c.end, slots[t])
-                     : engine_->count_chunk(text, c.begin, c.end);
-    }
     const std::size_t lead = std::min(sync_bound - 1, c.begin);
     const std::string_view window = text.substr(c.begin - lead, c.end - c.begin + lead);
     if (!collect) {
@@ -990,24 +534,19 @@ ExecutionReport HeterogeneousExecutor::run_recovery_fleet(
     return kept;
   };
 
-  // One chunk, healed: injected or genuine scan failures are retried up to
-  // the budget, then the chunk falls back to the naive scanner. An injected
-  // slowdown stretches the scan by the planned factor.
+  // One chunk under the recovery policy: injected or genuine scan failures
+  // are retried up to the budget, then the chunk falls back to the naive
+  // scanner. An injected slowdown stretches the scan by the planned factor.
   const auto scan_recover = [&](std::size_t t) -> std::uint64_t {
-    const parallel::Chunk& c = chunks[t];
     for (std::size_t attempt = 0; attempt < recovery_.max_chunk_attempts; ++attempt) {
       try {
-        if (injector != nullptr) injector->chunk_scan(t, attempt);
+        injector->chunk_scan(t, attempt);
         util::Timer timer;
-        const std::uint64_t m = collect
-                                    ? engine_->collect_chunk(text, c.begin, c.end, slots[t])
-                                    : engine_->count_chunk(text, c.begin, c.end);
-        if (injector != nullptr) {
-          const double slow = injector->chunk_slow_factor(t);
-          if (slow > 1.0) {
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>((slow - 1.0) * timer.seconds()));
-          }
+        const std::uint64_t m = scan(t);
+        const double slow = injector->chunk_slow_factor(t);
+        if (slow > 1.0) {
+          std::this_thread::sleep_for(
+              std::chrono::duration<double>((slow - 1.0) * timer.seconds()));
         }
         return m;
       } catch (...) {
@@ -1021,68 +560,30 @@ ExecutionReport HeterogeneousExecutor::run_recovery_fleet(
   };
 
   std::vector<PoolTotals> totals(n);
-  const automata::CompiledDfa* kernel = engine_->kernel();
   const auto drain = [&](std::size_t pool_idx) {
-    parallel::ThreadPool& pool = *pools_[pool_idx];
     PoolTotals& mine = totals[pool_idx];
-    const std::size_t streams =
-        collect ? 1
-                : std::clamp<std::size_t>(
-                      chunks.size() / std::max<std::size_t>(1, pool.thread_count()), 1,
-                      automata::CompiledDfa::kMaxStreams);
-    pool.parallel_pull([&, pool_idx, streams](std::size_t) {
-      ctx.started[pool_idx].store(true, std::memory_order_relaxed);
-      if (injector != nullptr && injector->pool_dies(pool_idx)) {
-        throw util::FaultInjectedError("injected pool-death: pool " +
-                                       std::to_string(pool_idx));
-      }
-      if (injector != nullptr && injector->pool_stalls(pool_idx)) {
-        // Hang exactly as a wedged device would: no progress until the
-        // watchdog declares the pool failed, then return empty-handed.
-        ctx.wait_until_failed(pool_idx);
-        return;
+    pools_[pool_idx]->parallel_pull([&, pool_idx](std::size_t) {
+      if (recover) {
+        ctx.started[pool_idx].store(true, std::memory_order_relaxed);
+        if (injector->pool_dies(pool_idx)) {
+          throw util::FaultInjectedError("injected pool-death: pool " +
+                                         std::to_string(pool_idx));
+        }
+        if (injector->pool_stalls(pool_idx)) {
+          // Hang exactly as a wedged device would: no progress until the
+          // watchdog declares the pool failed, then return empty-handed.
+          ctx.wait_until_failed(pool_idx);
+          return;
+        }
       }
       std::uint64_t matches = 0;
       std::uint64_t steals = 0;
       std::size_t bytes = 0;
-      const auto account = [&](std::size_t t, std::uint64_t m) {
-        matches += m;
-        bytes += chunks[t].end - chunks[t].begin;
-        if (layout.owners[t] != pool_idx) ++steals;
-        ctx.progress[pool_idx].fetch_add(1, std::memory_order_relaxed);
-      };
-      if (kernel == nullptr || streams == 1) {
-        for (;;) {
-          const auto t = take_for(pool_idx);
-          if (!t) break;
-          account(*t, scan_recover(*t));
-        }
-      } else {
-        // Clean chunks ride the multi-stream batch path (the hot path the
-        // zero-fault overhead probe measures); chunks with a planned fault
-        // take the one-at-a-time recovery scan.
-        const std::size_t warmup = sync_bound - 1;
-        std::size_t ids[automata::CompiledDfa::kMaxStreams] = {};
-        automata::ScanResult res[automata::CompiledDfa::kMaxStreams];
-        for (;;) {
-          std::size_t m = 0;
-          bool claimed_any = false;
-          while (m < streams) {
-            const auto t = take_for(pool_idx);
-            if (!t) break;
-            claimed_any = true;
-            if (injector != nullptr && injector->chunk_faulty(*t)) {
-              account(*t, scan_recover(*t));
-              continue;
-            }
-            ids[m++] = *t;
-          }
-          if (m > 0) {
-            automata::scan_chunk_streams(*kernel, text, warmup, chunks.data(), ids, m, res);
-            for (std::size_t k = 0; k < m; ++k) account(ids[k], res[k].match_count);
-          }
-          if (!claimed_any) break;
-        }
+      while (const auto t = take_for(pool_idx)) {
+        matches += recover ? scan_recover(*t) : scan(*t);
+        bytes += chunks[*t].end - chunks[*t].begin;
+        if (layout.owners[*t] != pool_idx) ++steals;
+        if (recover) ctx.progress[pool_idx].fetch_add(1, std::memory_order_relaxed);
       }
       mine.matches.fetch_add(matches, std::memory_order_relaxed);
       mine.bytes.fetch_add(bytes, std::memory_order_relaxed);
@@ -1090,54 +591,62 @@ ExecutionReport HeterogeneousExecutor::run_recovery_fleet(
     });
   };
 
-  // A pool whose workers or join threw is dead: record the failure so the
-  // claim paths treat its segment as requeue material, and move on — the
-  // survivors and the final sweep own its work now.
-  const auto drain_guarded = [&](std::size_t pool_idx) {
+  // Static pools with an empty segment have nothing to claim and are not
+  // launched (their report fields stay exactly zero) — unless the recovery
+  // policy may hand them a failed pool's segment.
+  const auto active = [&](std::size_t i) {
+    return !is_static || recover || layout.seg_offset[i + 1] > layout.seg_offset[i];
+  };
+  const auto run_pool = [&](std::size_t i) {
     util::Timer timer;
-    try {
-      drain(pool_idx);
-    } catch (...) {
-      ctx.mark_failed(pool_idx);
+    if (!recover) {
+      drain(i);
+    } else {
+      // A pool whose workers or join threw is dead: record the failure so
+      // the claim paths treat its segment as requeue material, and move on
+      // — the survivors and the final sweep own its work now.
+      try {
+        drain(i);
+      } catch (...) {
+        ctx.mark_failed(i);
+      }
+      ctx.finished[i].store(true, std::memory_order_relaxed);
     }
-    ctx.finished[pool_idx].store(true, std::memory_order_relaxed);
-    return timer.seconds();
+    report.pools[i].seconds = timer.seconds();
   };
 
-  std::vector<double> deadlines(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    deadlines[i] =
-        specs_[i].watchdog_seconds > 0.0 ? specs_[i].watchdog_seconds : recovery_.watchdog_seconds;
-  }
-  std::thread watchdog([&ctx, deadlines] { watchdog_loop(ctx, deadlines); });
+  if (!recover) {
+    for_each_pool(n, active, run_pool);
+  } else {
+    std::vector<double> deadlines(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      deadlines[i] = specs_[i].watchdog_seconds > 0.0 ? specs_[i].watchdog_seconds
+                                                      : recovery_.watchdog_seconds;
+    }
+    {
+      // The jthread requests a stop and joins when this scope ends, on the
+      // exception path too.
+      const std::jthread watchdog(
+          [&ctx, deadlines](const std::stop_token& stop) { watchdog_loop(stop, ctx, deadlines); });
+      for_each_pool(n, active, run_pool);
+    }
 
-  std::vector<std::future<double>> futures(n);
-  for (std::size_t i = 1; i < n; ++i) {
-    futures[i] = std::async(std::launch::async, drain_guarded, i);
-  }
-  report.pools[0].seconds = drain_guarded(0);
-  for (std::size_t i = 1; i < n; ++i) report.pools[i].seconds = futures[i].get();
-  ctx.done.store(true, std::memory_order_release);
-  watchdog.join();
-
-  // Final sweep on the caller thread: anything still unclaimed (total fleet
-  // loss, or a pool declared failed after the survivors had already left) is
-  // scanned here and attributed to pool 0 — parity holds unconditionally.
-  {
+    // Final sweep on the caller thread: anything still unclaimed (total
+    // fleet loss, or a pool declared failed after the survivors had already
+    // left) is scanned here and attributed to pool 0 — parity holds
+    // unconditionally.
     std::uint64_t matches = 0;
     std::uint64_t steals = 0;
     std::uint64_t requeued = 0;
     std::size_t bytes = 0;
     const std::uint64_t mask = ctx.failed_mask.load(std::memory_order_acquire);
     for (std::size_t qi = 0; qi < queues.size(); ++qi) {
-      for (;;) {
-        const auto local = queues[qi]->take_front();
-        if (!local) break;
-        const std::size_t t = layout.per_segment ? layout.seg_offset[qi] + *local : *local;
+      while (const auto local = queues[qi]->take_front()) {
+        const std::size_t t = layout.seg_offset[qi] + *local;
         matches += scan_recover(t);
         bytes += chunks[t].end - chunks[t].begin;
         if (layout.owners[t] != 0) ++steals;
-        if (((mask >> layout.owners[t]) & 1) != 0) ++requeued;
+        if (failed_in(mask, layout.owners[t])) ++requeued;
       }
       // Poison the drained queue: a late-waking claimant cannot resurrect a
       // range whose results are already merged.
@@ -1147,27 +656,29 @@ ExecutionReport HeterogeneousExecutor::run_recovery_fleet(
     totals[0].bytes.fetch_add(bytes, std::memory_order_relaxed);
     totals[0].steals.fetch_add(steals, std::memory_order_relaxed);
     ctx.requeued.fetch_add(requeued, std::memory_order_relaxed);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (failed_in(mask, i)) {
+        report.pools[i].failed = true;
+        report.failed_pools.push_back(i);
+      }
+    }
+    report.requeued_chunks = ctx.requeued.load(std::memory_order_relaxed);
+    report.chunk_retries = ctx.retries.load(std::memory_order_relaxed);
+    report.degraded = ctx.degraded.load(std::memory_order_relaxed);
   }
 
+  // Relaxed is enough: every pool has joined above, so these are
+  // single-threaded reads ordered by the pool/future synchronization.
   for (std::size_t i = 0; i < n; ++i) {
     report.pools[i].matches = totals[i].matches.load(std::memory_order_relaxed);
     report.pools[i].bytes = totals[i].bytes.load(std::memory_order_relaxed);
     report.pools[i].steals = totals[i].steals.load(std::memory_order_relaxed);
   }
-  const std::uint64_t mask = ctx.failed_mask.load(std::memory_order_acquire);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (((mask >> i) & 1) != 0) {
-      report.pools[i].failed = true;
-      report.failed_pools.push_back(i);
-    }
-  }
-  report.requeued_chunks = ctx.requeued.load(std::memory_order_relaxed);
-  report.chunk_retries = ctx.retries.load(std::memory_order_relaxed);
-  report.degraded = ctx.degraded.load(std::memory_order_relaxed);
   finalize_fleet(report);
   if (collect) {
-    // Chunk-ordered merge: ascending chunks, each slot sorted, so the result
-    // is globally sorted — identical to a sequential scan_collect_naive.
+    // Chunks are laid out in ascending byte order and every match end
+    // belongs to exactly one chunk, so a chunk-ordered merge is globally
+    // sorted — the same order scan_collect_naive produces.
     std::size_t events = 0;
     for (const auto& slot : slots) events += slot.size();
     out->reserve(out->size() + events);

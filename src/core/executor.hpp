@@ -5,31 +5,43 @@
 // overlapped offload model generalized to the multi-accelerator machines the
 // paper names as future work.
 //
-// How the bytes are distributed is a tuned axis (parallel/schedule.hpp):
+// Every in-memory run is one chunk-ticket loop. The input is cut into chunk
+// tickets and each pool's workers claim tickets and scan them through
+// MatchEngine::count_chunk/collect_chunk; only the ticket order changes with
+// the distribution schedule (parallel/schedule.hpp):
 //
-//   static    split by the configured shares, each pool scans its segment
-//             and joins — the seed behavior and the paper's model;
-//   dynamic   one shared chunk queue, every pool pulls from the front, the
-//             realized split emerges from relative speeds;
+//   static    one queue per configured segment, cut by the shares; each
+//             pool drains its own segment and nothing else — the paper's
+//             model;
+//   dynamic   one shared queue over the whole input, every pool pulls from
+//             the front, the realized split emerges from relative speeds;
 //   guided    shared queue with guided (decreasing) chunk sizes;
-//   adaptive  one queue per configured segment — each pool drains its own
+//   adaptive  the static segment queues, but a pool that drains its own
 //             segment (the last pool descending from the back, everyone
-//             else ascending from the front, so adjacent pools meet at the
-//             boundary exactly as the 2-pool host/device pair did), and a
-//             pool that finishes early *steals* from the nearest unfinished
-//             segment: forward steals take the front, backward steals the
-//             back, so every boundary behaves like the classic two-ended
-//             scheme between its two neighbors.
+//             else ascending from the front) *steals* from the nearest
+//             unfinished segment: forward steals take the front, backward
+//             steals the back, so every boundary behaves like the classic
+//             two-ended scheme between its two neighbors.
 //
 // Every policy produces byte-identical match counts (each chunk scan warms
 // up over its own lead bytes); what changes is who scans what and when.
-// ExecutionReport records per-pool realized shares, steal counts, and an
-// imbalance metric so the tuner and the benches can see the difference.
+// Engines with no synchronization bound cannot warm up, so they run static
+// with one chunk per pool, each pool entering its segment through
+// count_chunk's prefix replay. ExecutionReport::pools records per-pool
+// realized shares, steal counts, and an imbalance metric so the tuner and
+// the benches can see the difference.
+//
+// Fault tolerance is a policy on the same loop, switched on only while an
+// armed util::FaultInjector plan exercises recovery: a watchdog deadlines
+// every pool, a dead or stalled pool's unclaimed tickets are requeued to the
+// survivors (under static, a failed pool's segment is the only legal steal
+// source), a failing chunk is retried and then degraded to the naive
+// scanner, and a final sweep on the caller covers total fleet loss. With no
+// such plan armed, scan errors (e.g. a non-ACGT byte) propagate unchanged.
 //
 // The executor is engine-generic: any automata::MatchEngine (compiled DFA,
 // Aho–Corasick, bitap) drives every pool, which is how the tuner prices the
-// engine axis with live runs. The legacy host+device constructors build a
-// 2-pool fleet and behave exactly as before.
+// engine axis with live runs.
 //
 // Substitution note: with no Xeon Phi present, every device share runs on an
 // emulated device — another thread pool on the host. Results (match counts,
@@ -65,7 +77,7 @@ struct PoolSpec {
   /// Chunks this pool's segment is cut into under the static and adaptive
   /// schedules; 0 means one chunk per worker.
   std::size_t chunks = 0;
-  /// Watchdog deadline for this pool when the recovery path is active: the
+  /// Watchdog deadline for this pool when the recovery policy is on: the
   /// pool is declared failed after this long without completing a chunk.
   /// 0 means "use the executor's RecoveryOptions::watchdog_seconds".
   double watchdog_seconds = 0.0;
@@ -73,9 +85,8 @@ struct PoolSpec {
   std::optional<parallel::DeviceAffinity> device_affinity;
 };
 
-/// Tunables of the fault-tolerant execution path (active only while a
-/// util::FaultInjector plan with execution faults is armed — the no-fault
-/// hot path bypasses all of it).
+/// Tunables of the recovery policy (on only while a util::FaultInjector plan
+/// with execution faults is armed — the no-fault run loop skips all of it).
 struct RecoveryOptions {
   /// Default per-pool watchdog deadline: a pool that completes no chunk for
   /// this long is declared failed and its unclaimed work is redistributed.
@@ -111,46 +122,27 @@ struct PoolReport {
   double realized_percent = 0.0;
   /// Chunks this pool claimed out of another pool's configured segment.
   std::uint64_t steals = 0;
-  /// True when the recovery path declared this pool dead or stalled; its
+  /// True when the recovery policy declared this pool dead or stalled; its
   /// unclaimed chunks were requeued to the survivors.
   bool failed = false;
 };
 
 struct ExecutionReport {
-  /// One entry per pool, in fleet order (pool 0 = host). The legacy scalar
-  /// fields below are always kept in sync: host_* mirrors pools[0] and
-  /// device_* aggregates pools[1..] (sums, with device_seconds the max).
+  /// One entry per pool, in fleet order (pool 0 = host) — the only record
+  /// of who scanned what.
   std::vector<PoolReport> pools;
 
-  std::uint64_t host_matches = 0;
-  std::uint64_t device_matches = 0;
-  /// Bytes each side *actually* scanned. Under the static schedule this is
-  /// the configured split; under the shared-queue schedules it is the
-  /// realized distribution. The two always sum to the input size.
-  std::size_t host_bytes = 0;
-  std::size_t device_bytes = 0;
-  double host_seconds = 0.0;    // wall time of the host share
-  double device_seconds = 0.0;  // wall time of the slowest device share
-  double total_seconds = 0.0;   // max over the pools (overlapped execution)
+  double total_seconds = 0.0;  // max over the pools (overlapped execution)
 
   /// The schedule that actually ran (a requested demand-driven schedule
   /// degrades to kStatic when the engine has no synchronization bound).
   parallel::SchedulePolicy schedule = parallel::SchedulePolicy::kStatic;
-  double configured_host_percent = 0.0;
-  /// host_bytes as a percentage of the input — equals the configured
-  /// fraction under static, emerges at runtime under the shared queues.
-  double realized_host_percent = 0.0;
-  /// Chunks a side claimed beyond its configured share (adaptive: work
-  /// stolen across a segment boundary; dynamic/guided: demand that crossed
-  /// it; static: always 0).
-  std::uint64_t host_steals = 0;
-  std::uint64_t device_steals = 0;
   /// (slowest pool - fastest pool) / slowest pool, over the pools that
   /// scanned bytes; 0 when fewer than two pools worked. 0 = perfectly
   /// overlapped, → 1 = a pool idled while another carried the run.
   double imbalance = 0.0;
 
-  // Failure telemetry, filled only by the recovery path (all stay at their
+  // Failure telemetry, filled only by the recovery policy (all stay at their
   // zero defaults on a no-fault run, keeping the report bit-identical).
   /// Pools declared dead or stalled, ascending.
   std::vector<std::size_t> failed_pools;
@@ -164,7 +156,9 @@ struct ExecutionReport {
   bool degraded = false;
 
   [[nodiscard]] std::uint64_t total_matches() const noexcept {
-    return host_matches + device_matches;
+    std::uint64_t total = 0;
+    for (const PoolReport& pool : pools) total += pool.matches;
+    return total;
   }
 
   /// One human-readable line — matches, bytes, seconds, then one section per
@@ -175,62 +169,26 @@ struct ExecutionReport {
 
 class HeterogeneousExecutor {
  public:
-  /// `host_threads` / `device_threads` size a classic 2-pool fleet. The
-  /// automaton is copied into an owned compiled-DFA engine (the pre-engine
-  /// behavior). Pinning is opt-in: when an affinity policy is given, the
-  /// corresponding pool's workers are placed at startup (best-effort, Linux
-  /// pinning; HostAffinity::kNone and unsupported platforms leave threads
-  /// floating), mirroring the paper's OMP_PROC_BIND / KMP_AFFINITY knobs on
-  /// the live code path. The defaults leave all threads floating — the
-  /// pre-pinning behavior.
-  HeterogeneousExecutor(const automata::DenseDfa& dfa, std::size_t host_threads,
-                        std::size_t device_threads,
-                        std::optional<parallel::HostAffinity> host_affinity = std::nullopt,
-                        std::optional<parallel::DeviceAffinity> device_affinity = std::nullopt);
-
-  /// Engine-generic 2-pool construction; the engine must outlive the
-  /// executor. Engines without a DFA behind them must have a positive
-  /// synchronization bound (throws std::invalid_argument otherwise).
-  HeterogeneousExecutor(const automata::MatchEngine& engine, std::size_t host_threads,
-                        std::size_t device_threads,
-                        std::optional<parallel::HostAffinity> host_affinity = std::nullopt,
-                        std::optional<parallel::DeviceAffinity> device_affinity = std::nullopt);
-
   /// Fleet construction: one thread pool per PoolSpec, in order (thread
-  /// counts are clamped to at least 1, as ThreadPool does). Throws
+  /// counts are clamped to at least 1, as ThreadPool does). Pinning is
+  /// opt-in per pool: a spec's affinity places that pool's workers at
+  /// startup (best-effort, Linux pinning; HostAffinity::kNone and
+  /// unsupported platforms leave threads floating), mirroring the paper's
+  /// OMP_PROC_BIND / KMP_AFFINITY knobs on the live code path. Throws
   /// std::invalid_argument when `pools` is empty, a share is outside
   /// [0, 100], or a spec sets both affinity kinds. The automaton is copied
   /// into an owned compiled-DFA engine.
   HeterogeneousExecutor(const automata::DenseDfa& dfa, std::vector<PoolSpec> pools);
 
   /// Engine-generic fleet construction; the engine must outlive the
-  /// executor.
+  /// executor. Engines without a DFA behind them must have a positive
+  /// synchronization bound (throws std::invalid_argument otherwise).
   HeterogeneousExecutor(const automata::MatchEngine& engine, std::vector<PoolSpec> pools);
 
-  /// Scans `text`, assigning `host_percent` of the bytes to pool 0 and the
-  /// remainder to pool 1 (requires a 2-pool fleet, the legacy shape; throws
-  /// std::logic_error otherwise). Match counts are exact across every split
-  /// boundary (chunk-parallel matching with warm-up handles motifs spanning
-  /// a cut). One chunk per pool worker, static schedule.
-  [[nodiscard]] ExecutionReport run(std::string_view text, double host_percent);
-
-  /// Same, with explicit chunk counts for the two sides (the real-workload
-  /// tuner derives these from the configuration's thread axes). Zero means
-  /// "one chunk per worker".
-  [[nodiscard]] ExecutionReport run(std::string_view text, double host_percent,
-                                    std::size_t host_chunks, std::size_t device_chunks);
-
-  /// Same, under an explicit distribution schedule. The shared-queue
-  /// schedules (dynamic/guided/adaptive) need per-chunk warm-up and
-  /// therefore an engine with a positive synchronization bound; unbounded
-  /// engines run the static path (the report records the effective
-  /// schedule).
-  [[nodiscard]] ExecutionReport run(std::string_view text, double host_percent,
-                                    std::size_t host_chunks, std::size_t device_chunks,
-                                    parallel::SchedulePolicy schedule);
-
   /// Scans `text` across the whole fleet using the constructed
-  /// share_percent of every pool.
+  /// share_percent of every pool. Match counts are exact across every
+  /// segment and chunk boundary (each chunk scan warms up over its lead
+  /// bytes, so motifs spanning a cut are counted exactly once).
   [[nodiscard]] ExecutionReport run_fleet(
       std::string_view text,
       parallel::SchedulePolicy schedule = parallel::SchedulePolicy::kStatic);
@@ -238,8 +196,7 @@ class HeterogeneousExecutor {
   /// Same, with per-run shares overriding the constructed ones. `shares`
   /// must have one entry per pool, each in [0, 100], summing to 100. Pools
   /// whose share rounds to zero bytes are skipped entirely under the static
-  /// schedule (no scan, no launch — their report fields stay exactly zero),
-  /// generalizing the 2-pool 0%/100% behavior.
+  /// schedule (no scan, no launch — their report fields stay exactly zero).
   [[nodiscard]] ExecutionReport run_fleet(std::string_view text,
                                           const std::vector<double>& shares,
                                           parallel::SchedulePolicy schedule);
@@ -277,7 +234,7 @@ class HeterogeneousExecutor {
   [[nodiscard]] std::size_t pool_count() const noexcept { return specs_.size(); }
   [[nodiscard]] const std::vector<PoolSpec>& pools() const noexcept { return specs_; }
 
-  /// Tunes the fault-tolerant path (watchdog deadline, retry budget). Takes
+  /// Tunes the recovery policy (watchdog deadline, retry budget). Takes
   /// effect on the next run; irrelevant while no fault plan is armed.
   void set_recovery(const RecoveryOptions& options) noexcept { recovery_ = options; }
   [[nodiscard]] const RecoveryOptions& recovery() const noexcept { return recovery_; }
@@ -287,33 +244,20 @@ class HeterogeneousExecutor {
 
  private:
   void build_fleet(std::vector<PoolSpec> pools);
-  [[nodiscard]] ExecutionReport run_impl(std::string_view text,
-                                         const std::vector<double>& shares,
-                                         const std::vector<std::size_t>& chunk_counts,
-                                         parallel::SchedulePolicy schedule);
-  [[nodiscard]] ExecutionReport run_static_fleet(std::string_view text,
-                                                 const std::vector<double>& shares,
-                                                 const std::vector<std::size_t>& chunk_counts);
-  [[nodiscard]] ExecutionReport run_shared_fleet(std::string_view text,
-                                                 const std::vector<double>& shares,
-                                                 const std::vector<std::size_t>& chunk_counts,
-                                                 parallel::SchedulePolicy schedule);
-  /// The fault-tolerant twin of run_shared_fleet/collect_fleet: watchdogged
-  /// pools, failed-pool requeue, per-chunk retry with naive-scanner
-  /// degradation. Entered only while an armed fault plan has execution
-  /// faults. `out` non-null collects match events (collect_fleet mode).
-  [[nodiscard]] ExecutionReport run_recovery_fleet(std::string_view text,
-                                                   const std::vector<double>& shares,
-                                                   const std::vector<std::size_t>& chunk_counts,
-                                                   parallel::SchedulePolicy schedule,
-                                                   std::vector<automata::Match>* out);
-  [[nodiscard]] std::vector<std::size_t> resolve_chunk_counts() const;
+  [[nodiscard]] std::vector<double> configured_shares() const;
+  /// The one in-memory run loop behind run_fleet and collect_fleet; `out`
+  /// non-null collects match events.
+  [[nodiscard]] ExecutionReport run_chunks(std::string_view text,
+                                           const std::vector<double>& shares,
+                                           parallel::SchedulePolicy schedule,
+                                           std::vector<automata::Match>* out);
 
-  std::unique_ptr<const automata::MatchEngine> owned_engine_;  // DenseDfa compat path
+  std::unique_ptr<const automata::MatchEngine> owned_engine_;  // DenseDfa constructor
   const automata::MatchEngine* engine_ = nullptr;
   std::vector<PoolSpec> specs_;
   // ThreadPool and ParallelMatcher are pinned to their addresses
-  // (non-movable), so the fleet owns them through pointers.
+  // (non-movable), so the fleet owns them through pointers. The matchers
+  // serve the paged scan.
   std::vector<std::unique_ptr<parallel::ThreadPool>> pools_;
   std::vector<std::unique_ptr<automata::ParallelMatcher>> matchers_;
   RecoveryOptions recovery_;

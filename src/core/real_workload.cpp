@@ -15,6 +15,7 @@
 #include "automata/subset.hpp"
 #include "core/executor.hpp"
 #include "dna/alphabet.hpp"
+#include "parallel/partitioner.hpp"
 #include "sim/multi.hpp"
 #include "util/backoff.hpp"
 #include "util/fault.hpp"
@@ -315,11 +316,11 @@ RealMeasurement RealWorkloadEvaluator::measure(const opt::SystemConfig& config,
   m.device_chunks = device_threads * options_.chunks_per_thread;
 
   // Configured shares, fleet order. The paper's pair splits by the raw
-  // fraction (run() would pass exactly this pair to the fleet runtime, so
-  // the classic path is unchanged); a larger fleet keeps the host fraction
-  // and water-fills the device remainder across K identical Phis so they
-  // finish together — the same sim::MultiDeviceMachine::distribute call the
-  // differential-oracle test compares against.
+  // fraction, {host_percent, 100 - host_percent}; a larger fleet keeps the
+  // host fraction and water-fills the device remainder across K identical
+  // Phis so they finish together — the same
+  // sim::MultiDeviceMachine::distribute call the differential-oracle test
+  // compares against.
   std::vector<double> shares;
   shares.reserve(devices + 1);
   if (devices == 1) {
@@ -428,14 +429,7 @@ RealMeasurement RealWorkloadEvaluator::measure(const opt::SystemConfig& config,
   {
     const ExecutionReport& report = best->report;
     m.seconds = best->seconds;
-    m.host_seconds = report.host_seconds;
-    m.device_seconds = report.device_seconds;
     m.matches = report.total_matches();
-    m.host_bytes = report.host_bytes;
-    m.device_bytes = report.device_bytes;
-    m.realized_host_percent = report.realized_host_percent;
-    m.host_steals = report.host_steals;
-    m.device_steals = report.device_steals;
     m.imbalance = report.imbalance;
     m.configured_percents.clear();
     m.realized_percents.clear();
@@ -448,6 +442,21 @@ RealMeasurement RealWorkloadEvaluator::measure(const opt::SystemConfig& config,
       m.pool_seconds.push_back(pool.seconds);
       m.pool_bytes.push_back(pool.bytes);
       m.pool_steals.push_back(pool.steals);
+    }
+    // Host = pool 0; the device side aggregates pools 1..K (sums, with the
+    // slowest device's seconds).
+    const PoolReport& host_pool = report.pools.front();
+    m.host_seconds = host_pool.seconds;
+    m.host_bytes = host_pool.bytes;
+    m.realized_host_percent = host_pool.realized_percent;
+    m.host_steals = host_pool.steals;
+    m.device_seconds = 0.0;
+    m.device_bytes = 0;
+    m.device_steals = 0;
+    for (std::size_t i = 1; i < report.pools.size(); ++i) {
+      m.device_seconds = std::max(m.device_seconds, report.pools[i].seconds);
+      m.device_bytes += report.pools[i].bytes;
+      m.device_steals += report.pools[i].steals;
     }
     m.failed_pools = report.failed_pools;
     m.requeued_chunks = report.requeued_chunks;
@@ -463,19 +472,9 @@ RealMeasurement RealWorkloadEvaluator::measure(const opt::SystemConfig& config,
     // too — a half-deterministic measurement whose bytes disagreed with its
     // modeled seconds would flake any test or JSON diff that reads them.
     //
-    // The byte split uses the same cumulative-rounding scheme as the
-    // executor's segment layout; for the 2-pool pair this is exactly
-    // parallel::split_by_percent, so pre-fleet numbers are unchanged.
+    // The byte split is the executor's own segment cut (share_bounds).
     const std::size_t total = rw->text().size();
-    std::vector<std::size_t> bounds(shares.size() + 1, 0);
-    double cumulative = 0.0;
-    for (std::size_t i = 0; i < shares.size(); ++i) {
-      cumulative += shares[i];
-      const auto cut = static_cast<std::size_t>(
-          std::llround(static_cast<double>(total) * cumulative / 100.0));
-      bounds[i + 1] = std::max(bounds[i], std::min(total, cut));
-    }
-    bounds.back() = total;
+    const std::vector<std::size_t> bounds = parallel::share_bounds(total, shares);
     const std::size_t host_b = bounds[1] - bounds[0];
     std::vector<std::size_t> device_b(shares.size() - 1);
     for (std::size_t d = 0; d + 1 < shares.size(); ++d) {

@@ -7,16 +7,27 @@
 
 namespace hetopt::parallel {
 
-FractionSplit split_by_percent(std::size_t total, double host_percent) {
-  if (host_percent < 0.0 || host_percent > 100.0) {
-    throw std::invalid_argument("split_by_percent: percent out of [0,100]");
+std::vector<std::size_t> share_bounds(std::size_t total, const std::vector<double>& shares) {
+  double sum = 0.0;
+  for (const double s : shares) {
+    if (!(s >= 0.0 && s <= 100.0)) {
+      throw std::invalid_argument("share_bounds: share out of [0,100]");
+    }
+    sum += s;
   }
-  FractionSplit s;
-  s.host_bytes = std::min(
-      total, static_cast<std::size_t>(
-                 std::llround(static_cast<double>(total) * host_percent / 100.0)));
-  s.device_bytes = total - s.host_bytes;
-  return s;
+  if (std::abs(sum - 100.0) > 1e-6) {
+    throw std::invalid_argument("share_bounds: shares must sum to 100");
+  }
+  std::vector<std::size_t> bounds(shares.size() + 1, 0);
+  double cumulative = 0.0;
+  for (std::size_t i = 0; i + 1 < shares.size(); ++i) {
+    cumulative += shares[i];
+    const auto cut = static_cast<std::size_t>(
+        std::llround(static_cast<double>(total) * cumulative / 100.0));
+    bounds[i + 1] = std::max(bounds[i], std::min(total, cut));
+  }
+  bounds.back() = total;
+  return bounds;
 }
 
 std::vector<Chunk> make_chunks(std::size_t total, std::size_t count, std::size_t halo) {

@@ -1,6 +1,7 @@
-// Work partitioning: fraction split between host and device (the paper's
-// "DNA sequence fraction" parameter) and overlapped chunking with a halo so
-// pattern matches spanning the cut are not lost.
+// Work partitioning: the share split across an ordered fleet of pools (the
+// paper's "DNA sequence fraction" parameter, generalized to N pools) and
+// overlapped chunking with a halo so pattern matches spanning the cut are
+// not lost.
 #pragma once
 
 #include <cstddef>
@@ -9,15 +10,13 @@
 
 namespace hetopt::parallel {
 
-/// The host/device byte split for a given workload fraction.
-struct FractionSplit {
-  std::size_t host_bytes = 0;
-  std::size_t device_bytes = 0;
-};
-
-/// Splits `total` items so the host receives round(total * percent / 100).
-/// `host_percent` must be in [0, 100].
-[[nodiscard]] FractionSplit split_by_percent(std::size_t total, double host_percent);
+/// Cuts [0, total) into one contiguous segment per share: segment i is
+/// [bounds[i], bounds[i+1]). Every cut is the cumulative share rounded to the
+/// nearest item (llround), clamped to stay monotone; the last bound is always
+/// `total`, absorbing the rounding. Throws std::invalid_argument when a share
+/// is outside [0, 100] or the shares do not sum to 100 (within 1e-6).
+[[nodiscard]] std::vector<std::size_t> share_bounds(std::size_t total,
+                                                    const std::vector<double>& shares);
 
 /// A contiguous piece of the input assigned to one worker, with `halo`
 /// extra trailing bytes (capped at the input end) so a scanner can complete

@@ -211,8 +211,8 @@ struct BoundedCase {
 };
 
 /// The bounded automata the split path must stay exact on: Aho-Corasick
-/// (one set with a motif long enough that 8x its lead outgrows the 16 KiB
-/// sub-stream floor), regex/IUPAC motifs determinized with and without
+/// (one set with a motif long enough that 8x its lead outgrows the
+/// kSplitMinBytes sub-stream floor), regex/IUPAC motifs determinized with and without
 /// minimization, and the hand-built shift register.
 std::vector<BoundedCase> bounded_automata(std::mt19937_64& rng) {
   std::vector<BoundedCase> out;

@@ -128,10 +128,16 @@ TEST(ExecutorFuzz, RandomSplitsNeverLoseMatches) {
   const std::string text = gen.generate(40000, 77);
   const std::uint64_t expected = count_matches(dfa, text);
   util::Xoshiro256 rng(42);
-  core::HeterogeneousExecutor exec(dfa, 3, 3);
+  std::vector<core::PoolSpec> pair(2);
+  pair[0].threads = 3;
+  pair[1].threads = 3;
+  core::HeterogeneousExecutor exec(dfa, pair);
   for (int round = 0; round < 12; ++round) {
     const double pct = rng.uniform(0.0, 100.0);
-    EXPECT_EQ(exec.run(text, pct).total_matches(), expected) << "pct " << pct;
+    EXPECT_EQ(exec.run_fleet(text, {pct, 100.0 - pct}, parallel::SchedulePolicy::kStatic)
+                  .total_matches(),
+              expected)
+        << "pct " << pct;
   }
 }
 

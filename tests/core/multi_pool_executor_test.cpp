@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "automata/scanner.hpp"
 #include "automata/subset.hpp"
 #include "dna/generator.hpp"
+#include "parallel/partitioner.hpp"
 #include "util/rng.hpp"
 
 namespace hetopt::core {
@@ -46,6 +48,18 @@ std::vector<PoolSpec> fleet_specs(std::size_t pools) {
     specs[i].share_percent = i == 0 ? 100.0 : 0.0;  // overridden per run
   }
   return specs;
+}
+
+/// Under kStatic every pool scans exactly its configured segment and never
+/// steals — counts alone would stay exact even if static stole.
+void expect_static_segments(const ExecutionReport& r, std::size_t total,
+                            const std::vector<double>& shares) {
+  const std::vector<std::size_t> bounds = parallel::share_bounds(total, shares);
+  ASSERT_EQ(r.pools.size(), shares.size());
+  for (std::size_t i = 0; i < shares.size(); ++i) {
+    EXPECT_EQ(r.pools[i].bytes, bounds[i + 1] - bounds[i]) << "pool " << i;
+    EXPECT_EQ(r.pools[i].steals, 0u) << "pool " << i;
+  }
 }
 
 class MultiPoolFixture : public ::testing::Test {
@@ -83,8 +97,16 @@ TEST_F(MultiPoolFixture, FleetCountsMatchNaiveOracleAcrossPoolCountsSharesAndPol
               << "pools=" << pools << " policy=" << parallel::to_string(policy)
               << " round=" << round;
           std::size_t bytes = 0;
-          for (const PoolReport& pool : r.pools) bytes += pool.bytes;
+          double realized = 0.0;
+          for (const PoolReport& pool : r.pools) {
+            bytes += pool.bytes;
+            realized += pool.realized_percent;
+          }
           EXPECT_EQ(bytes, text.size());
+          EXPECT_NEAR(realized, 100.0, 1e-9);
+          if (policy == parallel::SchedulePolicy::kStatic) {
+            expect_static_segments(r, text.size(), shares);
+          }
         }
       }
     }
@@ -119,6 +141,9 @@ TEST_F(MultiPoolFixture, CollectedPositionsAreByteIdenticalToNaiveOracle) {
         EXPECT_TRUE(got == expected)
             << "pools=" << pools << " policy=" << parallel::to_string(policy)
             << " round=" << round;
+        if (policy == parallel::SchedulePolicy::kStatic) {
+          expect_static_segments(r, text.size(), shares);
+        }
       }
     }
   }
@@ -166,51 +191,6 @@ TEST_F(MultiPoolFixture, DegenerateSharesSkipPoolLaunchEntirely) {
   EXPECT_TRUE(got == expected_pos);
 }
 
-TEST_F(MultiPoolFixture, LegacyPairPathIsTheTwoPoolFleet) {
-  // run(text, pct, ...) and a 2-pool run_fleet with {pct, 100-pct} are the
-  // same computation: identical counts, byte splits, and realized shares.
-  const automata::DenseDfa dfa = automata::build_aho_corasick({"GATTACA", "CCGG"});
-  const std::string text = gen_.generate(60000, 5);
-  HeterogeneousExecutor legacy(dfa, 3, 2);
-  std::vector<PoolSpec> specs(2);
-  specs[0].threads = 3;
-  specs[1].threads = 2;
-  HeterogeneousExecutor fleet(dfa, specs);
-  for (const double pct : {0.0, 37.5, 75.0, 100.0}) {
-    const ExecutionReport a = legacy.run(text, pct);
-    const ExecutionReport b =
-        fleet.run_fleet(text, {pct, 100.0 - pct}, parallel::SchedulePolicy::kStatic);
-    EXPECT_EQ(a.total_matches(), b.total_matches()) << pct;
-    EXPECT_EQ(a.host_bytes, b.host_bytes) << pct;
-    EXPECT_EQ(a.device_bytes, b.device_bytes) << pct;
-    EXPECT_EQ(a.host_matches, b.host_matches) << pct;
-    EXPECT_DOUBLE_EQ(a.realized_host_percent, b.realized_host_percent) << pct;
-  }
-}
-
-TEST_F(MultiPoolFixture, LegacyScalarsMirrorThePoolVector) {
-  // host_* == pools[0], device_* aggregates pools[1..] (sums; seconds the
-  // max) for every policy — the contract the pre-fleet call sites rely on.
-  const automata::DenseDfa dfa = automata::build_aho_corasick({"TATA", "GGCC"});
-  const std::string text = gen_.generate(50000, 21);
-  HeterogeneousExecutor exec(dfa, fleet_specs(3));
-  for (const parallel::SchedulePolicy policy : parallel::kAllSchedulePolicies) {
-    const ExecutionReport r = exec.run_fleet(text, {40.0, 35.0, 25.0}, policy);
-    ASSERT_EQ(r.pools.size(), 3u);
-    EXPECT_EQ(r.host_matches, r.pools[0].matches);
-    EXPECT_EQ(r.host_bytes, r.pools[0].bytes);
-    EXPECT_EQ(r.host_steals, r.pools[0].steals);
-    EXPECT_DOUBLE_EQ(r.host_seconds, r.pools[0].seconds);
-    EXPECT_EQ(r.device_matches, r.pools[1].matches + r.pools[2].matches);
-    EXPECT_EQ(r.device_bytes, r.pools[1].bytes + r.pools[2].bytes);
-    EXPECT_EQ(r.device_steals, r.pools[1].steals + r.pools[2].steals);
-    EXPECT_DOUBLE_EQ(r.device_seconds, std::max(r.pools[1].seconds, r.pools[2].seconds));
-    double realized = 0.0;
-    for (const PoolReport& pool : r.pools) realized += pool.realized_percent;
-    EXPECT_NEAR(realized, 100.0, 1e-9);
-  }
-}
-
 TEST_F(MultiPoolFixture, EveryEngineKindRunsTheFleetExactly) {
   // Engine-generic fleets: each available engine (compiled DFA, AC, bitap)
   // drives a 3-pool fleet to the same oracle count.
@@ -221,15 +201,46 @@ TEST_F(MultiPoolFixture, EveryEngineKindRunsTheFleetExactly) {
   const std::string text = gen_.generate(30000, 13);
   const std::uint64_t expected =
       automata::scan_count_naive(dfa, text, dfa.start()).match_count;
+  // One non-ACGT byte inside pool 1's segment (bytes 15000..24000).
+  std::string bad = text;
+  bad[20000] = 'N';
+  const std::vector<double> shares = {50.0, 30.0, 20.0};
+  // DFA engines prefix the message with "scan:", bitap engines with
+  // "BitapMatcher:"; both name the byte.
+  const auto expect_invalid_base = [](const auto& run, const std::string& what) {
+    try {
+      run();
+      ADD_FAILURE() << what << ": no exception";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("invalid base 'N'"), std::string::npos)
+          << what << ": " << e.what();
+    }
+  };
   for (const automata::EngineKind kind : automata::kAllEngineKinds) {
     std::string gap;
     const auto engine = automata::try_lower(kind, motifs, &gap);
     ASSERT_NE(engine, nullptr) << gap;
     HeterogeneousExecutor exec(*engine, fleet_specs(3));
     for (const parallel::SchedulePolicy policy : parallel::kAllSchedulePolicies) {
-      const ExecutionReport r = exec.run_fleet(text, {50.0, 30.0, 20.0}, policy);
-      EXPECT_EQ(r.total_matches(), expected)
-          << automata::to_string(kind) << " " << parallel::to_string(policy);
+      const std::string what =
+          std::string(automata::to_string(kind)) + " " + std::string(parallel::to_string(policy));
+      const ExecutionReport r = exec.run_fleet(text, shares, policy);
+      EXPECT_EQ(r.total_matches(), expected) << what;
+      // A scan error is the caller's to see, not a pool fault: it propagates
+      // unchanged with no fault plan armed...
+      expect_invalid_base([&] { (void)exec.run_fleet(bad, shares, policy); }, what);
+      expect_invalid_base(
+          [&] {
+            std::vector<automata::Match> got;
+            (void)exec.collect_fleet(bad, shares, policy, got);
+          },
+          what + " collect");
+      // ...and leaves the executor intact: the next clean run is exact and
+      // marks no pool failed.
+      const ExecutionReport after = exec.run_fleet(text, shares, policy);
+      EXPECT_EQ(after.total_matches(), expected) << what;
+      EXPECT_TRUE(after.failed_pools.empty()) << what;
+      for (const PoolReport& pool : after.pools) EXPECT_FALSE(pool.failed) << what;
     }
   }
 }
@@ -244,11 +255,24 @@ TEST_F(MultiPoolFixture, UnboundedEngineFleetDegradesToStaticAndStaysExact) {
   const std::string text = gen_.generate(20000, 7);
   const std::uint64_t expected =
       automata::scan_count_naive(dfa, text, dfa.start()).match_count;
-  HeterogeneousExecutor exec(dfa, fleet_specs(3));
-  const ExecutionReport r =
-      exec.run_fleet(text, {40.0, 30.0, 30.0}, parallel::SchedulePolicy::kAdaptive);
-  EXPECT_EQ(r.schedule, parallel::SchedulePolicy::kStatic);
-  EXPECT_EQ(r.total_matches(), expected);
+  std::vector<automata::Match> expected_pos;
+  (void)automata::scan_collect_naive(dfa, text, dfa.start(), 0, expected_pos);
+  ASSERT_FALSE(expected_pos.empty());
+  for (std::size_t pools = 1; pools <= 4; ++pools) {
+    HeterogeneousExecutor exec(dfa, fleet_specs(pools));
+    const std::vector<double> shares(pools, 100.0 / static_cast<double>(pools));
+    for (const parallel::SchedulePolicy policy : parallel::kAllSchedulePolicies) {
+      const ExecutionReport r = exec.run_fleet(text, shares, policy);
+      EXPECT_EQ(r.schedule, parallel::SchedulePolicy::kStatic) << pools;
+      EXPECT_EQ(r.total_matches(), expected)
+          << "pools=" << pools << " policy=" << parallel::to_string(policy);
+      std::vector<automata::Match> got;
+      const ExecutionReport rc = exec.collect_fleet(text, shares, policy, got);
+      EXPECT_EQ(rc.schedule, parallel::SchedulePolicy::kStatic) << pools;
+      EXPECT_TRUE(got == expected_pos)
+          << "pools=" << pools << " policy=" << parallel::to_string(policy);
+    }
+  }
 }
 
 TEST_F(MultiPoolFixture, FleetReportToStringListsEveryPool) {
@@ -282,7 +306,6 @@ TEST_F(MultiPoolFixture, InvalidFleetsAndSharesAreRejected) {
   EXPECT_THROW((void)exec.run_fleet(text, {60.0, 30.0, 20.0},
                                     parallel::SchedulePolicy::kStatic),
                std::invalid_argument);  // sums to 110
-  EXPECT_THROW((void)exec.run(text, 50.0), std::logic_error);  // not a pair
 }
 
 }  // namespace

@@ -146,8 +146,13 @@ TEST_F(PipelineFixture, TunedConfigDrivesRealExecution) {
   const dna::Sequence seq = catalog_->materialize(
       "human", 1 << 20, {{"GATTACAGATTACA", 10}});
   const automata::DenseDfa dfa = automata::build_aho_corasick({"GATTACAGATTACA"});
-  core::HeterogeneousExecutor exec(dfa, 4, 4);
-  const core::ExecutionReport report = exec.run(seq.view(), saml.config.host_percent);
+  std::vector<core::PoolSpec> pair(2);
+  pair[0].threads = 4;
+  pair[0].share_percent = saml.config.host_percent;
+  pair[1].threads = 4;
+  pair[1].share_percent = 100.0 - saml.config.host_percent;
+  core::HeterogeneousExecutor exec(dfa, pair);
+  const core::ExecutionReport report = exec.run_fleet(seq.view());
   EXPECT_EQ(report.total_matches(), automata::count_matches(dfa, seq.view()));
   EXPECT_GE(report.total_matches(), 10u);
 }

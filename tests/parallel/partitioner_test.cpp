@@ -2,35 +2,44 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace hetopt::parallel {
 namespace {
 
-TEST(SplitByPercent, ExactEndpoints) {
-  const auto all_host = split_by_percent(1000, 100.0);
-  EXPECT_EQ(all_host.host_bytes, 1000u);
-  EXPECT_EQ(all_host.device_bytes, 0u);
-  const auto all_device = split_by_percent(1000, 0.0);
-  EXPECT_EQ(all_device.host_bytes, 0u);
-  EXPECT_EQ(all_device.device_bytes, 1000u);
+TEST(ShareBounds, ExactEndpoints) {
+  EXPECT_EQ(share_bounds(1000, {100.0, 0.0}), (std::vector<std::size_t>{0, 1000, 1000}));
+  EXPECT_EQ(share_bounds(1000, {0.0, 100.0}), (std::vector<std::size_t>{0, 0, 1000}));
 }
 
-TEST(SplitByPercent, PartsAlwaysSumToTotal) {
+TEST(ShareBounds, SegmentsAlwaysTileTheTotal) {
   for (std::size_t total : {0u, 1u, 7u, 999u, 1000000u}) {
     for (double pct = 0.0; pct <= 100.0; pct += 2.5) {
-      const auto s = split_by_percent(total, pct);
-      EXPECT_EQ(s.host_bytes + s.device_bytes, total);
+      const auto bounds = share_bounds(total, {pct, 100.0 - pct});
+      ASSERT_EQ(bounds.size(), 3u);
+      EXPECT_EQ(bounds.front(), 0u);
+      EXPECT_LE(bounds[1], total);
+      EXPECT_EQ(bounds.back(), total);
     }
   }
 }
 
-TEST(SplitByPercent, RoundsToNearest) {
-  EXPECT_EQ(split_by_percent(10, 25.0).host_bytes, 3u);   // 2.5 -> 3 (llround)
-  EXPECT_EQ(split_by_percent(100, 62.5).host_bytes, 63u);
+TEST(ShareBounds, RoundsToNearest) {
+  EXPECT_EQ(share_bounds(10, {25.0, 75.0})[1], 3u);   // 2.5 -> 3 (llround)
+  EXPECT_EQ(share_bounds(100, {62.5, 37.5})[1], 63u);
 }
 
-TEST(SplitByPercent, RejectsOutOfRange) {
-  EXPECT_THROW((void)split_by_percent(10, -1.0), std::invalid_argument);
-  EXPECT_THROW((void)split_by_percent(10, 100.5), std::invalid_argument);
+TEST(ShareBounds, CutsAreCumulativeAcrossManyShares) {
+  // Each cut rounds the running share sum, not the single share, so the
+  // rounding never accumulates along the fleet.
+  EXPECT_EQ(share_bounds(10, {25.0, 25.0, 25.0, 25.0}),
+            (std::vector<std::size_t>{0, 3, 5, 8, 10}));
+}
+
+TEST(ShareBounds, RejectsOutOfRangeAndUnbalancedShares) {
+  EXPECT_THROW((void)share_bounds(10, {-1.0, 101.0}), std::invalid_argument);
+  EXPECT_THROW((void)share_bounds(10, {100.5, -0.5}), std::invalid_argument);
+  EXPECT_THROW((void)share_bounds(10, {60.0, 30.0, 20.0}), std::invalid_argument);
 }
 
 TEST(MakeChunks, TilesExactly) {
