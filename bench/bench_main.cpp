@@ -234,10 +234,11 @@ int main(int argc, char** argv) {
 
   // --- scan_kernel ----------------------------------------------------------
   // The kernel ladder, all rows scanning the whole physical genome. The first
-  // three rows are strictly single-threaded; multi_stream interleaves 8 chunk
-  // scans on ONE worker (latency hiding, not parallelism); chunk_parallel
-  // adds the pool on top. `speedup_fused_vs_naive` is the per-PR perf
-  // trajectory number and feeds the CI guard.
+  // three rows are strictly single-threaded; multi_stream scans 8 chunks on
+  // ONE worker, each split into interleaved sub-streams inside count()
+  // (latency hiding, not parallelism); chunk_parallel adds the pool on top.
+  // `speedup_fused_vs_naive` is the per-PR perf trajectory number and feeds
+  // the CI guard.
   double fused_speedup = 0.0;
   bool kernel_parity = true;
   {

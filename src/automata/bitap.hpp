@@ -58,7 +58,7 @@ class BitapMatcher {
 
   /// Resumable scanning: feeds `text` through state `d` (0 = fresh start),
   /// accumulating occurrences into the return value. Enables chunked scans
-  /// with a warm-up prefix, mirroring ParallelMatcher::kWarmup.
+  /// with a warm-up prefix (the PaREM warm-up BitapEngine::count_chunk runs).
   [[nodiscard]] std::uint64_t scan(std::string_view text, std::uint64_t& d) const;
 
   /// Read-only view of the compiled tables for the vector kernels in

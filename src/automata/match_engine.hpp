@@ -14,8 +14,8 @@
 // exactly the PaREM warm-up protocol, so chunked scans stay exact for motifs
 // spanning chunk boundaries. Engines without a DFA behind them must declare a
 // positive synchronization bound; DFA-backed engines additionally expose the
-// automaton + lowered kernel so ParallelMatcher can unlock its speculative
-// and multi-stream paths.
+// automaton + lowered kernel, which ParallelMatcher's speculative waves scan
+// on when the automaton has no bound.
 //
 // lower()/try_lower() build the right engine for a motif set; engine_gap()
 // reports applicability (AC needs literal ACGT patterns, Bitap needs <= 64
@@ -56,12 +56,11 @@ class MatchEngine {
                                                   std::size_t end) const = 0;
 
   /// Chunk-aware match collection: appends the events of (begin, end] to
-  /// `out` (end offsets are global) and returns their occurrence count.
-  /// Only valid when supports_collect().
+  /// `out` (end offsets are offsets into `text`) and returns their
+  /// occurrence count.
   [[nodiscard]] virtual std::uint64_t collect_chunk(std::string_view text, std::size_t begin,
                                                     std::size_t end,
                                                     std::vector<Match>& out) const = 0;
-  [[nodiscard]] virtual bool supports_collect() const noexcept { return true; }
 
   /// Whole-text sequential count/collect (chunk = everything).
   [[nodiscard]] std::uint64_t count(std::string_view text) const {
@@ -71,10 +70,10 @@ class MatchEngine {
     return collect_chunk(text, 0, text.size(), out);
   }
 
-  /// DFA-backed engines expose their automaton and lowered kernel so the
-  /// chunk-parallel matcher can run its speculative / multi-stream kernels
-  /// directly; generic engines return nullptr and are driven through the
-  /// chunk-aware interface above.
+  /// DFA-backed engines expose their automaton and lowered kernel (the
+  /// chunk-parallel matcher's speculative waves scan on it when the
+  /// automaton has no bound); generic engines return nullptr. Every chunked
+  /// scan of a bounded engine goes through the chunk-aware interface above.
   [[nodiscard]] virtual const DenseDfa* dfa() const noexcept { return nullptr; }
   [[nodiscard]] virtual const CompiledDfa* kernel() const noexcept { return nullptr; }
 };

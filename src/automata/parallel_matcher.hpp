@@ -1,47 +1,39 @@
-// PaREM-style chunk-parallel finite-automaton matching (Memeti & Pllana,
-// CSE 2014). The input is cut into contiguous chunks, one per worker; the
-// difficulty is that a chunk's correct entry state depends on all preceding
-// text. Two resolution strategies are provided:
+// PaREM-style chunk-parallel matching (Memeti & Pllana, CSE 2014) over any
+// automata::MatchEngine. The input is cut into chunks; the difficulty is that
+// a chunk's correct entry state depends on all preceding text.
 //
-//  kWarmup      Exact, one pass. Usable when the automaton has a finite
-//               synchronization bound L (= longest motif): the scan state at
-//               any position is fully determined by the previous L-1 bytes,
-//               so each worker "warms up" from the start state over the L-1
-//               bytes before its chunk and then counts only inside the chunk.
+// On an engine with a synchronization bound L (the longest motif) the scan
+// state at any position is fully determined by the previous L-1 bytes, so
+// count_chunk/collect_chunk warm up over the bytes before a chunk and count
+// only inside it: the PaREM warm-up protocol. Every chunk is independent, and
+// one ticket loop scans them all — in memory and paged (paged_scan.cpp),
+// counting and collecting, under every schedule. Only the ticket order
+// varies: static hands each worker a contiguous group of tickets, the
+// demand-driven schedules pull them from a ChunkQueue. Interleaving load
+// chains is the kernel's job: CompiledDfa::count() splits every long chunk
+// into warmed sub-streams.
 //
-//  kSpeculative Exact, two phases. Phase 1 scans every chunk from the start
-//               state in parallel (a guess) and records exit states. Phase 2
-//               propagates true entry states and re-scans mispredicted chunks
-//               in parallel waves until the propagation settles; because
-//               motif automata synchronize quickly, almost no chunk needs a
-//               second scan and the first wave is usually empty. Works for
-//               unbounded patterns ('*'/'+') where no warm-up bound exists.
+// An engine with no bound (regex '*'/'+') cannot warm up, so the matcher runs
+// speculative waves on its compiled DFA instead, statically and in memory
+// only. Phase 1 scans every chunk from the start state in parallel (a guess)
+// and records exit states. Phase 2 propagates true entry states and re-scans
+// mispredicted chunks in parallel waves until the propagation settles; motif
+// automata synchronize quickly, so the first wave is usually empty. Counting
+// interleaves the chunks one worker would scan serially through count_multi.
+// The automaton chooses between the two paths; there is no option.
 //
-// The matcher is engine-generic: construct it from any automata::MatchEngine.
-// DFA-backed engines (compiled-dfa, aho-corasick) run on the compiled kernels
-// (automata/compiled_dfa.hpp) with both strategies available; counting
-// interleaves scan chains to hide the per-byte load latency a single chain
-// serializes on, at two levels: the matcher groups several chunks per worker
-// task (streams_per_worker, by default the chunk/worker ratio), and the
-// kernel's count() splits every long chunk on a bounded automaton into up to
-// CompiledDfa::kMaxStreams warmed sub-streams. So the stream width a worker
-// runs at is not only the chunk/worker ratio: one chunk per worker still
-// scans interleaved. Engines without a DFA behind them (bitap) are driven
-// through the chunk-aware MatchEngine interface with the warm-up strategy
-// (they must declare a positive synchronization bound). The legacy DenseDfa
-// constructor lowers the automaton itself and behaves exactly as before.
-//
-// Both strategies return byte-identical results to a sequential scan (this is
-// property-tested). A matcher instance reuses per-chunk scratch buffers
-// across runs and must therefore not be used from two threads concurrently
-// (distinct matchers sharing a pool are fine).
+// Both paths are byte-identical to a sequential scan (property-tested). A
+// matcher reuses per-chunk scratch buffers across runs and must therefore
+// not be used from two threads concurrently (distinct matchers sharing a
+// pool are fine).
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string_view>
 #include <vector>
 
-#include "automata/compiled_dfa.hpp"
 #include "automata/dense_dfa.hpp"
 #include "automata/match_engine.hpp"
 #include "automata/scanner.hpp"
@@ -53,28 +45,6 @@
 #include "util/aligned_buffer.hpp"
 
 namespace hetopt::automata {
-
-enum class ParallelStrategy { kWarmup, kSpeculative };
-
-struct MatcherOptions {
-  ParallelStrategy strategy = ParallelStrategy::kWarmup;
-  /// Independent chunk scans interleaved per worker task when counting.
-  /// 0 = auto (chunks / pool workers, capped at CompiledDfa::kMaxStreams);
-  /// 1 = one chunk per task (the seed behavior). Match collection always
-  /// scans one chunk per task (events need per-chunk append order). A chunk
-  /// scanned on its own is still split inside CompiledDfa::count() when long.
-  std::size_t streams_per_worker = 0;
-  /// How chunks reach the workers (parallel/schedule.hpp): kStatic
-  /// pre-assigns contiguous chunk groups (the seed behavior); kDynamic and
-  /// kAdaptive pull chunk indices from an atomic ticket queue (a single pool
-  /// has no one to steal from, so adaptive degenerates to dynamic here);
-  /// kGuided pulls decreasing chunk sizes, reinterpreting `chunks` as the
-  /// tail-granularity hint. Demand-driven schedules need per-chunk warm-up,
-  /// so they force the kWarmup strategy; automata without a synchronization
-  /// bound fall back to the static speculative path. Results are
-  /// byte-identical across every policy (property-tested).
-  parallel::SchedulePolicy schedule = parallel::SchedulePolicy::kStatic;
-};
 
 struct ParallelScanStats {
   std::uint64_t match_count = 0;
@@ -136,40 +106,32 @@ struct PagedScanStats {
 
 class ParallelMatcher {
  public:
-  /// The matcher borrows the automaton and pool; both must outlive it.
-  /// Validates the automaton once and lowers it into the compiled kernels.
+  /// Validates the automaton (throws std::invalid_argument otherwise) and
+  /// scans through an owned DenseDfaEngine copy of it. The pool must outlive
+  /// the matcher.
   ParallelMatcher(const DenseDfa& dfa, parallel::ThreadPool& pool);
 
-  /// Engine-generic construction; the engine and pool must outlive the
-  /// matcher. DFA-backed engines run on their already-lowered kernel (no
-  /// re-lowering); other engines use the chunk-aware warm-up path and must
-  /// have a positive synchronization bound (throws std::invalid_argument
-  /// otherwise).
+  /// Borrows the engine and pool; both must outlive the matcher. An engine
+  /// without a synchronization bound needs a compiled DFA for the
+  /// speculative waves (throws std::invalid_argument otherwise).
   ParallelMatcher(const MatchEngine& engine, parallel::ThreadPool& pool);
 
-  // Not copyable/movable: kernel_ may point into owned_kernel_, so a copy
-  // would scan through the source's (possibly destroyed) tables.
   ParallelMatcher(const ParallelMatcher&) = delete;
   ParallelMatcher& operator=(const ParallelMatcher&) = delete;
 
-  /// Counts occurrences in `text` using `chunks` parallel chunks.
-  /// Falls back to kSpeculative when kWarmup is requested but the automaton
-  /// has no synchronization bound. A single chunk is scanned directly on the
-  /// calling thread (no pool round-trip).
-  [[nodiscard]] ParallelScanStats count(std::string_view text, std::size_t chunks,
-                                        ParallelStrategy strategy =
-                                            ParallelStrategy::kWarmup) const;
-  [[nodiscard]] ParallelScanStats count(std::string_view text, std::size_t chunks,
-                                        const MatcherOptions& options) const;
+  /// Counts occurrences in `text` using `chunks` parallel chunks, dealt to
+  /// the workers by `schedule` (parallel/schedule.hpp; kGuided reads
+  /// `chunks` as the tail-granularity hint). An unbounded engine scans
+  /// statically whatever the schedule. A single chunk is scanned on the
+  /// calling thread unless the pool's workers are pinned.
+  [[nodiscard]] ParallelScanStats count(
+      std::string_view text, std::size_t chunks,
+      parallel::SchedulePolicy schedule = parallel::SchedulePolicy::kStatic) const;
 
   /// Counts and also collects match events (sorted by end offset).
-  [[nodiscard]] ParallelScanStats collect(std::string_view text, std::size_t chunks,
-                                          std::vector<Match>& out,
-                                          ParallelStrategy strategy =
-                                              ParallelStrategy::kWarmup) const;
-  [[nodiscard]] ParallelScanStats collect(std::string_view text, std::size_t chunks,
-                                          std::vector<Match>& out,
-                                          const MatcherOptions& options) const;
+  [[nodiscard]] ParallelScanStats collect(
+      std::string_view text, std::size_t chunks, std::vector<Match>& out,
+      parallel::SchedulePolicy schedule = parallel::SchedulePolicy::kStatic) const;
 
   /// Counts occurrences across a paged corpus, streaming pages through the
   /// genome's bounded cache (pool workers block only on genuinely-cold
@@ -187,43 +149,47 @@ class ParallelMatcher {
                                              std::vector<Match>& out,
                                              const PagedScanOptions& options = {}) const;
 
-  /// The lowered automaton (shared with callers that scan outside the
-  /// chunked path). Only valid for DFA-backed matchers — see dfa_backed().
-  [[nodiscard]] const CompiledDfa& compiled() const noexcept { return *kernel_; }
-
-  /// True when the matcher runs on the compiled DFA kernels (the DenseDfa
-  /// constructor or an engine with a dfa() behind it); false for generic
-  /// engines such as bitap, where compiled() must not be called.
-  [[nodiscard]] bool dfa_backed() const noexcept { return kernel_ != nullptr; }
-
  private:
   struct ChunkResult {
     ScanResult scan;
     std::vector<Match> matches;
   };
+  /// One chunk scan: ticket `i` plus the page the worker holds pinned across
+  /// its tickets (in-memory scans never pin).
+  using TicketScan = std::function<void(std::size_t, dna::PagedGenome::PageRef&)>;
 
   [[nodiscard]] ParallelScanStats run(std::string_view text, std::size_t chunks,
-                                      MatcherOptions options, bool want_matches,
+                                      parallel::SchedulePolicy schedule,
                                       std::vector<Match>* out) const;
-  [[nodiscard]] ParallelScanStats run_engine(std::string_view text, std::size_t chunks,
-                                             parallel::SchedulePolicy schedule,
-                                             bool want_matches,
-                                             std::vector<Match>* out) const;
+  /// The phase 1/phase 2 waves for engines without a synchronization bound;
+  /// returns the rescans summed over waves.
+  [[nodiscard]] std::size_t run_speculative(std::string_view text,
+                                            const std::vector<parallel::Chunk>& ranges,
+                                            bool collect) const;
   /// The paged-input mode (automata/paged_scan.cpp): pages pinned on
   /// demand, chunk tickets in page order, per-chunk warm-up out of the halo.
   [[nodiscard]] PagedScanStats run_paged(dna::PagedGenome& genome,
                                          const PagedScanOptions& options,
-                                         bool want_matches,
                                          std::vector<Match>* out) const;
-  /// Merges the first `range_count` scratch slots' matches into *out, sorted
-  /// by end offset.
-  void collect_sorted(std::size_t range_count, std::vector<Match>* out) const;
+  /// The ticket loop: runs scan(i, pin) for every ticket i in [0, n).
+  /// kStatic hands each worker a contiguous group of tickets, every other
+  /// schedule pulls them from a ChunkQueue. A lone ticket runs on the
+  /// calling thread unless the workers are pinned: the scan must not escape
+  /// the placement measurements price.
+  void for_each_ticket(std::size_t n, parallel::SchedulePolicy schedule,
+                       const TicketScan& scan) const;
+  /// Scans chunk `c` (global offsets) into scratch slot `i` through the
+  /// engine, on `view`, whose byte 0 is global offset `base`; the engine
+  /// reads its warm-up lead out of the view.
+  void scan_chunk(std::size_t i, const parallel::Chunk& c, std::string_view view,
+                  std::size_t base, bool collect) const;
+  /// Sums the first `n` scratch slots' counts; when `out` is set, also
+  /// merges their matches into *out, sorted by end offset.
+  std::uint64_t gather(std::size_t n, std::vector<Match>* out) const;
 
-  const DenseDfa* dfa_ = nullptr;            // non-null when DFA-backed
-  const MatchEngine* engine_ = nullptr;      // non-null on the generic engine path
+  std::unique_ptr<const MatchEngine> owned_engine_;  // DenseDfa constructor
+  const MatchEngine* engine_ = nullptr;
   parallel::ThreadPool& pool_;
-  CompiledDfa owned_kernel_;                 // lowered here on the DenseDfa path
-  const CompiledDfa* kernel_ = nullptr;      // owned_kernel_ or the engine's kernel
   // Per-chunk scratch in cache-line-aligned storage: workers write disjoint
   // slots concurrently, and the 64-byte alignment keeps slot boundaries off
   // shared cache lines. Reused across runs (element capacity kept).

@@ -112,9 +112,8 @@ struct FleetLayout {
     for (std::size_t i = 0; i < n; ++i) {
       layout.seg_offset[i] = layout.chunks.size();
       for (const parallel::Chunk& c :
-           parallel::make_chunks(bounds[i + 1] - bounds[i], chunk_counts[i], /*halo=*/0)) {
-        layout.chunks.push_back(
-            {c.begin + bounds[i], c.end + bounds[i], c.scan_end + bounds[i]});
+           parallel::make_chunks(bounds[i + 1] - bounds[i], chunk_counts[i])) {
+        layout.chunks.push_back({c.begin + bounds[i], c.end + bounds[i]});
       }
     }
     layout.seg_offset[n] = layout.chunks.size();
@@ -126,7 +125,7 @@ struct FleetLayout {
       layout.chunks = parallel::make_chunks_guided(
           total, total_workers, parallel::guided_min_chunk(total, total_chunks));
     } else {
-      layout.chunks = parallel::make_chunks(total, total_chunks, /*halo=*/0);
+      layout.chunks = parallel::make_chunks(total, total_chunks);
     }
   }
   layout.owners.resize(layout.chunks.size());
@@ -334,9 +333,6 @@ ExecutionReport HeterogeneousExecutor::collect_fleet(std::string_view text,
                                                      const std::vector<double>& shares,
                                                      parallel::SchedulePolicy schedule,
                                                      std::vector<automata::Match>& out) {
-  if (!engine_->supports_collect()) {
-    throw std::invalid_argument("collect_fleet: engine does not support collection");
-  }
   return run_chunks(text, shares, schedule, &out);
 }
 

@@ -223,9 +223,8 @@ class HeterogeneousExecutor {
 
   /// run_fleet that additionally collects every match event into `out`
   /// (global end offsets, ascending — byte-identical to a sequential
-  /// scan_collect_naive over the whole text). Requires an engine with
-  /// supports_collect(); throws std::invalid_argument otherwise. This is
-  /// the N-way position-parity hook the test layer drives.
+  /// scan_collect_naive over the whole text). This is the N-way
+  /// position-parity hook the test layer drives.
   [[nodiscard]] ExecutionReport collect_fleet(std::string_view text,
                                               const std::vector<double>& shares,
                                               parallel::SchedulePolicy schedule,

@@ -21,10 +21,9 @@
 //             (exhaustive / random / annealing / genetic)
 //   core      training sweep, predictor, Evaluator backends (measurement /
 //             prediction / multi-device / real-workload), TuningSession,
-//             strategy registry, Table II method presets, autotuner facade
+//             strategy registry, Table II method presets
 #pragma once
 
-#include "core/autotuner.hpp"           // IWYU pragma: export
 #include "core/evaluator.hpp"           // IWYU pragma: export
 #include "core/executor.hpp"            // IWYU pragma: export
 #include "core/features.hpp"            // IWYU pragma: export

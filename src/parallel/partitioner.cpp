@@ -30,17 +30,13 @@ std::vector<std::size_t> share_bounds(std::size_t total, const std::vector<doubl
   return bounds;
 }
 
-std::vector<Chunk> make_chunks(std::size_t total, std::size_t count, std::size_t halo) {
+std::vector<Chunk> make_chunks(std::size_t total, std::size_t count) {
   std::vector<Chunk> chunks;
   if (total == 0 || count == 0) return chunks;
   count = std::min(count, total);
   chunks.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    Chunk c;
-    c.begin = chunk_begin(total, count, i);
-    c.end = chunk_begin(total, count, i + 1);
-    c.scan_end = std::min(total, c.end + halo);
-    chunks.push_back(c);
+    chunks.push_back({chunk_begin(total, count, i), chunk_begin(total, count, i + 1)});
   }
   return chunks;
 }
@@ -55,11 +51,7 @@ std::vector<Chunk> make_chunks_guided(std::size_t total, std::size_t workers,
     const std::size_t remaining = total - begin;
     std::size_t len = std::max(min_chunk, (remaining + 2 * workers - 1) / (2 * workers));
     len = std::min(len, remaining);
-    Chunk c;
-    c.begin = begin;
-    c.end = begin + len;
-    c.scan_end = c.end;
-    chunks.push_back(c);
+    chunks.push_back({begin, begin + len});
     begin += len;
   }
   return chunks;

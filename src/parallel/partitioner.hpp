@@ -1,7 +1,8 @@
 // Work partitioning: the share split across an ordered fleet of pools (the
-// paper's "DNA sequence fraction" parameter, generalized to N pools) and
-// overlapped chunking with a halo so pattern matches spanning the cut are
-// not lost.
+// paper's "DNA sequence fraction" parameter, generalized to N pools) and the
+// chunk layouts the scans deal out as tickets. Chunks carry no overlap: a
+// chunk scan warms up over the bytes before its begin (the PaREM warm-up), so
+// matches spanning a cut are still counted exactly once.
 #pragma once
 
 #include <cstddef>
@@ -18,27 +19,24 @@ namespace hetopt::parallel {
 [[nodiscard]] std::vector<std::size_t> share_bounds(std::size_t total,
                                                     const std::vector<double>& shares);
 
-/// A contiguous piece of the input assigned to one worker, with `halo`
-/// extra trailing bytes (capped at the input end) so a scanner can complete
-/// matches that start near the chunk boundary. Matches are attributed to a
-/// chunk by their *start* offset, which keeps counts exact.
+/// A contiguous piece of the input, [begin, end). A chunk owns the matches
+/// whose *end* offsets lie in (begin, end], which keeps counts exact: each
+/// match ends in exactly one chunk of a tiling.
 struct Chunk {
-  std::size_t begin = 0;       // first owned byte
-  std::size_t end = 0;         // one past last owned byte
-  std::size_t scan_end = 0;    // end + halo, clamped to total
+  std::size_t begin = 0;  // first byte
+  std::size_t end = 0;    // one past the last byte
 };
 
-/// Splits [0, total) into `count` chunks (fewer if total < count) with the
-/// given halo. Chunks tile the range exactly: chunk[i].end == chunk[i+1].begin.
-[[nodiscard]] std::vector<Chunk> make_chunks(std::size_t total, std::size_t count,
-                                             std::size_t halo);
+/// Splits [0, total) into `count` chunks (fewer if total < count). Chunks tile
+/// the range exactly: chunk[i].end == chunk[i+1].begin.
+[[nodiscard]] std::vector<Chunk> make_chunks(std::size_t total, std::size_t count);
 
 /// Guided chunking (the OpenMP `guided` shape) for demand-driven pulls: each
 /// chunk takes half of what an even split of the *remaining* bytes across
 /// `workers` would give, clamped below at `min_chunk`, so sizes decrease
 /// from a coarse head (low queue traffic while everyone is busy) to a fine
 /// tail (the last pulls can balance stragglers). Chunks tile [0, total)
-/// exactly and sizes are non-increasing; halo is 0 (scan_end == end).
+/// exactly and sizes are non-increasing.
 [[nodiscard]] std::vector<Chunk> make_chunks_guided(std::size_t total, std::size_t workers,
                                                     std::size_t min_chunk);
 

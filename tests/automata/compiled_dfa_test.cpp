@@ -25,7 +25,7 @@ namespace hetopt::automata {
 namespace {
 
 /// A random (valid) automaton: arbitrary transitions, sparse accepts, random
-/// start. No synchronization bound, so the matcher exercises kSpeculative.
+/// start. No synchronization bound, so the matcher runs its speculative waves.
 DenseDfa random_dfa(std::mt19937_64& rng, std::uint32_t states) {
   DenseDfa dfa(states);
   std::uniform_int_distribution<std::uint32_t> pick_state(0, states - 1);
@@ -355,8 +355,8 @@ TEST(CompiledDfaSplit, BadEntryStateStillThrowsOutOfRange) {
 
 TEST(CompiledDfaSplit, OneChunkPerWorkerMatcherStaysExact) {
   // The matcher's one-chunk-per-worker shapes hand count() chunks long
-  // enough to split; every schedule and strategy must still agree with the
-  // sequential oracle.
+  // enough to split; every schedule must still agree with the sequential
+  // oracle.
   parallel::ThreadPool pool(3);
   std::mt19937_64 rng(31);
   for (const BoundedCase& c : bounded_automata(rng)) {
@@ -366,35 +366,30 @@ TEST(CompiledDfaSplit, OneChunkPerWorkerMatcherStaysExact) {
     const std::uint64_t expect = scan_count_naive(dfa, text, dfa.start()).match_count;
     ParallelMatcher matcher(dfa, pool);
     for (const std::size_t chunks : {1u, 3u}) {
-      for (const auto strategy : {ParallelStrategy::kWarmup, ParallelStrategy::kSpeculative}) {
-        for (const parallel::SchedulePolicy schedule : parallel::kAllSchedulePolicies) {
-          MatcherOptions options{strategy, 0};
-          options.schedule = schedule;
-          EXPECT_EQ(matcher.count(text, chunks, options).match_count, expect)
-              << "chunks=" << chunks << " schedule=" << parallel::to_string(schedule);
-        }
+      for (const parallel::SchedulePolicy schedule : parallel::kAllSchedulePolicies) {
+        EXPECT_EQ(matcher.count(text, chunks, schedule).match_count, expect)
+            << "chunks=" << chunks << " schedule=" << parallel::to_string(schedule);
       }
     }
   }
 }
 
-/// ParallelMatcher sweep: random + motif automata x chunk counts x
-/// strategies x stream widths, counts and collected events vs sequential.
+/// ParallelMatcher sweep: random + motif automata x chunk counts, counts
+/// and collected events vs sequential.
 struct KernelSweepParam {
   std::uint64_t seed;
   std::size_t chunks;
-  std::size_t streams;  // MatcherOptions::streams_per_worker (0 = auto)
 };
 
 class KernelMatcherSweep : public ::testing::TestWithParam<KernelSweepParam> {};
 
 TEST_P(KernelMatcherSweep, ParallelPathsEqualSequential) {
-  const auto [seed, chunks, streams] = GetParam();
+  const auto [seed, chunks] = GetParam();
   std::mt19937_64 rng(seed);
   parallel::ThreadPool pool(3);
 
-  // One synchronizing motif automaton (exercises kWarmup) and one random
-  // automaton with no bound (exercises the speculative wave rescans).
+  // One synchronizing motif automaton (exercises the warm-up path) and one
+  // random automaton with no bound (exercises the speculative wave rescans).
   const auto compiled_motifs = compile_motifs({"TATAWAW", "GGN?CC", "ACGT"});
   const DenseDfa motif_dfa =
       determinize(compiled_motifs.nfa, compiled_motifs.synchronization_bound);
@@ -407,41 +402,36 @@ TEST_P(KernelMatcherSweep, ParallelPathsEqualSequential) {
     (void)scan_collect_naive(*dfa, text, dfa->start(), 0, expect_events);
 
     ParallelMatcher matcher(*dfa, pool);
-    for (const auto strategy :
-         {ParallelStrategy::kWarmup, ParallelStrategy::kSpeculative}) {
-      const MatcherOptions options{strategy, streams};
-      const auto stats = matcher.count(text, chunks, options);
-      EXPECT_EQ(stats.match_count, expect.match_count)
-          << "chunks=" << chunks << " streams=" << streams;
-      std::vector<Match> events;
-      (void)matcher.collect(text, chunks, events, options);
-      EXPECT_EQ(events, expect_events) << "chunks=" << chunks;
-    }
+    const auto stats = matcher.count(text, chunks);
+    EXPECT_EQ(stats.match_count, expect.match_count) << "chunks=" << chunks;
+    std::vector<Match> events;
+    (void)matcher.collect(text, chunks, events);
+    EXPECT_EQ(events, expect_events) << "chunks=" << chunks;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    SeedsChunksStreams, KernelMatcherSweep,
-    ::testing::Values(KernelSweepParam{1, 1, 0},   // single-chunk fast path
-                      KernelSweepParam{2, 4, 0},   // auto stream width
-                      KernelSweepParam{3, 7, 1},   // scalar per-chunk tasks
-                      KernelSweepParam{4, 16, 2},  // explicit 2-wide streams
-                      KernelSweepParam{5, 33, 8},  // full-width streams
-                      KernelSweepParam{6, 64, 5},
-                      KernelSweepParam{7, 12, 3}));
+    SeedsAndChunks, KernelMatcherSweep,
+    ::testing::Values(KernelSweepParam{1, 1},  // single-chunk fast path
+                      KernelSweepParam{2, 4}, KernelSweepParam{3, 7},
+                      KernelSweepParam{4, 16}, KernelSweepParam{5, 33},
+                      KernelSweepParam{6, 64}, KernelSweepParam{7, 12}));
 
 TEST(KernelMatcher, SpeculativeWaveRescanStaysExact) {
   // Every chunk boundary sits mid-pattern, forcing rescans; the wave-parallel
   // phase 2 must still produce the sequential answer and report the rescans.
+  // On 4 workers the chunk counts give waves of 1, 2 and 8 interleaved
+  // chunks per ticket.
   parallel::ThreadPool pool(4);
-  const DenseDfa dfa = build_aho_corasick({"AAAAAAAA"});
+  const auto compiled = compile_motifs({"AAAAAAAA(A)*"});
+  const DenseDfa dfa = determinize(compiled.nfa, compiled.synchronization_bound);
+  ASSERT_EQ(dfa.synchronization_bound(), 0u);
   const std::string text(64, 'A');
   ParallelMatcher matcher(dfa, pool);
-  for (const std::size_t streams : {0u, 1u, 4u}) {
-    const auto stats = matcher.count(
-        text, 8, MatcherOptions{ParallelStrategy::kSpeculative, streams});
-    EXPECT_EQ(stats.match_count, 64u - 8u + 1u);
-    EXPECT_GT(stats.rescanned_chunks, 0u);
+  for (const std::size_t chunks : {4u, 8u, 32u}) {
+    const auto stats = matcher.count(text, chunks);
+    EXPECT_EQ(stats.match_count, 64u - 8u + 1u) << "chunks=" << chunks;
+    EXPECT_GT(stats.rescanned_chunks, 0u) << "chunks=" << chunks;
   }
 }
 

@@ -1,11 +1,18 @@
 // Property tests for the PaREM-style chunk-parallel matcher: for every
-// strategy and chunk count, the parallel result must be byte-identical to a
-// sequential scan.
+// schedule and chunk count, on bounded (warm-up) and unbounded (speculative)
+// automata, the parallel result must be byte-identical to a sequential scan.
 #include "automata/parallel_matcher.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <thread>
+
 #include "automata/aho_corasick.hpp"
+#include "automata/match_engine.hpp"
 #include "automata/regex.hpp"
 #include "automata/subset.hpp"
 #include "dna/generator.hpp"
@@ -25,19 +32,22 @@ TEST_F(ParallelMatcherFixture, WarmupMatchesSequentialCounts) {
   const std::uint64_t expected = count_matches(dfa, text);
   ParallelMatcher matcher(dfa, pool_);
   for (std::size_t chunks : {1u, 2u, 3u, 8u, 17u, 64u}) {
-    const auto stats = matcher.count(text, chunks, ParallelStrategy::kWarmup);
+    const auto stats = matcher.count(text, chunks);
     EXPECT_EQ(stats.match_count, expected) << "chunks=" << chunks;
     EXPECT_EQ(stats.chunks, chunks);
   }
 }
 
 TEST_F(ParallelMatcherFixture, SpeculativeMatchesSequentialCounts) {
-  const DenseDfa dfa = build_aho_corasick({"GATTACA", "TTT"});
+  // No synchronization bound: the automaton selects the speculative waves.
+  const auto compiled = compile_motifs({"TT(T)+"});
+  const DenseDfa dfa = determinize(compiled.nfa, compiled.synchronization_bound);
+  ASSERT_EQ(dfa.synchronization_bound(), 0u);
   const std::string text = gen_.generate(100000, 5);
   const std::uint64_t expected = count_matches(dfa, text);
   ParallelMatcher matcher(dfa, pool_);
   for (std::size_t chunks : {1u, 2u, 3u, 8u, 17u, 64u}) {
-    const auto stats = matcher.count(text, chunks, ParallelStrategy::kSpeculative);
+    const auto stats = matcher.count(text, chunks);
     EXPECT_EQ(stats.match_count, expected) << "chunks=" << chunks;
   }
 }
@@ -49,8 +59,8 @@ TEST_F(ParallelMatcherFixture, UnboundedPatternFallsBackToSpeculative) {
   const std::string text = gen_.generate(40000, 9);
   const std::uint64_t expected = count_matches(dfa, text);
   ParallelMatcher matcher(dfa, pool_);
-  // Requesting warm-up must silently use the exact speculative path.
-  const auto stats = matcher.count(text, 16, ParallelStrategy::kWarmup);
+  // No warm-up is possible: the scan runs the exact speculative path.
+  const auto stats = matcher.count(text, 16);
   EXPECT_EQ(stats.match_count, expected);
 }
 
@@ -61,12 +71,9 @@ TEST_F(ParallelMatcherFixture, CollectReturnsSortedIdenticalEvents) {
   (void)scan_collect(dfa, text, dfa.start(), 0, sequential);
 
   ParallelMatcher matcher(dfa, pool_);
-  for (const auto strategy :
-       {ParallelStrategy::kWarmup, ParallelStrategy::kSpeculative}) {
-    std::vector<Match> par;
-    (void)matcher.collect(text, 13, par, strategy);
-    EXPECT_EQ(par, sequential);
-  }
+  std::vector<Match> par;
+  (void)matcher.collect(text, 13, par);
+  EXPECT_EQ(par, sequential);
 }
 
 TEST_F(ParallelMatcherFixture, MatchSpanningChunkBoundaryIsCounted) {
@@ -75,10 +82,7 @@ TEST_F(ParallelMatcherFixture, MatchSpanningChunkBoundaryIsCounted) {
   std::string text(1000, 'T');
   text.replace(496, 8, "ACGTACGT");  // crosses the 500-byte midpoint
   ParallelMatcher matcher(dfa, pool_);
-  for (const auto strategy :
-       {ParallelStrategy::kWarmup, ParallelStrategy::kSpeculative}) {
-    EXPECT_EQ(matcher.count(text, 2, strategy).match_count, 1u);
-  }
+  EXPECT_EQ(matcher.count(text, 2).match_count, 1u);
 }
 
 TEST_F(ParallelMatcherFixture, EmptyTextYieldsNothing) {
@@ -100,10 +104,12 @@ TEST_F(ParallelMatcherFixture, MoreChunksThanBytesClamps) {
 TEST_F(ParallelMatcherFixture, SpeculativeReportsRescans) {
   // A pattern automaton rarely mispredicts; force it with a text that keeps
   // the automaton mid-pattern at chunk boundaries.
-  const DenseDfa dfa = build_aho_corasick({"AAAAAAAA"});
+  const auto compiled = compile_motifs({"AAAAAAAA(A)*"});
+  const DenseDfa dfa = determinize(compiled.nfa, compiled.synchronization_bound);
+  ASSERT_EQ(dfa.synchronization_bound(), 0u);
   const std::string text(64, 'A');  // every boundary is mid-pattern
   ParallelMatcher matcher(dfa, pool_);
-  const auto stats = matcher.count(text, 8, ParallelStrategy::kSpeculative);
+  const auto stats = matcher.count(text, 8);
   EXPECT_EQ(stats.match_count, 64u - 8u + 1u);
   EXPECT_GT(stats.rescanned_chunks, 0u);
 }
@@ -119,9 +125,7 @@ TEST_F(ParallelMatcherFixture, EverySchedulePolicyMatchesSequentialCounts) {
   ParallelMatcher matcher(dfa, pool_);
   for (const parallel::SchedulePolicy policy : parallel::kAllSchedulePolicies) {
     for (std::size_t chunks : {1u, 2u, 8u, 17u, 64u}) {
-      MatcherOptions options;
-      options.schedule = policy;
-      const auto stats = matcher.count(text, chunks, options);
+      const auto stats = matcher.count(text, chunks, policy);
       EXPECT_EQ(stats.match_count, expected)
           << "policy=" << parallel::to_string(policy) << " chunks=" << chunks;
     }
@@ -135,28 +139,21 @@ TEST_F(ParallelMatcherFixture, EverySchedulePolicyCollectsIdenticalEvents) {
   (void)scan_collect(dfa, text, dfa.start(), 0, sequential);
   ParallelMatcher matcher(dfa, pool_);
   for (const parallel::SchedulePolicy policy : parallel::kAllSchedulePolicies) {
-    MatcherOptions options;
-    options.schedule = policy;
     std::vector<Match> par;
-    (void)matcher.collect(text, 13, par, options);
+    (void)matcher.collect(text, 13, par, policy);
     EXPECT_EQ(par, sequential) << "policy=" << parallel::to_string(policy);
   }
 }
 
 TEST_F(ParallelMatcherFixture, DemandDrivenMultiStreamCountsExactly) {
-  // Pull scheduling composes with multi-stream counting: workers claim
-  // several tickets at once and scan them interleaved.
+  // Many more tickets than workers under pull scheduling: every claim scans
+  // one chunk, warmed up on its own lead.
   const DenseDfa dfa = build_aho_corasick({"GATTACA", "TTT"});
   const std::string text = gen_.generate(120000, 17);
   const std::uint64_t expected = count_matches(dfa, text);
   ParallelMatcher matcher(dfa, pool_);
-  for (const std::size_t streams : {2u, 4u, 8u}) {
-    MatcherOptions options;
-    options.schedule = parallel::SchedulePolicy::kDynamic;
-    options.streams_per_worker = streams;
-    EXPECT_EQ(matcher.count(text, 64, options).match_count, expected)
-        << "streams=" << streams;
-  }
+  EXPECT_EQ(matcher.count(text, 64, parallel::SchedulePolicy::kDynamic).match_count,
+            expected);
 }
 
 TEST_F(ParallelMatcherFixture, UnboundedPatternDegradesScheduleToStatic) {
@@ -169,9 +166,7 @@ TEST_F(ParallelMatcherFixture, UnboundedPatternDegradesScheduleToStatic) {
   const std::uint64_t expected = count_matches(dfa, text);
   ParallelMatcher matcher(dfa, pool_);
   for (const parallel::SchedulePolicy policy : parallel::kAllSchedulePolicies) {
-    MatcherOptions options;
-    options.schedule = policy;
-    EXPECT_EQ(matcher.count(text, 16, options).match_count, expected)
+    EXPECT_EQ(matcher.count(text, 16, policy).match_count, expected)
         << "policy=" << parallel::to_string(policy);
   }
 }
@@ -180,17 +175,174 @@ TEST_F(ParallelMatcherFixture, GuidedScheduleUsesDecreasingChunks) {
   const DenseDfa dfa = build_aho_corasick({"ACGT"});
   const std::string text = gen_.generate(50000, 29);
   ParallelMatcher matcher(dfa, pool_);
-  MatcherOptions options;
-  options.schedule = parallel::SchedulePolicy::kGuided;
-  const auto stats = matcher.count(text, 8, options);
+  const auto stats = matcher.count(text, 8, parallel::SchedulePolicy::kGuided);
   // Guided re-cuts the input (tail granularity ~ total/(4*chunks)), so it
   // produces more, finer chunks than the equal split would.
   EXPECT_GT(stats.chunks, 8u);
   EXPECT_EQ(stats.match_count, count_matches(dfa, text));
 }
 
-/// Exhaustive sweep: strategy x chunk count x several seeds, mixed motif set
-/// with IUPAC classes via subset construction.
+TEST_F(ParallelMatcherFixture, BoundedAutomatonNeverRunsSpeculative) {
+  // The automaton picks the path: a bounded one warms up every chunk under
+  // every schedule, so nothing is rescanned — even where every chunk
+  // boundary sits mid-pattern and a speculative guess would mispredict.
+  const DenseDfa dfa = build_aho_corasick({"AAAAAAAA"});
+  const std::string text(64, 'A');
+  ParallelMatcher matcher(dfa, pool_);
+  for (const parallel::SchedulePolicy policy : parallel::kAllSchedulePolicies) {
+    const auto stats = matcher.count(text, 8, policy);
+    EXPECT_EQ(stats.match_count, 64u - 8u + 1u) << parallel::to_string(policy);
+    EXPECT_EQ(stats.rescanned_chunks, 0u) << parallel::to_string(policy);
+  }
+}
+
+[[nodiscard]] dna::PagedGenome paged(const std::string& text, std::size_t page_bytes,
+                                     std::size_t resident) {
+  dna::PagedGenomeOptions options;
+  options.page_bytes = page_bytes;
+  options.resident_pages = resident;
+  options.halo_bytes = 63;
+  return dna::PagedGenome(std::make_unique<dna::BufferPageSource>(text), options);
+}
+
+/// Runs `scan` and expects std::invalid_argument naming the bad base 'N'.
+template <typename Scan>
+void expect_invalid_base(const Scan& scan, const std::string& where) {
+  try {
+    scan();
+    ADD_FAILURE() << where << ": no exception";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("invalid base 'N'"), std::string::npos)
+        << where << ": " << e.what();
+  }
+}
+
+TEST(ParallelMatcherErrors, InvalidByteThrowsOnEveryPath) {
+  // One non-ACGT byte deep inside the text surfaces from every scan path —
+  // in memory and paged, count and collect, every engine and schedule — and
+  // leaves the matcher and the genome usable.
+  parallel::ThreadPool pool(4);
+  const std::vector<std::string> motifs{"GATTACA", "CCGG"};
+  std::string text = dna::GenomeGenerator{}.generate(40000, 41);
+  text[25000] = 'N';
+  constexpr std::size_t kPage = 4096;
+  constexpr std::size_t kCleanPages = 25000 / kPage;  // pages [0, 6) hold no 'N'
+  const std::string_view clean_text = std::string_view(text).substr(0, kCleanPages * kPage);
+  for (const EngineKind kind : kAllEngineKinds) {
+    const auto engine = lower(kind, motifs);
+    const ParallelMatcher matcher(*engine, pool);
+    const std::uint64_t clean = engine->count(clean_text);
+    for (const parallel::SchedulePolicy policy : parallel::kAllSchedulePolicies) {
+      const std::string where =
+          std::string(engine->name()) + " " + std::string(parallel::to_string(policy));
+      std::vector<Match> out;
+      expect_invalid_base([&] { (void)matcher.count(text, 8, policy); }, where + " count");
+      expect_invalid_base([&] { (void)matcher.collect(text, 8, out, policy); },
+                          where + " collect");
+      // Default prefetch depth: 8 resident pages leave room for a ring of 2.
+      dna::PagedGenome genome = paged(text, kPage, 8);
+      PagedScanOptions options;
+      options.schedule = policy;
+      expect_invalid_base([&] { (void)matcher.count_paged(genome, options); },
+                          where + " count_paged");
+      expect_invalid_base([&] { (void)matcher.collect_paged(genome, out, options); },
+                          where + " collect_paged");
+      // The failed runs released their pins and joined the prefetch thread.
+      options.last_page = kCleanPages;
+      const PagedScanStats stats = matcher.count_paged(genome, options);
+      EXPECT_EQ(stats.prefetch_depth, 2u) << where;
+      EXPECT_EQ(stats.match_count, clean) << where;
+    }
+  }
+  const auto compiled = compile_motifs({"GC(A)*GC"});
+  const DenseDfa unbounded = determinize(compiled.nfa, compiled.synchronization_bound);
+  ASSERT_EQ(unbounded.synchronization_bound(), 0u);
+  const ParallelMatcher speculative(unbounded, pool);
+  std::vector<Match> out;
+  expect_invalid_base([&] { (void)speculative.count(text, 8); }, "speculative count");
+  expect_invalid_base([&] { (void)speculative.collect(text, 8, out); }, "speculative collect");
+}
+
+/// A real engine that also records how many chunk scans ran on the thread
+/// that constructed it.
+class RecordingEngine final : public MatchEngine {
+ public:
+  explicit RecordingEngine(std::unique_ptr<const MatchEngine> inner)
+      : inner_(std::move(inner)) {}
+
+  [[nodiscard]] EngineKind kind() const noexcept override { return inner_->kind(); }
+  [[nodiscard]] std::size_t synchronization_bound() const noexcept override {
+    return inner_->synchronization_bound();
+  }
+  [[nodiscard]] std::size_t pattern_count() const noexcept override {
+    return inner_->pattern_count();
+  }
+  [[nodiscard]] std::uint64_t count_chunk(std::string_view text, std::size_t begin,
+                                          std::size_t end) const override {
+    record();
+    return inner_->count_chunk(text, begin, end);
+  }
+  [[nodiscard]] std::uint64_t collect_chunk(std::string_view text, std::size_t begin,
+                                            std::size_t end,
+                                            std::vector<Match>& out) const override {
+    record();
+    return inner_->collect_chunk(text, begin, end, out);
+  }
+
+  [[nodiscard]] std::size_t scans() const noexcept { return scans_.load(); }
+  [[nodiscard]] std::size_t caller_scans() const noexcept { return caller_scans_.load(); }
+
+ private:
+  void record() const noexcept {
+    scans_.fetch_add(1, std::memory_order_relaxed);
+    if (std::this_thread::get_id() == caller_) {
+      caller_scans_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+
+  std::unique_ptr<const MatchEngine> inner_;
+  std::thread::id caller_ = std::this_thread::get_id();
+  mutable std::atomic<std::size_t> scans_{0};
+  mutable std::atomic<std::size_t> caller_scans_{0};
+};
+
+TEST(ParallelMatcherPlacement, PinnedWorkersScanEvenALoneTicket) {
+  // A pool with a WorkerInit hook (pinned workers) runs every scan on its
+  // workers, even a lone ticket; measurements price that placement. An
+  // unpinned pool scans a lone ticket on the calling thread instead.
+  const std::vector<std::string> motifs{"GATTACA", "TTT"};
+  const std::string text = dna::GenomeGenerator{}.generate(4096, 43);
+  const std::uint64_t expected = lower(EngineKind::kCompiledDfa, motifs)->count(text);
+  PagedScanOptions one_ticket;
+  one_ticket.chunks_per_page = 1;
+
+  parallel::ThreadPool pinned(2, [](std::size_t) {});
+  const RecordingEngine engine(lower(EngineKind::kCompiledDfa, motifs));
+  const ParallelMatcher matcher(engine, pinned);
+  for (const parallel::SchedulePolicy policy : parallel::kAllSchedulePolicies) {
+    EXPECT_EQ(matcher.count(text, 1, policy).match_count, expected);
+    std::vector<Match> out;
+    EXPECT_EQ(matcher.collect(text, 1, out, policy).match_count, expected);
+    dna::PagedGenome genome = paged(text, 4096, 4);
+    one_ticket.schedule = policy;
+    EXPECT_EQ(matcher.count_paged(genome, one_ticket).match_count, expected);
+  }
+  EXPECT_GT(engine.scans(), 0u);
+  EXPECT_EQ(engine.caller_scans(), 0u);
+
+  parallel::ThreadPool unpinned(2);
+  const RecordingEngine free_engine(lower(EngineKind::kCompiledDfa, motifs));
+  const ParallelMatcher free_matcher(free_engine, unpinned);
+  dna::PagedGenome genome = paged(text, 4096, 4);
+  one_ticket.schedule = parallel::SchedulePolicy::kDynamic;
+  const PagedScanStats stats = free_matcher.count_paged(genome, one_ticket);
+  EXPECT_EQ(stats.chunks, 1u);
+  EXPECT_EQ(stats.match_count, expected);
+  EXPECT_EQ(free_engine.caller_scans(), 1u);
+}
+
+/// Exhaustive sweep: chunk count x several seeds, mixed motif set with IUPAC
+/// classes via subset construction.
 struct SweepParam {
   std::uint64_t seed;
   std::size_t chunks;
@@ -207,9 +359,7 @@ TEST_P(MatcherSweep, ParallelEqualsSequential) {
   const std::string text = gen.generate(20000 + 137 * seed, seed);
   const std::uint64_t expected = count_matches(dfa, text);
   ParallelMatcher matcher(dfa, pool);
-  EXPECT_EQ(matcher.count(text, chunks, ParallelStrategy::kWarmup).match_count, expected);
-  EXPECT_EQ(matcher.count(text, chunks, ParallelStrategy::kSpeculative).match_count,
-            expected);
+  EXPECT_EQ(matcher.count(text, chunks).match_count, expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(

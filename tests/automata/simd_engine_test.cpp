@@ -118,9 +118,7 @@ TEST(SimdEngine, BitapChunkedCountParityAcrossIsasChunksAndSchedules) {
       const ParallelMatcher matcher(simd, pool);
       for (const std::size_t chunks : {std::size_t{1}, std::size_t{3}, std::size_t{16}}) {
         for (const parallel::SchedulePolicy policy : parallel::kAllSchedulePolicies) {
-          MatcherOptions options;
-          options.schedule = policy;
-          EXPECT_EQ(matcher.count(text, chunks, options).match_count, expected)
+          EXPECT_EQ(matcher.count(text, chunks, policy).match_count, expected)
               << util::to_string(isa) << " chunks " << chunks << " schedule "
               << to_string(policy);
         }
@@ -146,10 +144,8 @@ TEST(SimdEngine, BitapCollectParityAcrossIsas) {
     // And through the chunked matcher across schedules.
     const ParallelMatcher matcher(simd, pool);
     for (const parallel::SchedulePolicy policy : parallel::kAllSchedulePolicies) {
-      MatcherOptions options;
-      options.schedule = policy;
       std::vector<Match> chunked;
-      EXPECT_EQ(matcher.collect(text, 9, chunked, options).match_count,
+      EXPECT_EQ(matcher.collect(text, 9, chunked, policy).match_count,
                 expected.size());
       EXPECT_EQ(chunked, expected)
           << util::to_string(isa) << " schedule " << to_string(policy);
@@ -182,15 +178,13 @@ TEST(SimdEngine, PrefilterCountAndCollectParityAcrossIsas) {
     EXPECT_EQ(got, expected_matches) << util::to_string(isa);
     // The chunked path drives this engine through the generic chunk-aware
     // interface (it exposes no DFA kernel on purpose).
+    EXPECT_EQ(prefilter.kernel(), nullptr);
     const ParallelMatcher matcher(prefilter, pool);
-    EXPECT_FALSE(matcher.dfa_backed());
     for (const parallel::SchedulePolicy policy : parallel::kAllSchedulePolicies) {
-      MatcherOptions options;
-      options.schedule = policy;
-      EXPECT_EQ(matcher.count(text, 11, options).match_count, expected)
+      EXPECT_EQ(matcher.count(text, 11, policy).match_count, expected)
           << util::to_string(isa) << " schedule " << to_string(policy);
       std::vector<Match> chunked;
-      (void)matcher.collect(text, 11, chunked, options);
+      (void)matcher.collect(text, 11, chunked, policy);
       EXPECT_EQ(chunked, expected_matches)
           << util::to_string(isa) << " schedule " << to_string(policy);
     }

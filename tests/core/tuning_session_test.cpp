@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/autotuner.hpp"
 #include "core/strategy_registry.hpp"
 #include "core/training.hpp"
 #include "parallel/thread_pool.hpp"
@@ -113,18 +112,6 @@ TEST_F(SessionFixture, SamlPresetBitIdenticalToRunSaml) {
   expect_method_results_identical(
       preset,
       run_saml(space, *machine_, human_, *predictor_, sa_params_for_iterations(300, seed)));
-}
-
-TEST_F(SessionFixture, PresetsMatchAutotunerAtSameSeed) {
-  AutotunerOptions options;
-  options.sweep = TrainingSweepOptions::tiny();
-  options.sa_iterations = 250;
-  options.seed = 99;
-  const Autotuner tuner(*machine_, opt::ConfigSpace::paper(), options);
-  const MethodResult via_tuner = tuner.tune(human_, Method::kSAM);
-  TuningSession session = tuner.session(Method::kSAM);
-  expect_method_results_identical(via_tuner,
-                                  to_method_result(session.run(human_), Method::kSAM));
 }
 
 TEST_F(SessionFixture, ThreadPoolBatchingChangesNothing) {

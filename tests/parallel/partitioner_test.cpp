@@ -43,46 +43,30 @@ TEST(ShareBounds, RejectsOutOfRangeAndUnbalancedShares) {
 }
 
 TEST(MakeChunks, TilesExactly) {
-  const auto chunks = make_chunks(100, 7, 5);
+  const auto chunks = make_chunks(100, 7);
   ASSERT_EQ(chunks.size(), 7u);
   EXPECT_EQ(chunks.front().begin, 0u);
   EXPECT_EQ(chunks.back().end, 100u);
   for (std::size_t i = 1; i < chunks.size(); ++i) {
     EXPECT_EQ(chunks[i - 1].end, chunks[i].begin);
   }
-}
-
-TEST(MakeChunks, HaloExtendsButClampsAtEnd) {
-  const auto chunks = make_chunks(100, 4, 10);
-  for (const auto& c : chunks) {
-    EXPECT_EQ(c.scan_end, std::min<std::size_t>(100, c.end + 10));
+  // Short chunks (shorter than a long motif's warm-up lead) tile the same way.
+  const auto short_chunks = make_chunks(20, 10);
+  ASSERT_EQ(short_chunks.size(), 10u);
+  for (const auto& c : short_chunks) EXPECT_EQ(c.end - c.begin, 2u);
+  for (std::size_t i = 1; i < short_chunks.size(); ++i) {
+    EXPECT_EQ(short_chunks[i - 1].end, short_chunks[i].begin);
   }
-  EXPECT_EQ(chunks.back().scan_end, 100u);
 }
 
 TEST(MakeChunks, MoreChunksThanItemsClamps) {
-  const auto chunks = make_chunks(3, 10, 0);
+  const auto chunks = make_chunks(3, 10);
   EXPECT_EQ(chunks.size(), 3u);
 }
 
 TEST(MakeChunks, EmptyInputs) {
-  EXPECT_TRUE(make_chunks(0, 4, 1).empty());
-  EXPECT_TRUE(make_chunks(10, 0, 1).empty());
-}
-
-TEST(MakeChunks, HaloLongerThanChunkStillClamps) {
-  // Warm-up leads longer than a whole chunk (short chunks, long motifs):
-  // scan_end may reach across several following chunks but never past the
-  // input, and ownership ranges still tile exactly.
-  const auto chunks = make_chunks(20, 10, 50);
-  ASSERT_EQ(chunks.size(), 10u);
-  for (const auto& c : chunks) {
-    EXPECT_EQ(c.end - c.begin, 2u);
-    EXPECT_EQ(c.scan_end, 20u);  // halo 50 always clamps to the input end
-  }
-  for (std::size_t i = 1; i < chunks.size(); ++i) {
-    EXPECT_EQ(chunks[i - 1].end, chunks[i].begin);
-  }
+  EXPECT_TRUE(make_chunks(0, 4).empty());
+  EXPECT_TRUE(make_chunks(10, 0).empty());
 }
 
 TEST(MakeChunksGuided, TilesExactlyWithNonIncreasingSizes) {
@@ -98,10 +82,7 @@ TEST(MakeChunksGuided, TilesExactlyWithNonIncreasingSizes) {
         EXPECT_GE(chunks[i - 1].end - chunks[i - 1].begin,
                   chunks[i].end - chunks[i].begin);
       }
-      for (const auto& c : chunks) {
-        EXPECT_EQ(c.scan_end, c.end);  // guided chunks carry no halo
-        EXPECT_GT(c.end, c.begin);
-      }
+      for (const auto& c : chunks) EXPECT_GT(c.end, c.begin);
     }
   }
 }
