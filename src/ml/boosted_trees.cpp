@@ -29,30 +29,28 @@ void BoostedTreesRegressor::fit(const Dataset& data) {
   std::vector<double> residuals(data.size(), 0.0);
   util::Xoshiro256 rng(params_.seed);
 
+  // Every round's tree splits against the same ranks, so rank once per fit.
+  const FeatureRanks ranks(data);
   std::vector<std::size_t> all(data.size());
   std::iota(all.begin(), all.end(), 0);
 
   const auto sample_count = static_cast<std::size_t>(
       params_.subsample * static_cast<double>(data.size()));
   const bool subsampling = sample_count < data.size() && sample_count >= 2;
+  const std::size_t fit_count = subsampling ? sample_count : data.size();
 
   for (int round = 0; round < params_.rounds; ++round) {
     for (std::size_t i = 0; i < data.size(); ++i) {
       residuals[i] = data.target(i) - current[i];
     }
 
+    // A subsampling round reshuffles the row order and fits its first
+    // sample_count rows (stochastic gradient boosting).
+    if (subsampling) util::shuffle(all, rng);
     RegressionTree tree(params_.tree);
-    if (subsampling) {
-      util::shuffle(all, rng);
-      std::vector<std::size_t> pick(all.begin(),
-                                    all.begin() + static_cast<std::ptrdiff_t>(sample_count));
-      Dataset sub = data.subset(pick);
-      std::vector<double> sub_res(pick.size());
-      for (std::size_t k = 0; k < pick.size(); ++k) sub_res[k] = residuals[pick[k]];
-      tree.fit_targets(sub, sub_res);
-    } else {
-      tree.fit_targets(data, residuals);
-    }
+    tree.fit_rows(ranks, residuals,
+                  std::vector<std::size_t>(
+                      all.begin(), all.begin() + static_cast<std::ptrdiff_t>(fit_count)));
 
     for (std::size_t i = 0; i < data.size(); ++i) {
       current[i] += params_.learning_rate * tree.predict(data.row(i));

@@ -58,12 +58,6 @@ std::pair<Dataset, Dataset> Dataset::split_fraction(double train_fraction,
   return {std::move(train), std::move(eval)};
 }
 
-Dataset Dataset::subset(std::span<const std::size_t> indices) const {
-  Dataset out(feature_names_);
-  for (std::size_t i : indices) out.add(row(i), target(i));
-  return out;
-}
-
 void Normalizer::fit(const Dataset& data) {
   if (data.empty()) throw std::invalid_argument("Normalizer::fit: empty dataset");
   const std::size_t k = data.feature_count();

@@ -42,9 +42,6 @@ class Dataset {
   [[nodiscard]] std::pair<Dataset, Dataset> split_fraction(double train_fraction,
                                                            std::uint64_t seed) const;
 
-  /// Row subset by index list (bootstrap / subsampling support).
-  [[nodiscard]] Dataset subset(std::span<const std::size_t> indices) const;
-
  private:
   std::vector<std::string> feature_names_;
   std::vector<double> features_;  // row-major, size() * feature_count()

@@ -4,6 +4,7 @@
 #include <limits>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 namespace hetopt::ml {
@@ -139,7 +140,11 @@ BoostedTreesRegressor load_boosted_trees(std::istream& is) {
       n.right = read_value<std::int32_t>(is, "right");
       n.value = read_value<double>(is, "value");
     }
-    trees.push_back(RegressionTree::from_nodes(p.tree, std::move(nodes), feature_count));
+    try {
+      trees.push_back(RegressionTree::from_nodes(p.tree, std::move(nodes), feature_count));
+    } catch (const std::invalid_argument& e) {
+      fail(e.what());
+    }
   }
   return BoostedTreesRegressor::from_parts(p, base, std::move(trees));
 }

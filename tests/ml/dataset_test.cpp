@@ -85,15 +85,6 @@ TEST(DatasetTest, SplitPreservesRowIntegrity) {
   }
 }
 
-TEST(DatasetTest, SubsetByIndices) {
-  const Dataset d = make_dataset(10);
-  const std::vector<std::size_t> idx{0, 5, 9, 5};
-  const Dataset s = d.subset(idx);
-  ASSERT_EQ(s.size(), 4u);
-  EXPECT_DOUBLE_EQ(s.target(1), 15.0);
-  EXPECT_DOUBLE_EQ(s.target(3), 15.0);  // duplicates allowed (bootstrap)
-}
-
 TEST(NormalizerTest, MapsToUnitRange) {
   Dataset d({"x"});
   d.add(std::vector<double>{10.0}, 0.0);

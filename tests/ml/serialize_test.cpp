@@ -93,6 +93,10 @@ TEST(SerializeBoostedTrees, RejectsUnfittedAndGarbage) {
   EXPECT_THROW((void)load_boosted_trees(bad), std::runtime_error);
   std::stringstream truncated("hetopt-boosted-trees-v1\n10 0.1 5 3 6 1 99\n2.5\n3 1\n");
   EXPECT_THROW((void)load_boosted_trees(truncated), std::runtime_error);
+  // A root that names itself as its children: predict() would never return.
+  std::stringstream self_loop(
+      "hetopt-boosted-trees-v1\n1 0.1 5 3 6 1 7\n0.5\n1 1\n1\n0 0.5 0 0 0\n");
+  EXPECT_THROW((void)load_boosted_trees(self_loop), std::runtime_error);
 }
 
 TEST(ExportedNodes, FromNodesValidatesStructure) {
@@ -107,6 +111,16 @@ TEST(ExportedNodes, FromNodesValidatesStructure) {
   std::vector<RegressionTree::ExportedNode> half_leaf{{0, 0.5, 1, -1, 0.0},
                                                       {-1, 0, -1, -1, 1.0}};
   EXPECT_THROW((void)RegressionTree::from_nodes(TreeParams{}, half_leaf, 2),
+               std::invalid_argument);
+  std::vector<RegressionTree::ExportedNode> self_loop{
+      {0, 0.5, 0, 1, 0.0}, {-1, 0, -1, -1, 1.0}};
+  EXPECT_THROW((void)RegressionTree::from_nodes(TreeParams{}, self_loop, 2),
+               std::invalid_argument);
+  std::vector<RegressionTree::ExportedNode> back_edge{{0, 0.5, 1, 3, 0.0},
+                                                      {1, 0.5, 2, 0, 0.0},
+                                                      {-1, 0, -1, -1, 1.0},
+                                                      {-1, 0, -1, -1, 2.0}};
+  EXPECT_THROW((void)RegressionTree::from_nodes(TreeParams{}, back_edge, 2),
                std::invalid_argument);
   EXPECT_THROW((void)RegressionTree::from_nodes(TreeParams{}, {}, 2),
                std::invalid_argument);
