@@ -441,6 +441,12 @@ int main(int argc, char** argv) {
     const bool single_hw = hw == 1;
     parallel::ThreadPool pool(hw);
     const automata::ParallelMatcher matcher(rw.dfa(), pool);
+    // The paged rows run on a one-pool fleet of the same width.
+    std::vector<core::PoolSpec> io_fleet(1);
+    io_fleet[0].threads = hw;
+    io_fleet[0].share_percent = 100.0;
+    core::HeterogeneousExecutor paged_exec(rw.dfa(), io_fleet);
+    const std::size_t default_depth = core::PagedFleetOptions{}.prefetch_depth;
 
     // Geometry: the budget covers the pool's workers plus prefetch headroom;
     // the page size is derived so the corpus is at least 8x the resident
@@ -458,6 +464,24 @@ int main(int argc, char** argv) {
       gopts.resident_pages = budget;
       return dna::PagedGenome(std::make_unique<dna::BufferPageSource>(corpus), gopts);
     };
+    // One paged scan: its report, its wall time, and the cache activity it
+    // caused (the stats are reset first).
+    struct PagedRun {
+      core::ExecutionReport report;
+      double seconds = 0.0;
+      dna::CacheStats cache;
+    };
+    const auto paged_run = [&](dna::PagedGenome& genome, std::size_t depth) {
+      core::PagedFleetOptions options;
+      options.prefetch_depth = depth;
+      genome.reset_stats();
+      PagedRun run;
+      const util::Timer timer;
+      run.report = paged_exec.run_fleet_paged(genome, options);
+      run.seconds = timer.seconds();
+      run.cache = genome.stats();
+      return run;
+    };
 
     json.key("io_bound").begin_object();
     json.member("corpus_bytes", corpus.size())
@@ -468,7 +492,8 @@ int main(int argc, char** argv) {
         .member("single_hw_thread", single_hw);
 
     // (a) In-memory baseline: the PR-1 chunk-parallel scan of the same bytes
-    // on the same pool — what the streaming path is allowed to cost against.
+    // on a pool of the same width — what the streaming path is allowed to
+    // cost against.
     double memory_seconds = 0.0;
     {
       std::uint64_t matches = 0;
@@ -494,52 +519,52 @@ int main(int argc, char** argv) {
     // (b) Cold out-of-core scan: a fresh cache every repetition, the default
     // prefetch depth. This is the headline "corpus 8x the budget" row.
     {
-      automata::PagedScanStats best;
+      PagedRun best;
       for (std::size_t rep = 0; rep < io_reps; ++rep) {
         dna::PagedGenome genome = fresh_genome(resident);
-        const automata::PagedScanStats s = matcher.count_paged(genome);
-        if (rep == 0 || s.seconds < best.seconds) best = s;
+        PagedRun s = paged_run(genome, default_depth);
+        if (rep == 0 || s.seconds < best.seconds) best = std::move(s);
       }
-      const bool parity = best.match_count == rw.sequential_matches();
+      const std::uint64_t matches = best.report.total_matches();
+      const bool parity = matches == rw.sequential_matches();
       io_parity = io_parity && parity;
       json.key("cold")
           .begin_object()
           .member("seconds", best.seconds)
           .member("mb_s", best.seconds > 0.0 ? rw.physical_mb() / best.seconds : 0.0)
-          .member("matches", best.match_count)
+          .member("matches", matches)
           .member("match_parity", parity)
-          .member("prefetch_depth", best.prefetch_depth)
-          .member("pages", best.pages)
+          .member("prefetch_depth", best.report.prefetch_depth)
+          .member("pages", total_pages)
           .member("loads", best.cache.loads)
           .member("evictions", best.cache.evictions)
           .member("cold_stalls", best.cache.cold_stalls)
           .member("cold_stall_seconds", best.cache.cold_stall_seconds)
           .member("bytes_read", best.cache.bytes_read)
-          .member("pages_prefetched", best.prefetch.pages_prefetched)
-          .member("overlap_efficiency", best.overlap_efficiency())
+          .member("pages_prefetched", best.report.prefetch.pages_prefetched)
+          .member("overlap_efficiency", best.cache.overlap_efficiency())
           .end_object();
       std::cout << "  io_bound cold: "
                 << util::format_double(
                        best.seconds > 0.0 ? rw.physical_mb() / best.seconds : 0.0, 1)
-                << " MB/s over " << best.pages << " pages ("
+                << " MB/s over " << total_pages << " pages ("
                 << util::format_double(corpus_over_budget, 1)
                 << "x the resident budget), overlap "
-                << util::format_double(best.overlap_efficiency(), 3) << "\n";
+                << util::format_double(best.cache.overlap_efficiency(), 3) << "\n";
     }
 
     // (c) Warm scan: everything resident after a priming pass, prefetch off —
     // the pure cost of chunk-wise pin/unpin against the in-memory baseline.
     {
       dna::PagedGenome genome = fresh_genome(total_pages);
-      automata::PagedScanOptions warm_options;
-      warm_options.prefetch_depth = 0;
-      (void)matcher.count_paged(genome, warm_options);  // prime every page
-      automata::PagedScanStats best;
+      (void)paged_run(genome, 0);  // prime every page
+      PagedRun best;
       for (std::size_t rep = 0; rep < io_reps; ++rep) {
-        const automata::PagedScanStats s = matcher.count_paged(genome, warm_options);
-        if (rep == 0 || s.seconds < best.seconds) best = s;
+        PagedRun s = paged_run(genome, 0);
+        if (rep == 0 || s.seconds < best.seconds) best = std::move(s);
       }
-      const bool parity = best.match_count == rw.sequential_matches();
+      const std::uint64_t matches = best.report.total_matches();
+      const bool parity = matches == rw.sequential_matches();
       io_parity = io_parity && parity;
       const double warm_mb_s = best.seconds > 0.0 ? rw.physical_mb() / best.seconds : 0.0;
       constexpr double kWarmTolerance = 0.80;
@@ -555,7 +580,7 @@ int main(int argc, char** argv) {
           .begin_object()
           .member("seconds", best.seconds)
           .member("mb_s", warm_mb_s)
-          .member("matches", best.match_count)
+          .member("matches", matches)
           .member("match_parity", parity)
           .member("loads", best.cache.loads)
           .member("hits", best.cache.hits)
@@ -579,34 +604,33 @@ int main(int argc, char** argv) {
       json.key("prefetch_sweep").begin_array();
       for (const std::size_t depth : {std::size_t{0}, std::size_t{1}, std::size_t{2},
                                       std::size_t{4}}) {
-        automata::PagedScanStats best;
+        PagedRun best;
         for (std::size_t rep = 0; rep < io_reps; ++rep) {
           dna::PagedGenome genome = fresh_genome(resident);
-          automata::PagedScanOptions options;
-          options.prefetch_depth = depth;
-          const automata::PagedScanStats s = matcher.count_paged(genome, options);
-          if (rep == 0 || s.seconds < best.seconds) best = s;
+          PagedRun s = paged_run(genome, depth);
+          if (rep == 0 || s.seconds < best.seconds) best = std::move(s);
         }
-        const bool parity = best.match_count == rw.sequential_matches();
+        const std::uint64_t matches = best.report.total_matches();
+        const bool parity = matches == rw.sequential_matches();
         io_parity = io_parity && parity;
         if (depth == 0) stalls_depth0 = best.cache.cold_stalls;
         if (depth == 2) stalls_depth2 = best.cache.cold_stalls;
         json.begin_object()
             .member("depth", depth)
-            .member("effective_depth", best.prefetch_depth)
+            .member("effective_depth", best.report.prefetch_depth)
             .member("seconds", best.seconds)
             .member("mb_s", best.seconds > 0.0 ? rw.physical_mb() / best.seconds : 0.0)
-            .member("matches", best.match_count)
+            .member("matches", matches)
             .member("match_parity", parity)
             .member("cold_stalls", best.cache.cold_stalls)
             .member("cold_stall_seconds", best.cache.cold_stall_seconds)
-            .member("pages_prefetched", best.prefetch.pages_prefetched)
-            .member("ring_full_waits", best.prefetch.ring_full_waits)
-            .member("overlap_efficiency", best.overlap_efficiency())
+            .member("pages_prefetched", best.report.prefetch.pages_prefetched)
+            .member("ring_full_waits", best.report.prefetch.ring_full_waits)
+            .member("overlap_efficiency", best.cache.overlap_efficiency())
             .end_object();
         std::cout << "  io_bound depth " << depth << ": "
                   << best.cache.cold_stalls << " cold stalls, overlap "
-                  << util::format_double(best.overlap_efficiency(), 3) << "\n";
+                  << util::format_double(best.cache.overlap_efficiency(), 3) << "\n";
       }
       io_stall_ok = single_hw || stalls_depth2 < stalls_depth0;
       if (!io_stall_ok) {
@@ -629,19 +653,20 @@ int main(int argc, char** argv) {
       budgets.push_back(total_pages);
       json.key("budget_sweep").begin_array();
       for (const std::size_t budget : budgets) {
-        automata::PagedScanStats best;
+        PagedRun best;
         for (std::size_t rep = 0; rep < io_reps; ++rep) {
           dna::PagedGenome genome = fresh_genome(budget);
-          const automata::PagedScanStats s = matcher.count_paged(genome);
-          if (rep == 0 || s.seconds < best.seconds) best = s;
+          PagedRun s = paged_run(genome, default_depth);
+          if (rep == 0 || s.seconds < best.seconds) best = std::move(s);
         }
-        const bool parity = best.match_count == rw.sequential_matches();
+        const std::uint64_t matches = best.report.total_matches();
+        const bool parity = matches == rw.sequential_matches();
         io_parity = io_parity && parity;
         json.begin_object()
             .member("resident_pages", budget)
             .member("seconds", best.seconds)
             .member("mb_s", best.seconds > 0.0 ? rw.physical_mb() / best.seconds : 0.0)
-            .member("matches", best.match_count)
+            .member("matches", matches)
             .member("match_parity", parity)
             .member("loads", best.cache.loads)
             .member("evictions", best.cache.evictions)

@@ -60,9 +60,8 @@ ParallelScanStats ParallelMatcher::run(std::string_view text, std::size_t chunks
   stats.chunks = ranges.size();
   if (scratch_.size() < ranges.size()) scratch_.resize(ranges.size());
   if (bounded) {
-    for_each_ticket(ranges.size(), schedule, [&](std::size_t i, dna::PagedGenome::PageRef&) {
-      scan_chunk(i, ranges[i], text, 0, out != nullptr);
-    });
+    for_each_ticket(ranges.size(), schedule,
+                    [&](std::size_t i) { scan_chunk(i, ranges[i], text, out != nullptr); });
   } else {
     stats.rescanned_chunks = run_speculative(text, ranges, out != nullptr);
   }
@@ -87,7 +86,7 @@ std::size_t ParallelMatcher::run_speculative(std::string_view text,
   // Scans chunk idx[j] from entries[j] for every j, `width` chunks a ticket.
   const auto scan_wave = [&](const std::vector<std::size_t>& idx,
                              const std::vector<StateId>& entries) {
-    const auto scan_ticket = [&](std::size_t g, dna::PagedGenome::PageRef&) {
+    const auto scan_ticket = [&](std::size_t g) {
       const std::size_t first = g * width;
       const std::size_t m = std::min(width, idx.size() - first);
       if (m == 1) {
@@ -141,37 +140,27 @@ std::size_t ParallelMatcher::run_speculative(std::string_view text,
 void ParallelMatcher::for_each_ticket(std::size_t n, parallel::SchedulePolicy schedule,
                                       const TicketScan& scan) const {
   if (n == 1 && !pool_.has_worker_init()) {
-    dna::PagedGenome::PageRef pin;
-    scan(0, pin);
+    scan(0);
   } else if (schedule == parallel::SchedulePolicy::kStatic) {
     pool_.parallel_chunks(n, pool_.thread_count(),
                           [&](std::size_t, std::size_t lo, std::size_t hi) {
-                            dna::PagedGenome::PageRef pin;
-                            for (std::size_t i = lo; i < hi; ++i) scan(i, pin);
+                            for (std::size_t i = lo; i < hi; ++i) scan(i);
                           });
   } else {
     parallel::ChunkQueue queue(n);
     pool_.parallel_pull([&](std::size_t) {
-      dna::PagedGenome::PageRef pin;
-      while (const auto t = queue.take_front()) scan(*t, pin);
+      while (const auto t = queue.take_front()) scan(*t);
     });
   }
 }
 
-void ParallelMatcher::scan_chunk(std::size_t i, const parallel::Chunk& c, std::string_view view,
-                                 std::size_t base, bool collect) const {
+void ParallelMatcher::scan_chunk(std::size_t i, const parallel::Chunk& c, std::string_view text,
+                                 bool collect) const {
   ChunkResult& cr = scratch_[i];
   cr.matches.clear();  // clear() keeps capacity — reused across runs
   cr.scan = ScanResult{};
-  if (!collect) {
-    cr.scan.match_count = engine_->count_chunk(view, c.begin - base, c.end - base);
-    return;
-  }
-  cr.scan.match_count = engine_->collect_chunk(view, c.begin - base, c.end - base, cr.matches);
-  // collect_chunk reports offsets within `view`; lift them to global.
-  if (base != 0) {
-    for (Match& m : cr.matches) m.end += base;
-  }
+  cr.scan.match_count = collect ? engine_->collect_chunk(text, c.begin, c.end, cr.matches)
+                                : engine_->count_chunk(text, c.begin, c.end);
 }
 
 std::uint64_t ParallelMatcher::gather(std::size_t n, std::vector<Match>* out) const {

@@ -47,6 +47,31 @@ namespace {
   return parallel::share_bounds(total, shares);
 }
 
+/// Rejects a paged run the loop cannot scan exactly, or could deadlock on:
+/// every chunk warms up out of its page's halo, and every fleet worker may
+/// hold a pin at once.
+void check_paged(const dna::PagedGenome& genome, std::size_t sync_bound,
+                 std::size_t workers) {
+  if (sync_bound == 0) {
+    throw std::invalid_argument(
+        "HeterogeneousExecutor: paged scanning needs a synchronization bound "
+        "(per-chunk warm-up out of the page halo); unbounded automata cannot stream");
+  }
+  const std::size_t halo = genome.options().halo_bytes;
+  if (halo < sync_bound - 1) {
+    throw std::invalid_argument(
+        "HeterogeneousExecutor: page halo (" + std::to_string(halo) +
+        "B) is smaller than the warm-up lead (" + std::to_string(sync_bound - 1) +
+        "B); configure PagedGenomeOptions::halo_bytes >= synchronization_bound - 1");
+  }
+  const std::size_t resident = genome.options().resident_pages;
+  if (resident < workers) {
+    throw std::invalid_argument("HeterogeneousExecutor: resident budget (" +
+                                std::to_string(resident) + " pages) must cover the fleet's " +
+                                std::to_string(workers) + " workers for a paged run");
+  }
+}
+
 /// Derives realized shares, the imbalance metric, and the overlapped wall
 /// time from the filled per-pool bytes/seconds fields.
 void finalize_fleet(ExecutionReport& report) {
@@ -84,21 +109,26 @@ void for_each_pool(std::size_t n, const Active& active, const Task& task) {
   }
 }
 
-/// The chunk layout of a run plus who owns each chunk. kStatic/kAdaptive cut
-/// every configured segment with its own granularity (per-segment queues);
-/// kDynamic/kGuided cut the whole input as one shared range.
+/// The chunk layout of a run plus who owns each chunk. The input is a list
+/// of ascending, contiguous spans (the whole text in memory, one span per
+/// page when paged); no chunk crosses a span. kStatic/kAdaptive cut every
+/// configured segment's part of each span with the segment's own
+/// granularity (per-segment queues); kDynamic/kGuided cut every span with
+/// the fleet's total granularity (one shared queue).
 struct FleetLayout {
   std::vector<parallel::Chunk> chunks;
   /// The pool whose configured segment contains chunks[t].begin — a claim by
   /// any other pool is a steal.
   std::vector<std::uint32_t> owners;
+  /// The span chunks[t] lies in.
+  std::vector<std::uint32_t> span_of;
   /// chunks[seg_offset[i] .. seg_offset[i+1]) is segment i (per-segment
   /// layouts only).
   std::vector<std::size_t> seg_offset;
   bool per_segment = false;
 };
 
-[[nodiscard]] FleetLayout build_layout(std::size_t total,
+[[nodiscard]] FleetLayout build_layout(const std::vector<parallel::Chunk>& spans,
                                        const std::vector<std::size_t>& bounds,
                                        const std::vector<std::size_t>& chunk_counts,
                                        std::size_t total_workers,
@@ -108,12 +138,24 @@ struct FleetLayout {
   layout.per_segment = schedule == parallel::SchedulePolicy::kStatic ||
                        schedule == parallel::SchedulePolicy::kAdaptive;
   layout.seg_offset.assign(n + 1, 0);
+  // Cuts [lo, hi) of span s into chunks with `cut` and appends them.
+  const auto append = [&](std::size_t s, std::size_t lo, std::size_t hi, const auto& cut) {
+    for (const parallel::Chunk& c : cut(hi - lo)) {
+      layout.chunks.push_back({c.begin + lo, c.end + lo});
+      layout.span_of.push_back(static_cast<std::uint32_t>(s));
+    }
+  };
   if (layout.per_segment) {
+    std::size_t s = 0;
     for (std::size_t i = 0; i < n; ++i) {
       layout.seg_offset[i] = layout.chunks.size();
-      for (const parallel::Chunk& c :
-           parallel::make_chunks(bounds[i + 1] - bounds[i], chunk_counts[i])) {
-        layout.chunks.push_back({c.begin + bounds[i], c.end + bounds[i]});
+      for (; s < spans.size() && spans[s].begin < bounds[i + 1]; ++s) {
+        const std::size_t lo = std::max(spans[s].begin, bounds[i]);
+        const std::size_t hi = std::min(spans[s].end, bounds[i + 1]);
+        append(s, lo, hi, [&](std::size_t len) {
+          return parallel::make_chunks(len, chunk_counts[i]);
+        });
+        if (spans[s].end > bounds[i + 1]) break;  // the next segment continues this span
       }
     }
     layout.seg_offset[n] = layout.chunks.size();
@@ -121,11 +163,13 @@ struct FleetLayout {
     std::size_t total_chunks = 0;
     for (const std::size_t c : chunk_counts) total_chunks += c;
     total_chunks = std::max<std::size_t>(1, total_chunks);
-    if (schedule == parallel::SchedulePolicy::kGuided) {
-      layout.chunks = parallel::make_chunks_guided(
-          total, total_workers, parallel::guided_min_chunk(total, total_chunks));
-    } else {
-      layout.chunks = parallel::make_chunks(total, total_chunks);
+    for (std::size_t s = 0; s < spans.size(); ++s) {
+      append(s, spans[s].begin, spans[s].end, [&](std::size_t len) {
+        return schedule == parallel::SchedulePolicy::kGuided
+                   ? parallel::make_chunks_guided(
+                         len, total_workers, parallel::guided_min_chunk(len, total_chunks))
+                   : parallel::make_chunks(len, total_chunks);
+      });
     }
   }
   layout.owners.resize(layout.chunks.size());
@@ -291,6 +335,14 @@ void HeterogeneousExecutor::build_fleet(std::vector<PoolSpec> pools) {
   if (pools.empty()) {
     throw std::invalid_argument("HeterogeneousExecutor: at least one pool required");
   }
+  // An unbounded engine enters each chunk by replaying the text before it,
+  // which is exact only on a DFA.
+  if (engine_->synchronization_bound() == 0 && engine_->kernel() == nullptr) {
+    throw std::invalid_argument("HeterogeneousExecutor: engine '" +
+                                std::string(engine_->name()) +
+                                "' has no synchronization bound and no DFA; "
+                                "chunked scanning would be inexact");
+  }
   for (const PoolSpec& spec : pools) {
     if (!(spec.share_percent >= 0.0 && spec.share_percent <= 100.0)) {
       throw std::invalid_argument("HeterogeneousExecutor: pool share out of [0,100]");
@@ -302,12 +354,8 @@ void HeterogeneousExecutor::build_fleet(std::vector<PoolSpec> pools) {
   }
   specs_ = std::move(pools);
   pools_.reserve(specs_.size());
-  matchers_.reserve(specs_.size());
   for (const PoolSpec& spec : specs_) {
     pools_.push_back(std::make_unique<parallel::ThreadPool>(spec.threads, pool_init(spec)));
-    // The ParallelMatcher constructor rejects a boundless engine without a
-    // DFA, so every engine the run loop sees can scan any chunk exactly.
-    matchers_.push_back(std::make_unique<automata::ParallelMatcher>(*engine_, *pools_.back()));
   }
 }
 
@@ -320,20 +368,20 @@ std::vector<double> HeterogeneousExecutor::configured_shares() const {
 
 ExecutionReport HeterogeneousExecutor::run_fleet(std::string_view text,
                                                  parallel::SchedulePolicy schedule) {
-  return run_chunks(text, configured_shares(), schedule, nullptr);
+  return run_chunks(text, nullptr, configured_shares(), schedule, 0, nullptr);
 }
 
 ExecutionReport HeterogeneousExecutor::run_fleet(std::string_view text,
                                                  const std::vector<double>& shares,
                                                  parallel::SchedulePolicy schedule) {
-  return run_chunks(text, shares, schedule, nullptr);
+  return run_chunks(text, nullptr, shares, schedule, 0, nullptr);
 }
 
 ExecutionReport HeterogeneousExecutor::collect_fleet(std::string_view text,
                                                      const std::vector<double>& shares,
                                                      parallel::SchedulePolicy schedule,
                                                      std::vector<automata::Match>& out) {
-  return run_chunks(text, shares, schedule, &out);
+  return run_chunks(text, nullptr, shares, schedule, 0, &out);
 }
 
 ExecutionReport HeterogeneousExecutor::run_fleet_paged(dna::PagedGenome& genome,
@@ -344,66 +392,47 @@ ExecutionReport HeterogeneousExecutor::run_fleet_paged(dna::PagedGenome& genome,
 ExecutionReport HeterogeneousExecutor::run_fleet_paged(dna::PagedGenome& genome,
                                                        const std::vector<double>& shares,
                                                        const PagedFleetOptions& options) {
-  // Page-granular segment cuts: the same cumulative-rounding split as the
-  // in-memory run, but over pages so every pool boundary is a page seam
-  // (the halo makes counts exact across it, like any other seam).
-  const auto bounds = fleet_bounds(genome.page_count(), shares, specs_.size());
-  const std::size_t n = specs_.size();
-  std::size_t total_workers = 0;
-  for (const auto& pool : pools_) total_workers += pool->thread_count();
-  const std::size_t resident = genome.options().resident_pages;
-  if (resident < total_workers) {
-    throw std::invalid_argument(
-        "HeterogeneousExecutor: resident budget (" + std::to_string(resident) +
-        " pages) must cover the fleet's " + std::to_string(total_workers) +
-        " workers for a paged run");
-  }
+  return run_chunks({}, &genome, shares, options.schedule, options.prefetch_depth, nullptr);
+}
 
-  // The shared cache serves every pool at once, so the resident budget is
-  // divided up front in proportion to worker counts: each slice covers its
-  // pool's workers (floor(resident * w / W) >= w because resident >= W) and
-  // the slices sum to at most `resident`, which bounds the fleet's total
-  // pins below the budget — concurrent backpressure always has a free slot.
-  std::vector<std::size_t> budget(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    budget[i] = resident * pools_[i]->thread_count() / total_workers;
-  }
-
-  ExecutionReport report;
-  report.schedule = options.schedule == parallel::SchedulePolicy::kAdaptive
-                        ? parallel::SchedulePolicy::kDynamic
-                        : options.schedule;
-  report.pools.resize(n);
-  for (std::size_t i = 0; i < n; ++i) report.pools[i].configured_percent = shares[i];
-
-  // Every pool streams its page range through its own matcher; zero-page
-  // shares are skipped entirely, as under the static in-memory schedule.
-  for_each_pool(
-      n, [&](std::size_t i) { return bounds[i + 1] > bounds[i]; },
-      [&](std::size_t i) {
-        automata::PagedScanOptions popts;
-        popts.schedule = report.schedule;
-        popts.chunks_per_page = options.chunks_per_page;
-        popts.prefetch_depth = options.prefetch_depth;
-        popts.first_page = bounds[i];
-        popts.last_page = bounds[i + 1];
-        popts.pin_budget = budget[i];
-        const automata::PagedScanStats stats = matchers_[i]->count_paged(genome, popts);
-        report.pools[i].matches = stats.match_count;
-        report.pools[i].bytes = stats.bytes;
-        report.pools[i].seconds = stats.seconds;
-      });
-  finalize_fleet(report);
-  return report;
+ExecutionReport HeterogeneousExecutor::collect_fleet(dna::PagedGenome& genome,
+                                                     const std::vector<double>& shares,
+                                                     const PagedFleetOptions& options,
+                                                     std::vector<automata::Match>& out) {
+  return run_chunks({}, &genome, shares, options.schedule, options.prefetch_depth, &out);
 }
 
 ExecutionReport HeterogeneousExecutor::run_chunks(std::string_view text,
+                                                  dna::PagedGenome* genome,
                                                   const std::vector<double>& shares,
                                                   parallel::SchedulePolicy schedule,
+                                                  std::size_t prefetch_depth,
                                                   std::vector<automata::Match>* out) {
-  const auto bounds = fleet_bounds(text.size(), shares, specs_.size());
   const std::size_t n = specs_.size();
   const std::size_t sync_bound = engine_->synchronization_bound();
+  std::size_t total_workers = 0;
+  for (const auto& pool : pools_) total_workers += pool->thread_count();
+
+  // The input as ascending spans plus the share cut in bytes. In memory the
+  // text is one span, cut anywhere; paged, every page is a span and the cut
+  // falls on page seams (the stored halos keep counts exact across them).
+  std::vector<parallel::Chunk> spans;
+  std::vector<std::size_t> bounds;
+  std::vector<std::size_t> page_bounds;
+  if (genome == nullptr) {
+    bounds = fleet_bounds(text.size(), shares, n);
+    if (!text.empty()) spans.push_back({0, text.size()});
+  } else {
+    page_bounds = fleet_bounds(genome->page_count(), shares, n);
+    check_paged(*genome, sync_bound, total_workers);
+    for (const std::size_t p : page_bounds) {
+      bounds.push_back(std::min(genome->page_begin(p), genome->size()));
+    }
+    for (std::size_t p = 0; p < genome->page_count(); ++p) {
+      const std::size_t begin = genome->page_begin(p);
+      spans.push_back({begin, begin + genome->page_payload_bytes(p)});
+    }
+  }
   // Without a synchronization bound a chunk cannot warm up on its own lead:
   // the run is static with one chunk per pool, and count_chunk replays the
   // whole prefix to enter each segment exactly.
@@ -421,20 +450,17 @@ ExecutionReport HeterogeneousExecutor::run_chunks(std::string_view text,
   report.schedule = schedule;
   report.pools.resize(n);
   for (std::size_t i = 0; i < n; ++i) report.pools[i].configured_percent = shares[i];
-  if (text.empty()) {
+  if (spans.empty()) {
     finalize_fleet(report);
     return report;
   }
 
   std::vector<std::size_t> chunk_counts(n, 1);
-  std::size_t total_workers = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t workers = pools_[i]->thread_count();
-    total_workers += workers;
     if (sync_bound > 0) chunk_counts[i] = specs_[i].chunks > 0 ? specs_[i].chunks : workers;
   }
-  const FleetLayout layout =
-      build_layout(text.size(), bounds, chunk_counts, total_workers, schedule);
+  const FleetLayout layout = build_layout(spans, bounds, chunk_counts, total_workers, schedule);
   const std::vector<parallel::Chunk>& chunks = layout.chunks;
 
   // Per-segment layouts get one queue per configured segment; the shared
@@ -449,66 +475,119 @@ ExecutionReport HeterogeneousExecutor::run_chunks(std::string_view text,
     queues.push_back(std::make_unique<parallel::ChunkQueue>(chunks.size()));
   }
 
+  // Paged runs stream every queue's page range through its own
+  // PrefetchReader. The depth is clamped so the fleet's worker pins plus
+  // every reader's ring, in-flight load and one spare slot fit the resident
+  // budget together: backpressure can never deadlock.
+  std::vector<std::unique_ptr<dna::PrefetchReader>> readers(queues.size());
+  if (genome != nullptr) {
+    const auto first_page = [&](std::size_t q) {
+      return layout.per_segment ? page_bounds[q] : 0;
+    };
+    const auto last_page = [&](std::size_t q) {
+      return layout.per_segment ? page_bounds[q + 1] : genome->page_count();
+    };
+    std::size_t ranges = 0;
+    for (std::size_t q = 0; q < queues.size(); ++q) {
+      if (last_page(q) > first_page(q)) ++ranges;
+    }
+    const std::size_t spare = (genome->options().resident_pages - total_workers) / ranges;
+    report.prefetch_depth = std::min(prefetch_depth, spare > 2 ? spare - 2 : 0);
+    for (std::size_t q = 0; q < queues.size() && report.prefetch_depth > 0; ++q) {
+      if (last_page(q) > first_page(q)) {
+        readers[q] = std::make_unique<dna::PrefetchReader>(*genome, first_page(q), last_page(q),
+                                                           report.prefetch_depth);
+      }
+    }
+  }
+
   RecoveryContext ctx(n);
   const auto failed_in = [recover](std::uint64_t mask, std::size_t pool) {
     return recover && ((mask >> pool) & 1) != 0;
   };
-  // Claims a global chunk index for pool i: its own segment first (the last
-  // pool descending from the back, everyone else ascending from the front),
-  // then the nearest segment it may steal from — forward steals take that
-  // segment's front, backward steals its back, so every boundary keeps the
-  // two-ended meeting dynamics of the 2-pool host/device scheme. Adaptive
+  // Claims queue q's lowest ticket. Front claims are the ascending ones —
+  // the owner's on a segment queue, everyone's on the shared queue — and
+  // only they move the queue's reader frontier.
+  const auto claim_front = [&](std::size_t q) -> std::optional<std::size_t> {
+    const auto local = queues[q]->take_front();
+    if (!local) return std::nullopt;
+    const std::size_t t = layout.seg_offset[q] + *local;
+    if (readers[q]) readers[q]->publish(layout.span_of[t]);
+    return t;
+  };
+  // Claims a global chunk index for pool i: its own segment first, in
+  // ascending order, then the back of the nearest segment it may steal from,
+  // so owner and thief meet from opposite ends of every segment. Adaptive
   // steals from any segment; static only from a failed pool's, and that
   // steal IS the requeue of its unclaimed remainder. A failed pool claims
   // nothing more.
   const bool steal_live = layout.per_segment && !is_static;
   const auto take_for = [&](std::size_t i) -> std::optional<std::size_t> {
     if (recover && ctx.failed(i)) return std::nullopt;
-    if (!layout.per_segment) return queues[0]->take_front();
-    if (const auto t = i + 1 == n ? queues[i]->take_back() : queues[i]->take_front()) {
-      return layout.seg_offset[i] + *t;
-    }
+    if (!layout.per_segment) return claim_front(0);
+    if (const auto t = claim_front(i)) return t;
     const std::uint64_t mask = recover ? ctx.failed_mask.load(std::memory_order_acquire) : 0;
     if (!steal_live && mask == 0) return std::nullopt;
-    const auto steal = [&](std::size_t j, bool front) -> std::optional<std::size_t> {
+    const auto steal = [&](std::size_t j) -> std::optional<std::size_t> {
       if (!steal_live && !failed_in(mask, j)) return std::nullopt;
-      const auto t = front ? queues[j]->take_front() : queues[j]->take_back();
+      const auto t = queues[j]->take_back();
       if (!t) return std::nullopt;
       if (failed_in(mask, j)) ctx.requeued.fetch_add(1, std::memory_order_relaxed);
       return layout.seg_offset[j] + *t;
     };
     for (std::size_t d = 1; d < n; ++d) {
       if (i + d < n) {
-        if (const auto t = steal(i + d, /*front=*/true)) return t;
+        if (const auto t = steal(i + d)) return t;
       }
       if (d <= i) {
-        if (const auto t = steal(i - d, /*front=*/false)) return t;
+        if (const auto t = steal(i - d)) return t;
       }
     }
     return std::nullopt;
+  };
+
+  // The bytes ticket t is scanned on, and the global offset of their first
+  // byte: the whole text in memory; paged, the halo+payload view of the
+  // ticket's page, pinned in `pin`. A worker holds at most one pin and keeps
+  // it while its tickets stay on that page — the cache's progress guarantee.
+  using PageRef = dna::PagedGenome::PageRef;
+  using View = std::pair<std::string_view, std::size_t>;
+  const auto view_of = [&](std::size_t t, PageRef& pin) -> View {
+    if (genome == nullptr) return {text, 0};
+    const std::size_t page = layout.span_of[t];
+    if (!pin.valid() || pin.page() != page) {
+      pin.release();
+      pin = genome->acquire(page);
+    }
+    return {pin.view(), pin.begin() - pin.halo()};
   };
 
   // Whoever claims chunk t owns slot t exclusively; the joins publish the
   // slots before the single-threaded merge.
   const bool collect = out != nullptr;
   std::vector<std::vector<automata::Match>> slots(collect ? chunks.size() : 0);
-  // Chunk-aware engine scan: the engine reads its own warm-up lead before
-  // c.begin, so any pool can scan any chunk exactly.
-  const auto scan = [&](std::size_t t) -> std::uint64_t {
-    const parallel::Chunk& c = chunks[t];
-    return collect ? engine_->collect_chunk(text, c.begin, c.end, slots[t])
-                   : engine_->count_chunk(text, c.begin, c.end);
+  // Chunk-aware engine scan: the engine reads its own warm-up lead out of
+  // the view before the chunk, so any pool can scan any chunk exactly.
+  const auto scan = [&](std::size_t t, PageRef& pin) -> std::uint64_t {
+    const auto [view, base] = view_of(t, pin);
+    const std::size_t begin = chunks[t].begin - base;
+    const std::size_t end = chunks[t].end - base;
+    if (!collect) return engine_->count_chunk(view, begin, end);
+    const std::uint64_t matches = engine_->collect_chunk(view, begin, end, slots[t]);
+    for (automata::Match& m : slots[t]) m.end += base;  // view offsets -> global
+    return matches;
   };
 
   // Degradation ladder, bottom rung: the per-byte reference scanner over the
   // raw DFA, warmed up over the chunk's lead. Engines without a DFA behind
   // them get one last engine scan with no injection.
   const automata::DenseDfa* dfa = engine_->dfa();
-  const auto scan_degraded = [&](std::size_t t) -> std::uint64_t {
-    if (dfa == nullptr) return scan(t);
+  const auto scan_degraded = [&](std::size_t t, PageRef& pin) -> std::uint64_t {
+    if (dfa == nullptr) return scan(t, pin);
+    const auto [view, base] = view_of(t, pin);
     const parallel::Chunk& c = chunks[t];
-    const std::size_t lead = std::min(sync_bound - 1, c.begin);
-    const std::string_view window = text.substr(c.begin - lead, c.end - c.begin + lead);
+    const std::size_t lead = std::min(sync_bound - 1, c.begin - base);
+    const std::string_view window = view.substr(c.begin - base - lead, c.end - c.begin + lead);
     if (!collect) {
       const std::uint64_t full =
           automata::scan_count_naive(*dfa, window, dfa->start()).match_count;
@@ -533,12 +612,12 @@ ExecutionReport HeterogeneousExecutor::run_chunks(std::string_view text,
   // One chunk under the recovery policy: injected or genuine scan failures
   // are retried up to the budget, then the chunk falls back to the naive
   // scanner. An injected slowdown stretches the scan by the planned factor.
-  const auto scan_recover = [&](std::size_t t) -> std::uint64_t {
+  const auto scan_recover = [&](std::size_t t, PageRef& pin) -> std::uint64_t {
     for (std::size_t attempt = 0; attempt < recovery_.max_chunk_attempts; ++attempt) {
       try {
         injector->chunk_scan(t, attempt);
         util::Timer timer;
-        const std::uint64_t m = scan(t);
+        const std::uint64_t m = scan(t, pin);
         const double slow = injector->chunk_slow_factor(t);
         if (slow > 1.0) {
           std::this_thread::sleep_for(
@@ -552,7 +631,7 @@ ExecutionReport HeterogeneousExecutor::run_chunks(std::string_view text,
       }
     }
     ctx.degraded.store(true, std::memory_order_relaxed);
-    return scan_degraded(t);
+    return scan_degraded(t, pin);
   };
 
   std::vector<PoolTotals> totals(n);
@@ -572,11 +651,12 @@ ExecutionReport HeterogeneousExecutor::run_chunks(std::string_view text,
           return;
         }
       }
+      PageRef pin;
       std::uint64_t matches = 0;
       std::uint64_t steals = 0;
       std::size_t bytes = 0;
       while (const auto t = take_for(pool_idx)) {
-        matches += recover ? scan_recover(*t) : scan(*t);
+        matches += recover ? scan_recover(*t, pin) : scan(*t, pin);
         bytes += chunks[*t].end - chunks[*t].begin;
         if (layout.owners[*t] != pool_idx) ++steals;
         if (recover) ctx.progress[pool_idx].fetch_add(1, std::memory_order_relaxed);
@@ -631,6 +711,7 @@ ExecutionReport HeterogeneousExecutor::run_chunks(std::string_view text,
     // fleet loss, or a pool declared failed after the survivors had already
     // left) is scanned here and attributed to pool 0 — parity holds
     // unconditionally.
+    PageRef pin;
     std::uint64_t matches = 0;
     std::uint64_t steals = 0;
     std::uint64_t requeued = 0;
@@ -639,7 +720,7 @@ ExecutionReport HeterogeneousExecutor::run_chunks(std::string_view text,
     for (std::size_t qi = 0; qi < queues.size(); ++qi) {
       while (const auto local = queues[qi]->take_front()) {
         const std::size_t t = layout.seg_offset[qi] + *local;
-        matches += scan_recover(t);
+        matches += scan_recover(t, pin);
         bytes += chunks[t].end - chunks[t].begin;
         if (layout.owners[t] != 0) ++steals;
         if (failed_in(mask, layout.owners[t])) ++requeued;
@@ -661,6 +742,13 @@ ExecutionReport HeterogeneousExecutor::run_chunks(std::string_view text,
     report.requeued_chunks = ctx.requeued.load(std::memory_order_relaxed);
     report.chunk_retries = ctx.retries.load(std::memory_order_relaxed);
     report.degraded = ctx.degraded.load(std::memory_order_relaxed);
+  }
+  for (const auto& reader : readers) {
+    if (!reader) continue;
+    reader->stop();
+    const dna::PrefetchStats stats = reader->stats();
+    report.prefetch.pages_prefetched += stats.pages_prefetched;
+    report.prefetch.ring_full_waits += stats.ring_full_waits;
   }
 
   // Relaxed is enough: every pool has joined above, so these are

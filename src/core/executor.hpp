@@ -5,10 +5,13 @@
 // overlapped offload model generalized to the multi-accelerator machines the
 // paper names as future work.
 //
-// Every in-memory run is one chunk-ticket loop. The input is cut into chunk
-// tickets and each pool's workers claim tickets and scan them through
-// MatchEngine::count_chunk/collect_chunk; only the ticket order changes with
-// the distribution schedule (parallel/schedule.hpp):
+// Every run — in memory or paged, counting or collecting — is one
+// chunk-ticket loop. The input is a list of spans (an in-memory text is one
+// span; a dna::PagedGenome is one span per page, and the share cut falls on
+// page seams), the spans are cut into chunk tickets, and each pool's workers
+// claim tickets and scan them through MatchEngine::count_chunk/collect_chunk;
+// only the ticket order changes with the distribution schedule
+// (parallel/schedule.hpp):
 //
 //   static    one queue per configured segment, cut by the shares; each
 //             pool drains its own segment and nothing else — the paper's
@@ -17,19 +20,26 @@
 //             the front, the realized split emerges from relative speeds;
 //   guided    shared queue with guided (decreasing) chunk sizes;
 //   adaptive  the static segment queues, but a pool that drains its own
-//             segment (the last pool descending from the back, everyone
-//             else ascending from the front) *steals* from the nearest
-//             unfinished segment: forward steals take the front, backward
-//             steals the back, so every boundary behaves like the classic
-//             two-ended scheme between its two neighbors.
+//             segment *steals* from the back of the nearest unfinished
+//             segment. Every pool claims its own segment in ascending order,
+//             so owner and thief meet from opposite ends — the classic
+//             two-ended scheme at every segment.
 //
 // Every policy produces byte-identical match counts (each chunk scan warms
 // up over its own lead bytes); what changes is who scans what and when.
 // Engines with no synchronization bound cannot warm up, so they run static
 // with one chunk per pool, each pool entering its segment through
-// count_chunk's prefix replay. ExecutionReport::pools records per-pool
-// realized shares, steal counts, and an imbalance metric so the tuner and
-// the benches can see the difference.
+// count_chunk's prefix replay (in memory only). ExecutionReport::pools
+// records per-pool realized shares, steal counts, and an imbalance metric so
+// the tuner and the benches can see the difference.
+//
+// A paged ticket pins its page (at most one pin per worker, kept across the
+// worker's tickets on that page) and is scanned on the pinned halo+payload
+// view: the stored halo supplies the warm-up lead across page seams. Each
+// segment's pool streams its pages through its own PrefetchReader (the
+// shared-queue schedules use one reader); only ascending claims from a
+// queue's front publish its reader's frontier, so a steal never drags a
+// reader past pages its owner has not reached.
 //
 // Fault tolerance is a policy on the same loop, switched on only while an
 // armed util::FaultInjector plan exercises recovery: a watchdog deadlines
@@ -58,7 +68,8 @@
 
 #include "automata/dense_dfa.hpp"
 #include "automata/match_engine.hpp"
-#include "automata/parallel_matcher.hpp"
+#include "dna/paged_genome.hpp"
+#include "dna/prefetch_reader.hpp"
 #include "parallel/affinity.hpp"
 #include "parallel/schedule.hpp"
 #include "parallel/thread_pool.hpp"
@@ -74,8 +85,9 @@ struct PoolSpec {
   /// Configured share of the input bytes, in percent. The shares of a fleet
   /// must sum to 100 (run_fleet overloads can override them per run).
   double share_percent = 0.0;
-  /// Chunks this pool's segment is cut into under the static and adaptive
-  /// schedules; 0 means one chunk per worker.
+  /// Chunks this pool's segment (on a paged run, each page of it) is cut
+  /// into under the static and adaptive schedules; 0 means one chunk per
+  /// worker.
   std::size_t chunks = 0;
   /// Watchdog deadline for this pool when the recovery policy is on: the
   /// pool is declared failed after this long without completing a chunk.
@@ -95,19 +107,16 @@ struct RecoveryOptions {
   std::size_t max_chunk_attempts = 3;
 };
 
-/// Tunables of the fleet's paged (out-of-core) scan mode. Each pool streams
-/// its contiguous page range through the shared PagedGenome cache with its
-/// own PrefetchReader; the per-pool schedule/chunking/prefetch knobs of
-/// automata::PagedScanOptions are set from these.
+/// Tunables of the fleet's paged (out-of-core) scan.
 struct PagedFleetOptions {
-  /// Distribution *within* each pool's page range (the range itself is cut
-  /// by the shares, statically). kAdaptive degenerates to kDynamic on the
-  /// paged path; the report records the effective schedule.
-  parallel::SchedulePolicy schedule = parallel::SchedulePolicy::kDynamic;
-  /// Per-pool prefetch lookahead, clamped inside each pool's budget slice.
+  /// The fleet schedule, with the meaning it has in memory: static and
+  /// adaptive cut the page range by the shares, dynamic and guided pull every
+  /// page from one shared queue.
+  parallel::SchedulePolicy schedule = parallel::SchedulePolicy::kStatic;
+  /// Lookahead pages of every PrefetchReader. Clamped so the fleet's worker
+  /// pins plus every reader's ring and in-flight load fit the resident
+  /// budget; 0 starts no reader (every page is a cold demand load).
   std::size_t prefetch_depth = 2;
-  /// Chunks each page is cut into per pool; 0 = one per pool worker.
-  std::size_t chunks_per_page = 0;
 };
 
 /// Per-pool slice of an ExecutionReport.
@@ -155,6 +164,12 @@ struct ExecutionReport {
   /// naive reference scanner.
   bool degraded = false;
 
+  // Paged runs only (both stay zero in memory).
+  /// The lookahead every PrefetchReader ran at, after the budget clamp.
+  std::size_t prefetch_depth = 0;
+  /// PrefetchStats summed over the run's readers.
+  dna::PrefetchStats prefetch;
+
   [[nodiscard]] std::uint64_t total_matches() const noexcept {
     std::uint64_t total = 0;
     for (const PoolReport& pool : pools) total += pool.matches;
@@ -201,22 +216,18 @@ class HeterogeneousExecutor {
                                           const std::vector<double>& shares,
                                           parallel::SchedulePolicy schedule);
 
-  /// Scans a paged (out-of-core) corpus across the whole fleet: the page
-  /// range is divided by the constructed share_percent of every pool (cuts
-  /// land on page seams; the stored halos keep counts exact across them),
-  /// every pool runs the streaming scan path concurrently, and the genome's
-  /// resident budget is divided across the pools in proportion to their
-  /// worker counts so concurrent backpressure can never deadlock. Requires
-  /// an engine with a positive synchronization bound, a genome halo of at
-  /// least bound-1 bytes, and a resident budget covering the fleet's total
-  /// workers (throws std::invalid_argument otherwise). Counts are
-  /// byte-identical to run_fleet over the same bytes (property-tested).
+  /// Scans a paged (out-of-core) corpus across the whole fleet, streaming
+  /// pages through the genome's bounded cache; the shares cut the page range
+  /// (cuts land on page seams). Requires an engine with a positive
+  /// synchronization bound, a genome halo of at least bound-1 bytes, and a
+  /// resident budget covering the fleet's total workers (throws
+  /// std::invalid_argument otherwise). Counts are byte-identical to
+  /// run_fleet over the same bytes (property-tested).
   [[nodiscard]] ExecutionReport run_fleet_paged(dna::PagedGenome& genome,
                                                 const PagedFleetOptions& options = {});
 
   /// Same, with per-run shares overriding the constructed ones (one entry
-  /// per pool, each in [0, 100], summing to 100; zero-page pools are skipped
-  /// entirely, as under the static in-memory schedule).
+  /// per pool, each in [0, 100], summing to 100).
   [[nodiscard]] ExecutionReport run_fleet_paged(dna::PagedGenome& genome,
                                                 const std::vector<double>& shares,
                                                 const PagedFleetOptions& options = {});
@@ -228,6 +239,13 @@ class HeterogeneousExecutor {
   [[nodiscard]] ExecutionReport collect_fleet(std::string_view text,
                                               const std::vector<double>& shares,
                                               parallel::SchedulePolicy schedule,
+                                              std::vector<automata::Match>& out);
+
+  /// run_fleet_paged that additionally collects every match event into
+  /// `out`, exactly as the in-memory collect_fleet does.
+  [[nodiscard]] ExecutionReport collect_fleet(dna::PagedGenome& genome,
+                                              const std::vector<double>& shares,
+                                              const PagedFleetOptions& options,
                                               std::vector<automata::Match>& out);
 
   [[nodiscard]] std::size_t pool_count() const noexcept { return specs_.size(); }
@@ -244,21 +262,21 @@ class HeterogeneousExecutor {
  private:
   void build_fleet(std::vector<PoolSpec> pools);
   [[nodiscard]] std::vector<double> configured_shares() const;
-  /// The one in-memory run loop behind run_fleet and collect_fleet; `out`
+  /// The one run loop behind every public run: scans `text`, or `genome`
+  /// page by page when it is non-null (readers at `prefetch_depth`); `out`
   /// non-null collects match events.
-  [[nodiscard]] ExecutionReport run_chunks(std::string_view text,
+  [[nodiscard]] ExecutionReport run_chunks(std::string_view text, dna::PagedGenome* genome,
                                            const std::vector<double>& shares,
                                            parallel::SchedulePolicy schedule,
+                                           std::size_t prefetch_depth,
                                            std::vector<automata::Match>* out);
 
   std::unique_ptr<const automata::MatchEngine> owned_engine_;  // DenseDfa constructor
   const automata::MatchEngine* engine_ = nullptr;
   std::vector<PoolSpec> specs_;
-  // ThreadPool and ParallelMatcher are pinned to their addresses
-  // (non-movable), so the fleet owns them through pointers. The matchers
-  // serve the paged scan.
+  // ThreadPool is pinned to its address (non-movable), so the fleet owns
+  // its pools through pointers.
   std::vector<std::unique_ptr<parallel::ThreadPool>> pools_;
-  std::vector<std::unique_ptr<automata::ParallelMatcher>> matchers_;
   RecoveryOptions recovery_;
 };
 

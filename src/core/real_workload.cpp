@@ -380,7 +380,6 @@ RealMeasurement RealWorkloadEvaluator::measure(const opt::SystemConfig& config,
       if (options_.out_of_core) {
         PagedFleetOptions po;
         po.schedule = config.schedule;
-        po.prefetch_depth = options_.paged_prefetch_depth;
         report = executor.run_fleet_paged(rw->paged_genome(), shares, po);
       } else {
         report = executor.run_fleet(rw->text(), config.schedule);

@@ -80,8 +80,6 @@ struct RealWorkloadOptions {
   /// covers any motif shorter than 64 bases; longer motif sets need a
   /// larger halo (>= synchronization bound - 1).
   dna::PagedGenomeOptions paged{};
-  /// Prefetch lookahead per pool for out-of-core measurements.
-  std::size_t paged_prefetch_depth = 2;
 };
 
 /// A logical workload made physical: the scaled synthetic genome plus every

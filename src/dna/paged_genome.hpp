@@ -20,8 +20,8 @@
 //
 // Progress guarantee: callers that hold at most one pin each and release it
 // before acquiring the next page can always make progress as long as the
-// resident budget is at least the number of concurrent callers (the scan
-// layer validates this; dna/prefetch_reader.hpp clamps its ring accordingly).
+// resident budget is at least the number of concurrent callers (the fleet
+// executor validates this and clamps its prefetch rings accordingly).
 //
 // CacheStats separates the costs an out-of-core scan pays — time spent
 // *reading* pages (load_seconds, charged to whoever loads), time a consumer
@@ -148,13 +148,13 @@ struct PagedGenomeOptions {
   /// simultaneous pins (scan workers + prefetch ring) or acquire() blocks.
   std::size_t resident_pages = 8;
   /// Warm-up context stored before each page's payload. Must be at least
-  /// the scanning engine's synchronization_bound() - 1 (the paged scan
-  /// paths validate this).
+  /// the scanning engine's synchronization_bound() - 1 (the paged fleet
+  /// scan validates this).
   std::size_t halo_bytes = 63;
 };
 
 /// Cache telemetry. Counts are cumulative since construction (or the last
-/// reset_stats()); the paged scan paths report per-run deltas.
+/// reset_stats()); a caller that wants one run's activity resets before it.
 struct CacheStats {
   std::uint64_t hits = 0;    // acquires served without waiting
   std::uint64_t loads = 0;   // pages read from the source
@@ -171,6 +171,17 @@ struct CacheStats {
   double load_seconds = 0.0;          // time inside PageSource::read
   double cold_stall_seconds = 0.0;    // demand loaders' wall time, acquire to pin
   double waiter_stall_seconds = 0.0;  // summed wall time of the waiter stalls
+
+  /// Fraction of page-load time hidden from the consumers: 1 minus the
+  /// demand loads' stall time over all load time, clamped to [0, 1] (1 when
+  /// nothing was loaded). Waiter stalls are left out, so N workers blocked
+  /// on one load do not count it N times. The io_bound bench's overlap
+  /// metric.
+  [[nodiscard]] double overlap_efficiency() const noexcept {
+    if (load_seconds <= 0.0) return 1.0;
+    const double ratio = cold_stall_seconds / load_seconds;
+    return ratio >= 1.0 ? 0.0 : 1.0 - ratio;
+  }
 };
 
 class PagedGenome {

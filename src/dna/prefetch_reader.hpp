@@ -17,9 +17,10 @@
 // them (passed pages are evicted or about to be — fetching them doubles IO).
 // Backpressure is inherited from the cache: when every slot is pinned the
 // acquire blocks, and the reader resumes as pins drop. The ring size must
-// leave the consumers room inside the resident budget — the scan paths clamp
-// depth to resident_pages - workers - 2 (ring + one in-flight load + the
-// workers' own pins all fit, so progress is never deadlocked on the budget).
+// leave the consumers room inside the resident budget — the fleet executor
+// clamps every reader's depth to its share of resident_pages - workers,
+// minus 2 (rings + in-flight loads + the workers' own pins all fit, so
+// progress is never deadlocked on the budget).
 //
 // depth = 0 is the measured baseline: no thread is started, every page is a
 // cold consumer load. The io_bound bench's prefetch-depth sweep compares
@@ -50,8 +51,8 @@ class PrefetchReader {
   /// Prefetches pages of [first_page, last_page) in ascending order, up to
   /// `depth` pages ahead of the published frontier. depth 0 starts no
   /// thread; any depth self-clamps to resident_pages - 1 so the ring alone
-  /// can never pin the whole budget (the scan paths clamp tighter, leaving
-  /// room for every worker). The genome must outlive the reader.
+  /// can never pin the whole budget (the fleet executor clamps tighter,
+  /// leaving room for every worker). The genome must outlive the reader.
   PrefetchReader(PagedGenome& genome, std::size_t first_page, std::size_t last_page,
                  std::size_t depth);
   ~PrefetchReader() { stop(); }

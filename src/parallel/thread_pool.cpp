@@ -100,22 +100,29 @@ void ThreadPool::parallel_chunks(
   if (n == 0 || chunks == 0) return;
   chunks = std::min(chunks, n);
 
+  // A body's exception is caught inside its task, so the worker has let go
+  // of it before the future readies and the caller holds the last reference.
+  // Through the future, a worker that drops its finished task after the
+  // caller is done would destroy the exception on its own thread, ordered
+  // only by refcounts inside the runtime, which TSan cannot see.
+  std::vector<std::exception_ptr> errors(chunks);
   std::vector<std::future<void>> futures;
   futures.reserve(chunks);
   for (std::size_t c = 0; c < chunks; ++c) {
     const std::size_t begin = chunk_begin(n, chunks, c);
     const std::size_t end = chunk_begin(n, chunks, c + 1);
-    futures.push_back(submit([&body, c, begin, end] { body(c, begin, end); }));
+    futures.push_back(submit([&body, &errors, c, begin, end] {
+      try {
+        body(c, begin, end);
+      } catch (...) {
+        errors[c] = std::current_exception();
+      }
+    }));
   }
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
+  for (auto& f : futures) f.get();
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
   }
-  if (first_error) std::rethrow_exception(first_error);
   rethrow_worker_error();
 }
 

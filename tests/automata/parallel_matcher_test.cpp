@@ -196,15 +196,6 @@ TEST_F(ParallelMatcherFixture, BoundedAutomatonNeverRunsSpeculative) {
   }
 }
 
-[[nodiscard]] dna::PagedGenome paged(const std::string& text, std::size_t page_bytes,
-                                     std::size_t resident) {
-  dna::PagedGenomeOptions options;
-  options.page_bytes = page_bytes;
-  options.resident_pages = resident;
-  options.halo_bytes = 63;
-  return dna::PagedGenome(std::make_unique<dna::BufferPageSource>(text), options);
-}
-
 /// Runs `scan` and expects std::invalid_argument naming the bad base 'N'.
 template <typename Scan>
 void expect_invalid_base(const Scan& scan, const std::string& where) {
@@ -219,15 +210,13 @@ void expect_invalid_base(const Scan& scan, const std::string& where) {
 
 TEST(ParallelMatcherErrors, InvalidByteThrowsOnEveryPath) {
   // One non-ACGT byte deep inside the text surfaces from every scan path —
-  // in memory and paged, count and collect, every engine and schedule — and
-  // leaves the matcher and the genome usable.
+  // count and collect, every engine and schedule — and leaves the matcher
+  // usable. The paged paths are the executor's (PagedScanErrors).
   parallel::ThreadPool pool(4);
   const std::vector<std::string> motifs{"GATTACA", "CCGG"};
   std::string text = dna::GenomeGenerator{}.generate(40000, 41);
   text[25000] = 'N';
-  constexpr std::size_t kPage = 4096;
-  constexpr std::size_t kCleanPages = 25000 / kPage;  // pages [0, 6) hold no 'N'
-  const std::string_view clean_text = std::string_view(text).substr(0, kCleanPages * kPage);
+  const std::string_view clean_text = std::string_view(text).substr(0, 24000);
   for (const EngineKind kind : kAllEngineKinds) {
     const auto engine = lower(kind, motifs);
     const ParallelMatcher matcher(*engine, pool);
@@ -239,19 +228,7 @@ TEST(ParallelMatcherErrors, InvalidByteThrowsOnEveryPath) {
       expect_invalid_base([&] { (void)matcher.count(text, 8, policy); }, where + " count");
       expect_invalid_base([&] { (void)matcher.collect(text, 8, out, policy); },
                           where + " collect");
-      // Default prefetch depth: 8 resident pages leave room for a ring of 2.
-      dna::PagedGenome genome = paged(text, kPage, 8);
-      PagedScanOptions options;
-      options.schedule = policy;
-      expect_invalid_base([&] { (void)matcher.count_paged(genome, options); },
-                          where + " count_paged");
-      expect_invalid_base([&] { (void)matcher.collect_paged(genome, out, options); },
-                          where + " collect_paged");
-      // The failed runs released their pins and joined the prefetch thread.
-      options.last_page = kCleanPages;
-      const PagedScanStats stats = matcher.count_paged(genome, options);
-      EXPECT_EQ(stats.prefetch_depth, 2u) << where;
-      EXPECT_EQ(stats.match_count, clean) << where;
+      EXPECT_EQ(matcher.count(clean_text, 8, policy).match_count, clean) << where;
     }
   }
   const auto compiled = compile_motifs({"GC(A)*GC"});
@@ -313,8 +290,6 @@ TEST(ParallelMatcherPlacement, PinnedWorkersScanEvenALoneTicket) {
   const std::vector<std::string> motifs{"GATTACA", "TTT"};
   const std::string text = dna::GenomeGenerator{}.generate(4096, 43);
   const std::uint64_t expected = lower(EngineKind::kCompiledDfa, motifs)->count(text);
-  PagedScanOptions one_ticket;
-  one_ticket.chunks_per_page = 1;
 
   parallel::ThreadPool pinned(2, [](std::size_t) {});
   const RecordingEngine engine(lower(EngineKind::kCompiledDfa, motifs));
@@ -323,9 +298,6 @@ TEST(ParallelMatcherPlacement, PinnedWorkersScanEvenALoneTicket) {
     EXPECT_EQ(matcher.count(text, 1, policy).match_count, expected);
     std::vector<Match> out;
     EXPECT_EQ(matcher.collect(text, 1, out, policy).match_count, expected);
-    dna::PagedGenome genome = paged(text, 4096, 4);
-    one_ticket.schedule = policy;
-    EXPECT_EQ(matcher.count_paged(genome, one_ticket).match_count, expected);
   }
   EXPECT_GT(engine.scans(), 0u);
   EXPECT_EQ(engine.caller_scans(), 0u);
@@ -333,9 +305,8 @@ TEST(ParallelMatcherPlacement, PinnedWorkersScanEvenALoneTicket) {
   parallel::ThreadPool unpinned(2);
   const RecordingEngine free_engine(lower(EngineKind::kCompiledDfa, motifs));
   const ParallelMatcher free_matcher(free_engine, unpinned);
-  dna::PagedGenome genome = paged(text, 4096, 4);
-  one_ticket.schedule = parallel::SchedulePolicy::kDynamic;
-  const PagedScanStats stats = free_matcher.count_paged(genome, one_ticket);
+  const ParallelScanStats stats =
+      free_matcher.count(text, 1, parallel::SchedulePolicy::kDynamic);
   EXPECT_EQ(stats.chunks, 1u);
   EXPECT_EQ(stats.match_count, expected);
   EXPECT_EQ(free_engine.caller_scans(), 1u);

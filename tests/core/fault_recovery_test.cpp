@@ -2,8 +2,8 @@
 // execution runtime: for any armed fault plan short of total fleet loss
 // (and including it: the coordinator's final sweep covers even that), match
 // counts and collected positions must stay byte-identical to the sequential
-// naive oracle, while the failure telemetry records what the recovery
-// machinery actually did. Plus the evaluator's self-healing measure():
+// naive oracle, in memory and paged, while the failure telemetry records
+// what the recovery machinery actually did. Plus the evaluator's self-healing measure():
 // transient measurement faults are retried with backoff, hopeless ones come
 // back marked invalid (infinite seconds) so a tuning session keeps searching.
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include "core/real_workload.hpp"
 #include "core/tuning_session.hpp"
 #include "dna/generator.hpp"
+#include "dna/paged_genome.hpp"
 #include "opt/config_space.hpp"
 #include "util/fault.hpp"
 
@@ -47,6 +48,11 @@ class FaultRecoveryFixture : public ::testing::Test {
     text_ = gen.generate(30000, 17);
     text_.replace(text_.size() / 3 - 4, 8, "ACGTACGT");  // straddles chunk cuts
     text_.replace(text_.size() / 2 - 4, 8, "ACGTACGT");
+    dna::PagedGenomeOptions paged;
+    paged.page_bytes = 2048;    // ~15 pages, several per pool
+    paged.resident_pages = 16;  // covers the largest fleet's 7 workers
+    genome_ = std::make_unique<dna::PagedGenome>(std::make_unique<dna::BufferPageSource>(text_),
+                                                 paged);
     expected_count_ =
         automata::scan_count_naive(*dfa_, text_, dfa_->start()).match_count;
     (void)automata::scan_collect_naive(*dfa_, text_, dfa_->start(), 0, expected_matches_);
@@ -69,9 +75,17 @@ class FaultRecoveryFixture : public ::testing::Test {
 
   std::unique_ptr<automata::DenseDfa> dfa_;
   std::string text_;
+  /// text_ behind a page cache: every parity case runs on both inputs.
+  std::unique_ptr<dna::PagedGenome> genome_;
   std::uint64_t expected_count_ = 0;
   std::vector<automata::Match> expected_matches_;
 };
+
+PagedFleetOptions paged_with(parallel::SchedulePolicy policy) {
+  PagedFleetOptions options;
+  options.schedule = policy;
+  return options;
+}
 
 TEST_F(FaultRecoveryFixture, CountParityHoldsForEveryPlanPoolCountAndPolicy) {
   for (std::size_t pools = 1; pools <= 4; ++pools) {
@@ -79,14 +93,18 @@ TEST_F(FaultRecoveryFixture, CountParityHoldsForEveryPlanPoolCountAndPolicy) {
     exec.set_recovery({0.02, 3});  // fast watchdog keeps the stall runs short
     for (const parallel::SchedulePolicy policy : parallel::kAllSchedulePolicies) {
       for (const std::string& spec : plans_for(pools)) {
-        const util::FaultInjector injector(util::FaultPlan::parse(spec));
-        const ExecutionReport r = exec.run_fleet(text_, equal_shares(pools), policy);
-        EXPECT_EQ(r.total_matches(), expected_count_)
-            << "pools=" << pools << " policy=" << parallel::to_string(policy)
-            << " plan=" << spec;
-        std::size_t bytes = 0;
-        for (const PoolReport& pool : r.pools) bytes += pool.bytes;
-        EXPECT_EQ(bytes, text_.size()) << "plan=" << spec;
+        for (const bool paged : {false, true}) {
+          const util::FaultInjector injector(util::FaultPlan::parse(spec));
+          const ExecutionReport r =
+              paged ? exec.run_fleet_paged(*genome_, equal_shares(pools), paged_with(policy))
+                    : exec.run_fleet(text_, equal_shares(pools), policy);
+          EXPECT_EQ(r.total_matches(), expected_count_)
+              << "pools=" << pools << " policy=" << parallel::to_string(policy)
+              << " plan=" << spec << " paged=" << paged;
+          std::size_t bytes = 0;
+          for (const PoolReport& pool : r.pools) bytes += pool.bytes;
+          EXPECT_EQ(bytes, text_.size()) << "plan=" << spec << " paged=" << paged;
+        }
       }
     }
   }
@@ -98,17 +116,20 @@ TEST_F(FaultRecoveryFixture, CollectedPositionsStayByteIdenticalUnderFaults) {
     exec.set_recovery({0.02, 3});
     for (const parallel::SchedulePolicy policy : parallel::kAllSchedulePolicies) {
       for (const std::string& spec : plans_for(pools)) {
-        const util::FaultInjector injector(util::FaultPlan::parse(spec));
-        std::vector<automata::Match> got;
-        const ExecutionReport r =
-            exec.collect_fleet(text_, equal_shares(pools), policy, got);
-        EXPECT_EQ(r.total_matches(), expected_matches_.size()) << "plan=" << spec;
-        ASSERT_EQ(got.size(), expected_matches_.size())
-            << "pools=" << pools << " policy=" << parallel::to_string(policy)
-            << " plan=" << spec;
-        EXPECT_TRUE(got == expected_matches_)
-            << "pools=" << pools << " policy=" << parallel::to_string(policy)
-            << " plan=" << spec;
+        for (const bool paged : {false, true}) {
+          const util::FaultInjector injector(util::FaultPlan::parse(spec));
+          std::vector<automata::Match> got;
+          const ExecutionReport r =
+              paged ? exec.collect_fleet(*genome_, equal_shares(pools), paged_with(policy), got)
+                    : exec.collect_fleet(text_, equal_shares(pools), policy, got);
+          EXPECT_EQ(r.total_matches(), expected_matches_.size()) << "plan=" << spec;
+          ASSERT_EQ(got.size(), expected_matches_.size())
+              << "pools=" << pools << " policy=" << parallel::to_string(policy)
+              << " plan=" << spec << " paged=" << paged;
+          EXPECT_TRUE(got == expected_matches_)
+              << "pools=" << pools << " policy=" << parallel::to_string(policy)
+              << " plan=" << spec << " paged=" << paged;
+        }
       }
     }
   }

@@ -289,6 +289,24 @@ TEST_F(MultiPoolFixture, FleetReportToStringListsEveryPool) {
   EXPECT_NE(line.find("steals"), std::string::npos) << line;
 }
 
+/// An engine with no synchronization bound and no kernel behind it.
+class UnboundedEngine final : public automata::MatchEngine {
+ public:
+  [[nodiscard]] automata::EngineKind kind() const noexcept override {
+    return automata::EngineKind::kBitap;
+  }
+  [[nodiscard]] std::size_t synchronization_bound() const noexcept override { return 0; }
+  [[nodiscard]] std::size_t pattern_count() const noexcept override { return 1; }
+  [[nodiscard]] std::uint64_t count_chunk(std::string_view, std::size_t,
+                                          std::size_t) const override {
+    return 0;
+  }
+  [[nodiscard]] std::uint64_t collect_chunk(std::string_view, std::size_t, std::size_t,
+                                            std::vector<automata::Match>&) const override {
+    return 0;
+  }
+};
+
 TEST_F(MultiPoolFixture, InvalidFleetsAndSharesAreRejected) {
   const automata::DenseDfa dfa = automata::build_aho_corasick({"ACG"});
   EXPECT_THROW(HeterogeneousExecutor(dfa, std::vector<PoolSpec>{}),
@@ -298,6 +316,9 @@ TEST_F(MultiPoolFixture, InvalidFleetsAndSharesAreRejected) {
   both[0].host_affinity = parallel::HostAffinity::kScatter;
   both[0].device_affinity = parallel::DeviceAffinity::kCompact;
   EXPECT_THROW(HeterogeneousExecutor(dfa, both), std::invalid_argument);
+  // An engine with no synchronization bound and no DFA cannot enter a
+  // chunk exactly.
+  EXPECT_THROW(HeterogeneousExecutor(UnboundedEngine{}, fleet_specs(2)), std::invalid_argument);
   HeterogeneousExecutor exec(dfa, fleet_specs(3));
   const std::string text = gen_.generate(1000, 1);
   EXPECT_THROW((void)exec.run_fleet(text, {50.0, 50.0},

@@ -61,7 +61,7 @@ TEST(PagedFleet, CountsMatchTheInMemoryFleetAndTheOracle) {
   }
 }
 
-TEST(PagedFleet, ConstructedSharesOverloadAndScheduleDegradation) {
+TEST(PagedFleet, ConstructedSharesOverloadAndAdaptiveSchedule) {
   const automata::DenseDfa dfa = automata::build_aho_corasick({"TTT"});
   dna::GenomeGenerator gen;
   const std::string text = gen.generate(100000, 43);
@@ -76,13 +76,13 @@ TEST(PagedFleet, ConstructedSharesOverloadAndScheduleDegradation) {
   dna::PagedGenome genome = paged_of(text, 4096, 16);
   // No-shares overload uses the constructed share_percent values.
   EXPECT_EQ(exec.run_fleet_paged(genome).total_matches(), expected);
-  // kAdaptive has no cross-segment stealing on the paged path; the report
-  // must record the schedule that actually ran.
+  // kAdaptive runs as it does in memory, steals included; the report
+  // records it.
   PagedFleetOptions options;
   options.schedule = parallel::SchedulePolicy::kAdaptive;
   const ExecutionReport report = exec.run_fleet_paged(genome, {50.0, 50.0}, options);
   EXPECT_EQ(report.total_matches(), expected);
-  EXPECT_EQ(report.schedule, parallel::SchedulePolicy::kDynamic);
+  EXPECT_EQ(report.schedule, parallel::SchedulePolicy::kAdaptive);
 }
 
 TEST(PagedFleet, ZeroSharePoolsScanNothing) {
