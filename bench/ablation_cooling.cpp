@@ -1,6 +1,7 @@
 // ABLATION C (not in the paper): sensitivity of SAML to the annealing
 // schedule — initial temperature and accepted-worse statistics — at a fixed
-// 1000-iteration budget.
+// 1000-iteration budget. It calls opt::simulated_annealing directly, not
+// through a TuningSession, because the table reads the annealing trace.
 #include <iostream>
 
 #include "bench/common.hpp"
@@ -12,8 +13,12 @@ int main() {
   const core::TrainingData data = bench::paper_training_data(env);
   const core::PerformancePredictor predictor = bench::trained_predictor(data);
   const core::Workload mouse("mouse", 2770.0);
-  const auto em = core::run_em(env.space, env.machine, mouse);
-  const auto objective = core::prediction_objective(predictor, mouse);
+  const auto em =
+      core::TuningSession::preset(core::Method::kEM, env.machine, env.space).run(mouse);
+  core::PredictionEvaluator prediction(predictor, env.machine);
+  const opt::Objective objective = [&](const opt::SystemConfig& c) {
+    return prediction.evaluate(c, mouse);
+  };
   constexpr std::size_t kIterations = 1000;
   constexpr int kSeeds = 7;
 
@@ -32,9 +37,7 @@ int main() {
         p.max_iterations = kIterations;
         p.seed = static_cast<std::uint64_t>(seed) * 17 + 5;
         const auto r = opt::simulated_annealing(env.space, objective, p);
-        sum += env.machine.measure_combined(
-            mouse.size_mb, r.best.host_percent, r.best.host_threads, r.best.host_affinity,
-            r.best.device_threads, r.best.device_affinity);
+        sum += prediction.score(r.best, mouse);
         worse += static_cast<double>(r.accepted_worse);
       }
       table.row({bench::num(t0, 1), bench::num(tmin, 4),

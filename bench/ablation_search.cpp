@@ -4,15 +4,24 @@
 #include <iostream>
 
 #include "bench/common.hpp"
-#include "opt/baselines.hpp"
-#include "opt/genetic.hpp"
 
 int main() {
   using namespace hetopt;
   const bench::Env env;
   const core::Workload human("human", 3170.0);
-  const auto em = core::run_em(env.space, env.machine, human);
-  const auto objective = core::measurement_objective(env.machine, human);
+  const auto em =
+      core::TuningSession::preset(core::Method::kEM, env.machine, env.space).run(human);
+  const auto measurement = std::make_shared<core::MeasurementEvaluator>(env.machine);
+  // Best energy one strategy finds within `budget` measurements.
+  const auto best = [&](std::shared_ptr<opt::SearchStrategy> strategy, std::size_t budget,
+                        std::uint64_t seed) {
+    core::TuningSession session(env.space);
+    session.with_strategy(std::move(strategy))
+        .with_evaluator(measurement)
+        .with_budget(budget)
+        .with_seed(seed);
+    return session.run(human).search_energy;
+  };
   constexpr int kSeeds = 7;
 
   util::Table table("Ablation A: search strategies on the 19926-point space (human)");
@@ -25,15 +34,13 @@ int main() {
     double hc_sum = 0.0;
     for (int seed = 0; seed < kSeeds; ++seed) {
       const auto u = static_cast<std::uint64_t>(seed);
-      sa_sum += core::run_sam(env.space, env.machine, human,
-                              core::sa_params_for_iterations(budget, u * 71 + 1))
+      sa_sum += core::TuningSession::preset(core::Method::kSAM, env.machine, env.space,
+                                            nullptr, budget, u * 71 + 1)
+                    .run(human)
                     .measured_time;
-      opt::GaParams ga;
-      ga.max_evaluations = budget;
-      ga.seed = u * 71 + 4;
-      ga_sum += opt::genetic_algorithm(env.space, objective, ga).best_energy;
-      rs_sum += opt::random_search(env.space, objective, budget, u * 71 + 2).best_energy;
-      hc_sum += opt::hill_climbing(env.space, objective, budget, u * 71 + 3).best_energy;
+      ga_sum += best(std::make_shared<opt::GeneticSearch>(), budget, u * 71 + 4);
+      rs_sum += best(std::make_shared<opt::RandomSearch>(), budget, u * 71 + 2);
+      hc_sum += best(std::make_shared<opt::HillClimbingSearch>(), budget, u * 71 + 3);
     }
     const auto pct = [&](double sum) {
       return bench::num(100.0 * (sum / kSeeds - em.measured_time) / em.measured_time, 2);

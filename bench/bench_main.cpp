@@ -1315,7 +1315,9 @@ int main(int argc, char** argv) {
   // the live code picked, both executed for real. The simulated winner's
   // 48/240-thread configuration is snapped onto the real space first.
   {
-    const auto em_sim = core::run_em(opt::ConfigSpace::paper(), machine, workload);
+    const auto em_sim =
+        core::TuningSession::preset(core::Method::kEM, machine, opt::ConfigSpace::paper())
+            .run(workload);
     const opt::SystemConfig clamped = clamp_to_space(real_space, em_sim.config);
     const core::RealMeasurement sim_on_real = real_eval->measure(clamped, workload);
     // The EM-real winner was already measured for its table2_real row; reuse

@@ -14,8 +14,11 @@ int main() {
   constexpr int kSeeds = 5;
 
   for (const auto& workload : env.workloads()) {
-    const auto em = core::run_em(env.space, env.machine, workload);
-    const auto eml = core::run_eml(env.space, env.machine, workload, predictor);
+    const auto em = core::TuningSession::preset(core::Method::kEM, env.machine, env.space)
+                        .run(workload);
+    const auto eml =
+        core::TuningSession::preset(core::Method::kEML, env.machine, env.space, &predictor)
+            .run(workload);
 
     util::Table table("Fig 9: convergence for the sequence of " + workload.name);
     table.header({"Iterations", "SAML [s]", "SAM [s]", "EM [s]", "EML [s]"});
@@ -23,11 +26,15 @@ int main() {
       double saml_sum = 0.0;
       double sam_sum = 0.0;
       for (int seed = 0; seed < kSeeds; ++seed) {
-        const auto sa = core::sa_params_for_iterations(
-            budget, static_cast<std::uint64_t>(seed) * 131 + budget);
-        saml_sum +=
-            core::run_saml(env.space, env.machine, workload, predictor, sa).measured_time;
-        sam_sum += core::run_sam(env.space, env.machine, workload, sa).measured_time;
+        const std::uint64_t sa_seed = static_cast<std::uint64_t>(seed) * 131 + budget;
+        saml_sum += core::TuningSession::preset(core::Method::kSAML, env.machine, env.space,
+                                                &predictor, budget, sa_seed)
+                        .run(workload)
+                        .measured_time;
+        sam_sum += core::TuningSession::preset(core::Method::kSAM, env.machine, env.space,
+                                               nullptr, budget, sa_seed)
+                       .run(workload)
+                       .measured_time;
       }
       table.row({std::to_string(budget), bench::num(saml_sum / kSeeds),
                  bench::num(sam_sum / kSeeds), bench::num(em.measured_time),

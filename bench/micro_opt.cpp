@@ -4,8 +4,6 @@
 #include <benchmark/benchmark.h>
 
 #include "core/methods.hpp"
-#include "opt/enumeration.hpp"
-#include "opt/simulated_annealing.hpp"
 #include "sim/machine.hpp"
 
 namespace {
@@ -30,8 +28,10 @@ void BM_SimulatedAnnealingRun(benchmark::State& state) {
   const auto iterations = static_cast<std::size_t>(state.range(0));
   std::uint64_t seed = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::run_sam(
-        space, machine, human, core::sa_params_for_iterations(iterations, ++seed)));
+    benchmark::DoNotOptimize(
+        core::TuningSession::preset(core::Method::kSAM, machine, space, nullptr, iterations,
+                                    ++seed)
+            .run(human));
   }
 }
 BENCHMARK(BM_SimulatedAnnealingRun)->Arg(250)->Arg(1000)->Arg(2000);
@@ -41,7 +41,8 @@ void BM_FullEnumeration(benchmark::State& state) {
   const opt::ConfigSpace space = opt::ConfigSpace::paper();
   const core::Workload human("human", 3170.0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::run_em(space, machine, human));
+    benchmark::DoNotOptimize(
+        core::TuningSession::preset(core::Method::kEM, machine, space).run(human));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(space.size()));

@@ -18,15 +18,17 @@ int main() {
   std::vector<std::string> names;
 
   for (const auto& workload : env.workloads()) {
-    const auto em = core::run_em(env.space, env.machine, workload);
+    const auto em = core::TuningSession::preset(core::Method::kEM, env.machine, env.space)
+                        .run(workload);
     std::vector<double> abs_row;
     std::vector<double> pct_row;
     for (const std::size_t budget : budgets) {
       double sum = 0.0;
       for (int seed = 0; seed < kSeeds; ++seed) {
-        const auto sa = core::sa_params_for_iterations(
-            budget, static_cast<std::uint64_t>(seed) * 131 + budget);
-        sum += core::run_saml(env.space, env.machine, workload, predictor, sa)
+        sum += core::TuningSession::preset(core::Method::kSAML, env.machine, env.space,
+                                           &predictor, budget,
+                                           static_cast<std::uint64_t>(seed) * 131 + budget)
+                   .run(workload)
                    .measured_time;
       }
       const double t_saml = sum / kSeeds;

@@ -23,7 +23,8 @@ int main() {
   }
 
   for (const auto& workload : env.workloads()) {
-    const auto em = core::run_em(env.space, env.machine, workload);
+    const auto em = core::TuningSession::preset(core::Method::kEM, env.machine, env.space)
+                        .run(workload);
     const auto host_only = core::host_only_baseline(env.space, env.machine, workload);
     const auto device_only = core::device_only_baseline(env.space, env.machine, workload);
 
@@ -32,9 +33,10 @@ int main() {
     for (const std::size_t budget : budgets) {
       double sum = 0.0;
       for (int seed = 0; seed < kSeeds; ++seed) {
-        const auto sa = core::sa_params_for_iterations(
-            budget, static_cast<std::uint64_t>(seed) * 131 + budget);
-        sum += core::run_saml(env.space, env.machine, workload, predictor, sa)
+        sum += core::TuningSession::preset(core::Method::kSAML, env.machine, env.space,
+                                           &predictor, budget,
+                                           static_cast<std::uint64_t>(seed) * 131 + budget)
+                   .run(workload)
                    .measured_time;
       }
       const double t_saml = sum / kSeeds;

@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
     reports.push_back(std::move(r));
   }
   // ...plus the strategies the old Method enum could not reach, through the
-  // same session API (picked from the registry by name).
+  // same session API (picked by name).
   for (const char* name : {"genetic", "random"}) {
     core::TuningSession session(space);
     session.with_strategy(name)

@@ -38,8 +38,8 @@ int main(int argc, char** argv) {
   core::TuningSession session =
       core::TuningSession::preset(core::Method::kSAML, machine, space, &predictor, iterations);
   const core::SessionReport result = session.run(workload);
-  const core::MethodResult host_only = core::host_only_baseline(space, machine, workload);
-  const core::MethodResult device_only = core::device_only_baseline(space, machine, workload);
+  const core::SessionReport host_only = core::host_only_baseline(space, machine, workload);
+  const core::SessionReport device_only = core::device_only_baseline(space, machine, workload);
 
   std::cout << "Workload: " << workload.name << " (" << workload.size_mb << " MB)\n"
             << result.strategy << " x " << result.evaluator << " recommendation after "

@@ -18,10 +18,11 @@
 //             plus the 1-host + K-device MultiDeviceMachine
 //   ml        datasets, boosted trees, linear/Poisson baselines, metrics
 //   opt       configuration space, SearchStrategy implementations
-//             (exhaustive / random / annealing / genetic)
+//             (exhaustive / random / annealing / genetic / hill climbing)
 //   core      training sweep, predictor, Evaluator backends (measurement /
-//             prediction / multi-device / real-workload), TuningSession,
-//             strategy registry, Table II method presets
+//             prediction / multi-device / real-workload), TuningSession —
+//             the one way a search runs — with the Table II method presets
+//             and the §IV-D one-sided baselines
 #pragma once
 
 #include "core/evaluator.hpp"           // IWYU pragma: export
@@ -30,7 +31,6 @@
 #include "core/methods.hpp"             // IWYU pragma: export
 #include "core/predictor.hpp"           // IWYU pragma: export
 #include "core/real_workload.hpp"       // IWYU pragma: export
-#include "core/strategy_registry.hpp"   // IWYU pragma: export
 #include "core/training.hpp"            // IWYU pragma: export
 #include "core/tuning_session.hpp"      // IWYU pragma: export
 #include "core/workload.hpp"            // IWYU pragma: export

@@ -1,11 +1,6 @@
 #include "core/methods.hpp"
 
-#include <memory>
-#include <stdexcept>
-
-#include "core/evaluator.hpp"
-#include "core/tuning_session.hpp"
-#include "opt/strategy.hpp"
+#include <vector>
 
 namespace hetopt::core {
 
@@ -19,130 +14,30 @@ std::string_view to_string(Method m) noexcept {
   return "?";
 }
 
-opt::Objective measurement_objective(const sim::Machine& machine, const Workload& workload,
-                                     bool fresh_noise) {
-  // Repetition 0 is the scoring/enumeration stream; the training sweep uses
-  // 1; live re-measurements during an SA search start at 2.
-  auto counter = std::make_shared<std::uint64_t>(1);
-  return [&machine, workload, fresh_noise, counter](const opt::SystemConfig& c) {
-    const std::uint64_t repetition = fresh_noise ? ++*counter : 0;
-    return machine.measure_combined(workload.size_mb, c.host_percent, c.host_threads,
-                                    c.host_affinity, c.device_threads, c.device_affinity,
-                                    repetition);
-  };
-}
-
-opt::Objective prediction_objective(const PerformancePredictor& predictor,
-                                    const Workload& workload) {
-  if (!predictor.trained()) {
-    throw std::logic_error("prediction_objective: predictor not trained");
-  }
-  return [&predictor, workload](const opt::SystemConfig& c) {
-    return predictor.predict_combined(c, workload.size_mb);
-  };
-}
-
-// The four methods are thin presets over the Strategy x Evaluator core:
-// EM/EML enumerate, SAM/SAML anneal; EM/SAM evaluate by measurement, EML/SAML
-// by prediction. TuningSession::run re-scores every winner by measurement,
-// which for the measurement-backed methods re-reads the repetition-0
-// experiment the search already logged — so results are bit-identical to the
-// historical direct implementations.
-
-MethodResult run_em(const opt::ConfigSpace& space, const sim::Machine& machine,
-                    const Workload& workload) {
-  TuningSession session = TuningSession::preset(Method::kEM, machine, space);
-  return to_method_result(session.run(workload), Method::kEM);
-}
-
-MethodResult run_eml(const opt::ConfigSpace& space, const sim::Machine& machine,
-                     const Workload& workload, const PerformancePredictor& predictor) {
-  TuningSession session = TuningSession::preset(Method::kEML, machine, space, &predictor);
-  return to_method_result(session.run(workload), Method::kEML);
-}
-
-MethodResult run_sam(const opt::ConfigSpace& space, const sim::Machine& machine,
-                     const Workload& workload, const opt::SaParams& sa) {
-  // SAM measures on the same one-experiment-per-configuration stream as EM
-  // (re-running an already-logged experiment would be wasted effort), so its
-  // best-so-far is a subset-minimum of EM's stream: always >= EM's optimum
-  // and decreasing in the iteration budget — exactly Fig. 9's SAM curve.
-  TuningSession session(space);
-  session.with_strategy(std::make_shared<opt::AnnealingSearch>(sa))
-      .with_evaluator(std::make_shared<MeasurementEvaluator>(machine))
-      .with_seed(sa.seed);
-  return to_method_result(session.run(workload), Method::kSAM);
-}
-
-MethodResult run_saml(const opt::ConfigSpace& space, const sim::Machine& machine,
-                      const Workload& workload, const PerformancePredictor& predictor,
-                      const opt::SaParams& sa) {
-  TuningSession session(space);
-  session.with_strategy(std::make_shared<opt::AnnealingSearch>(sa))
-      .with_evaluator(std::make_shared<PredictionEvaluator>(predictor, machine))
-      .with_seed(sa.seed);
-  return to_method_result(session.run(workload), Method::kSAML);
-}
-
-opt::SaParams sa_params_for_iterations(std::size_t iterations, std::uint64_t seed) {
-  return opt::AnnealingSearch::schedule(iterations, seed);
-}
-
 namespace {
 
-[[nodiscard]] MethodResult one_sided_baseline(const opt::ConfigSpace& space,
-                                              const sim::Machine& machine,
-                                              const Workload& workload, bool host_side) {
-  // Fix the fraction to 100 (host-only) or 0 (device-only) and the busy
-  // side's thread count to its maximum; measure all affinities of the busy
-  // side. The idle side's parameters are irrelevant (zero bytes).
-  MethodResult r;
-  r.method = Method::kEM;
-  bool first = true;
-  opt::SystemConfig c;
-  c.host_threads = space.host_threads().back();
-  c.device_threads = space.device_threads().back();
-  c.host_percent = host_side ? 100.0 : 0.0;
-  if (host_side) {
-    for (parallel::HostAffinity a : space.host_affinities()) {
-      c.host_affinity = a;
-      const double t = machine.measure_combined(workload.size_mb, c.host_percent,
-                                                c.host_threads, c.host_affinity,
-                                                c.device_threads, c.device_affinity);
-      ++r.evaluations;
-      if (first || t < r.measured_time) {
-        first = false;
-        r.measured_time = t;
-        r.config = c;
-      }
-    }
-  } else {
-    for (parallel::DeviceAffinity a : space.device_affinities()) {
-      c.device_affinity = a;
-      const double t = machine.measure_combined(workload.size_mb, c.host_percent,
-                                                c.host_threads, c.host_affinity,
-                                                c.device_threads, c.device_affinity);
-      ++r.evaluations;
-      if (first || t < r.measured_time) {
-        first = false;
-        r.measured_time = t;
-        r.config = c;
-      }
-    }
-  }
-  r.search_energy = r.measured_time;
-  return r;
+[[nodiscard]] SessionReport one_sided_baseline(const opt::ConfigSpace& space,
+                                               const sim::Machine& machine,
+                                               const Workload& workload, bool host_side) {
+  const opt::SystemConfig idle;
+  const opt::ConfigSpace one_sided(
+      {space.host_threads().back()},
+      host_side ? space.host_affinities() : std::vector{idle.host_affinity},
+      {space.device_threads().back()},
+      host_side ? std::vector{idle.device_affinity} : space.device_affinities(),
+      {host_side ? 100.0 : 0.0});
+  return TuningSession::preset(Method::kEM, machine, one_sided).run(workload);
 }
 
 }  // namespace
 
-MethodResult host_only_baseline(const opt::ConfigSpace& space, const sim::Machine& machine,
-                                const Workload& workload) {
+SessionReport host_only_baseline(const opt::ConfigSpace& space, const sim::Machine& machine,
+                                 const Workload& workload) {
   return one_sided_baseline(space, machine, workload, /*host_side=*/true);
 }
 
-MethodResult device_only_baseline(const opt::ConfigSpace& space, const sim::Machine& machine,
-                                  const Workload& workload) {
+SessionReport device_only_baseline(const opt::ConfigSpace& space, const sim::Machine& machine,
+                                   const Workload& workload) {
   return one_sided_baseline(space, machine, workload, /*host_side=*/false);
 }
 

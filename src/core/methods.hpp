@@ -4,25 +4,17 @@
 //   SAM   Simulated Annealing  + Measurements
 //   SAML  Simulated Annealing  + Machine Learning
 //
-// Methods that search with ML predictions are nevertheless *scored* with a
-// measurement of the winning configuration ("for fair comparison we use the
-// measured values", §IV-C) — which is why EML can end up worse than SAM in
-// Fig. 9.
-//
-// Since the Strategy x Evaluator redesign these are thin presets over
-// core::TuningSession (see tuning_session.hpp): the Method enum and the
-// run_* functions keep their historical signatures and bit-identical results,
-// while new combinations (GeneticSearch, RandomSearch, multi-device
-// evaluation) compose through the session API directly.
+// Each is a TuningSession::preset (tuning_session.hpp). Methods that search
+// with ML predictions are nevertheless *scored* with a measurement of the
+// winning configuration ("for fair comparison we use the measured values",
+// §IV-C) — which is why EML can end up worse than SAM in Fig. 9.
 #pragma once
 
-#include <cstdint>
 #include <string_view>
 
-#include "core/predictor.hpp"
+#include "core/tuning_session.hpp"
 #include "core/workload.hpp"
 #include "opt/config_space.hpp"
-#include "opt/simulated_annealing.hpp"
 #include "sim/machine.hpp"
 
 namespace hetopt::core {
@@ -31,51 +23,15 @@ enum class Method { kEM, kEML, kSAM, kSAML };
 
 [[nodiscard]] std::string_view to_string(Method m) noexcept;
 
-struct MethodResult {
-  Method method = Method::kEM;
-  opt::SystemConfig config;      // the suggested configuration
-  double measured_time = 0.0;    // measured execution time of `config` (score)
-  double search_energy = 0.0;    // energy the search itself saw (may be predicted)
-  std::size_t evaluations = 0;   // experiments / predictions performed
-};
-
-/// Objective factories. With `fresh_noise` every evaluation is a separate
-/// "run" of the application (a fresh noise draw) — what SAM actually does on
-/// real hardware; without it, repeated evaluations of a configuration return
-/// the same measurement (the enumeration protocol: one experiment per
-/// configuration).
-[[nodiscard]] opt::Objective measurement_objective(const sim::Machine& machine,
-                                                   const Workload& workload,
-                                                   bool fresh_noise = false);
-[[nodiscard]] opt::Objective prediction_objective(const PerformancePredictor& predictor,
-                                                  const Workload& workload);
-
-[[nodiscard]] MethodResult run_em(const opt::ConfigSpace& space, const sim::Machine& machine,
-                                  const Workload& workload);
-[[nodiscard]] MethodResult run_eml(const opt::ConfigSpace& space, const sim::Machine& machine,
-                                   const Workload& workload,
-                                   const PerformancePredictor& predictor);
-[[nodiscard]] MethodResult run_sam(const opt::ConfigSpace& space, const sim::Machine& machine,
-                                   const Workload& workload, const opt::SaParams& sa);
-[[nodiscard]] MethodResult run_saml(const opt::ConfigSpace& space, const sim::Machine& machine,
-                                    const Workload& workload,
-                                    const PerformancePredictor& predictor,
-                                    const opt::SaParams& sa);
-
-/// SA parameters tuned so the schedule spends exactly `iterations` steps
-/// (the x-axis of Fig. 9 / Tables VI-IX).
-[[nodiscard]] opt::SaParams sa_params_for_iterations(std::size_t iterations,
-                                                     std::uint64_t seed);
-
-/// Baselines of §IV-D: best configuration that uses only the host
-/// (fraction 100, host threads maxed) or only the device (fraction 0).
-/// "Host-only (48 threads)" means the thread axis is fixed to its maximum;
-/// the affinity axis is optimized by measurement.
-[[nodiscard]] MethodResult host_only_baseline(const opt::ConfigSpace& space,
-                                              const sim::Machine& machine,
-                                              const Workload& workload);
-[[nodiscard]] MethodResult device_only_baseline(const opt::ConfigSpace& space,
-                                                const sim::Machine& machine,
-                                                const Workload& workload);
+/// Baselines of §IV-D: the EM preset over the one-sided part of `space` —
+/// fraction 100 (host-only) or 0 (device-only), the busy side's thread axis
+/// fixed to its maximum ("host-only (48 threads)") and its affinity axis
+/// enumerated; the idle side keeps its SystemConfig defaults.
+[[nodiscard]] SessionReport host_only_baseline(const opt::ConfigSpace& space,
+                                               const sim::Machine& machine,
+                                               const Workload& workload);
+[[nodiscard]] SessionReport device_only_baseline(const opt::ConfigSpace& space,
+                                                 const sim::Machine& machine,
+                                                 const Workload& workload);
 
 }  // namespace hetopt::core

@@ -3,7 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/strategy_registry.hpp"
+#include "core/methods.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace hetopt::core {
@@ -17,7 +17,12 @@ TuningSession& TuningSession::with_strategy(std::shared_ptr<opt::SearchStrategy>
 }
 
 TuningSession& TuningSession::with_strategy(std::string_view name) {
-  return with_strategy(make_strategy(name));
+  if (name == "annealing") return with_strategy(std::make_shared<opt::AnnealingSearch>());
+  if (name == "exhaustive") return with_strategy(std::make_shared<opt::ExhaustiveSearch>());
+  if (name == "genetic") return with_strategy(std::make_shared<opt::GeneticSearch>());
+  if (name == "random") return with_strategy(std::make_shared<opt::RandomSearch>());
+  throw std::invalid_argument("TuningSession: unknown strategy \"" + std::string(name) +
+                              "\"; available: annealing exhaustive genetic random");
 }
 
 TuningSession& TuningSession::with_evaluator(std::shared_ptr<Evaluator> evaluator) {
@@ -82,8 +87,8 @@ TuningSession TuningSession::preset(Method method, const sim::Machine& machine,
       break;
     case Method::kSAM:
     case Method::kSAML:
-      session.with_strategy(
-          std::make_shared<opt::AnnealingSearch>(sa_params_for_iterations(sa_iterations, seed)));
+      session.with_strategy(std::make_shared<opt::AnnealingSearch>(
+          opt::AnnealingSearch::schedule(sa_iterations, seed)));
       session.with_budget(sa_iterations + 1);
       break;
   }
@@ -108,16 +113,6 @@ TuningSession TuningSession::preset(Method method, const sim::Machine& machine,
     throw std::logic_error("TuningSession: unknown method");
   }
   return session;
-}
-
-MethodResult to_method_result(const SessionReport& report, Method method) {
-  MethodResult r;
-  r.method = method;
-  r.config = report.config;
-  r.measured_time = report.measured_time;
-  r.search_energy = report.search_energy;
-  r.evaluations = report.evaluations;
-  return r;
 }
 
 }  // namespace hetopt::core

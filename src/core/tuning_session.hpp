@@ -1,17 +1,17 @@
-// TuningSession: the composable successor of the four hardwired methods.
-// Pick any opt::SearchStrategy, any core::Evaluator, a budget and a seed;
-// run() searches, then re-scores the winner with a measurement (the §IV-C
-// protocol). The paper's Table II methods are the four presets
+// TuningSession: the one way a search runs. Pick any opt::SearchStrategy,
+// any core::Evaluator, a budget and a seed; run() searches, then re-scores
+// the winner with a measurement (the §IV-C protocol). The paper's Table II
+// methods (core/methods.hpp) are the four presets
 //
 //   EM   = ExhaustiveSearch x MeasurementEvaluator
 //   EML  = ExhaustiveSearch x PredictionEvaluator
 //   SAM  = AnnealingSearch  x MeasurementEvaluator
 //   SAML = AnnealingSearch  x PredictionEvaluator
 //
-// and the presets reproduce the legacy run_em/run_eml/run_sam/run_saml
-// results bit-for-bit at a fixed seed. GeneticSearch, RandomSearch and the
-// MultiDeviceMeasurementEvaluator (1 host + K accelerators) compose the same
-// way — that is the point of the redesign.
+// and the §IV-D host-only/device-only baselines are EM presets over a
+// one-sided sub-space. GeneticSearch, RandomSearch, HillClimbingSearch and
+// the MultiDeviceMeasurementEvaluator (1 host + K accelerators) compose the
+// same way.
 //
 //   core::TuningSession session(space);
 //   session.with_strategy("genetic")
@@ -27,7 +27,6 @@
 #include <string_view>
 
 #include "core/evaluator.hpp"
-#include "core/methods.hpp"
 #include "opt/config_space.hpp"
 #include "opt/strategy.hpp"
 
@@ -36,6 +35,8 @@ class ThreadPool;
 }
 
 namespace hetopt::core {
+
+enum class Method;  // core/methods.hpp
 
 struct SessionReport {
   std::string strategy;         // strategy name ("exhaustive", "genetic", ...)
@@ -51,7 +52,9 @@ class TuningSession {
   explicit TuningSession(opt::ConfigSpace space);
 
   TuningSession& with_strategy(std::shared_ptr<opt::SearchStrategy> strategy);
-  /// Registry lookup ("exhaustive", "random", "annealing", "genetic").
+  /// A default-constructed built-in by name: "exhaustive", "random",
+  /// "annealing" or "genetic". Throws std::invalid_argument for any other
+  /// name; the message lists the four.
   TuningSession& with_strategy(std::string_view name);
   TuningSession& with_evaluator(std::shared_ptr<Evaluator> evaluator);
   TuningSession& with_budget(std::size_t max_evaluations);
@@ -69,8 +72,9 @@ class TuningSession {
   [[nodiscard]] const Evaluator* evaluator() const noexcept { return evaluator_.get(); }
   [[nodiscard]] const opt::SearchBudget& budget() const noexcept { return budget_; }
 
-  /// The Table II methods as sessions. EML/SAML require a trained
-  /// `predictor`; `sa_iterations` is the annealing budget (Fig. 9's x-axis).
+  /// The Table II methods as sessions (the enumerators are in
+  /// core/methods.hpp). EML/SAML require a trained `predictor`;
+  /// `sa_iterations` is the annealing budget (Fig. 9's x-axis).
   [[nodiscard]] static TuningSession preset(Method method, const sim::Machine& machine,
                                             opt::ConfigSpace space,
                                             const PerformancePredictor* predictor = nullptr,
@@ -84,8 +88,5 @@ class TuningSession {
   std::shared_ptr<parallel::ThreadPool> pool_;
   opt::SearchBudget budget_;
 };
-
-/// Squeezes a report into the legacy MethodResult shape (the four presets).
-[[nodiscard]] MethodResult to_method_result(const SessionReport& report, Method method);
 
 }  // namespace hetopt::core

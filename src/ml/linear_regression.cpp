@@ -11,25 +11,40 @@ namespace {
 
 /// Builds the (weighted) normal equations X^T W X beta = X^T W z with an
 /// implicit leading intercept column and ridge term on the non-intercept
-/// diagonal.
+/// diagonal. A feature that is constant over the rows is collinear with the
+/// intercept, so it stays out of the system: its coefficient is 0 and the
+/// intercept absorbs it.
 std::vector<double> weighted_least_squares(const Dataset& data,
                                            const std::vector<double>& w,
                                            const std::vector<double>& z, double lambda) {
-  const std::size_t k = data.feature_count() + 1;  // + intercept
+  std::vector<std::size_t> columns;  // the features that vary
+  for (std::size_t j = 0; j < data.feature_count(); ++j) {
+    for (std::size_t i = 1; i < data.size(); ++i) {
+      if (data.row(i)[j] != data.row(0)[j]) {
+        columns.push_back(j);
+        break;
+      }
+    }
+  }
+  const std::size_t k = columns.size() + 1;  // + intercept
   Matrix xtx(k, k, 0.0);
   std::vector<double> xtz(k, 0.0);
   std::vector<double> xi(k, 0.0);
   for (std::size_t i = 0; i < data.size(); ++i) {
     xi[0] = 1.0;
     const auto row = data.row(i);
-    for (std::size_t j = 0; j < row.size(); ++j) xi[j + 1] = row[j];
+    for (std::size_t c = 0; c < columns.size(); ++c) xi[c + 1] = row[columns[c]];
     for (std::size_t a = 0; a < k; ++a) {
       for (std::size_t b = 0; b < k; ++b) xtx.at(a, b) += w[i] * xi[a] * xi[b];
       xtz[a] += w[i] * xi[a] * z[i];
     }
   }
   for (std::size_t a = 1; a < k; ++a) xtx.at(a, a) += lambda;
-  return solve(std::move(xtx), std::move(xtz));
+  const std::vector<double> solved = solve(std::move(xtx), std::move(xtz));
+  std::vector<double> coef(data.feature_count() + 1, 0.0);
+  coef[0] = solved[0];
+  for (std::size_t c = 0; c < columns.size(); ++c) coef[columns[c] + 1] = solved[c + 1];
+  return coef;
 }
 
 double dot_with_intercept(const std::vector<double>& coef, std::span<const double> x) {

@@ -62,6 +62,15 @@ Normalizer load_normalizer(std::istream& is) {
   expect_magic(is, kNormalizerMagic);
   const auto k = read_value<std::size_t>(is, "feature count");
   if (k == 0 || k > 1'000'000) fail("implausible normalizer feature count");
+  // Read the ranges before building anything sized by `k`, so a file that
+  // claims many features but holds few allocates only what it holds.
+  std::vector<double> lo;
+  std::vector<double> hi;
+  for (std::size_t j = 0; j < k; ++j) {
+    lo.push_back(read_value<double>(is, "min"));
+    hi.push_back(read_value<double>(is, "max"));
+    if (hi[j] < lo[j]) fail("normalizer max < min");
+  }
   // Rebuild through fit() on a synthetic two-row dataset carrying the ranges
   // (keeps Normalizer's invariants in one place).
   std::vector<std::string> names(k);
@@ -70,13 +79,6 @@ Normalizer load_normalizer(std::istream& is) {
     names[j].insert(names[j].begin(), 'f');
   }
   Dataset d(names);
-  std::vector<double> lo(k);
-  std::vector<double> hi(k);
-  for (std::size_t j = 0; j < k; ++j) {
-    lo[j] = read_value<double>(is, "min");
-    hi[j] = read_value<double>(is, "max");
-    if (hi[j] < lo[j]) fail("normalizer max < min");
-  }
   d.add(lo, 0.0);
   d.add(hi, 0.0);
   Normalizer n;
@@ -127,13 +129,15 @@ BoostedTreesRegressor load_boosted_trees(std::istream& is) {
   if (feature_count == 0 || feature_count > 1'000'000) fail("implausible feature count");
   if (tree_count > 1'000'000) fail("implausible tree count");
 
+  // Trees and nodes grow as they are read, so a file that claims more than
+  // it holds allocates only what it holds.
   std::vector<RegressionTree> trees;
-  trees.reserve(tree_count);
   for (std::size_t t = 0; t < tree_count; ++t) {
     const auto node_count = read_value<std::size_t>(is, "node count");
     if (node_count == 0 || node_count > 10'000'000) fail("implausible node count");
-    std::vector<RegressionTree::ExportedNode> nodes(node_count);
-    for (auto& n : nodes) {
+    std::vector<RegressionTree::ExportedNode> nodes;
+    for (std::size_t i = 0; i < node_count; ++i) {
+      RegressionTree::ExportedNode& n = nodes.emplace_back();
       n.feature = read_value<std::int32_t>(is, "feature");
       n.threshold = read_value<double>(is, "threshold");
       n.left = read_value<std::int32_t>(is, "left");

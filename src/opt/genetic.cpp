@@ -13,16 +13,25 @@ struct Individual {
   double energy = 0.0;
 };
 
-/// Per-axis uniform crossover: each of the five parameters comes from one
-/// parent chosen by a fair coin.
+/// Per-axis uniform crossover: each axis comes from one parent chosen by a
+/// fair coin. The extension axes (engine, schedule, device count) draw their
+/// coin only when the parents differ, so on the paper's space, where they
+/// never do, the random stream is that of the five Table I axes alone.
 [[nodiscard]] SystemConfig crossover(const SystemConfig& a, const SystemConfig& b,
                                      util::Xoshiro256& rng) {
+  const auto coin = [&rng](const auto& x, const auto& y) { return rng.bernoulli(0.5) ? x : y; };
+  const auto coin_if_differ = [&coin](const auto& x, const auto& y) {
+    return x == y ? x : coin(x, y);
+  };
   SystemConfig child;
-  child.host_threads = rng.bernoulli(0.5) ? a.host_threads : b.host_threads;
-  child.host_affinity = rng.bernoulli(0.5) ? a.host_affinity : b.host_affinity;
-  child.device_threads = rng.bernoulli(0.5) ? a.device_threads : b.device_threads;
-  child.device_affinity = rng.bernoulli(0.5) ? a.device_affinity : b.device_affinity;
-  child.host_percent = rng.bernoulli(0.5) ? a.host_percent : b.host_percent;
+  child.host_threads = coin(a.host_threads, b.host_threads);
+  child.host_affinity = coin(a.host_affinity, b.host_affinity);
+  child.device_threads = coin(a.device_threads, b.device_threads);
+  child.device_affinity = coin(a.device_affinity, b.device_affinity);
+  child.host_percent = coin(a.host_percent, b.host_percent);
+  child.engine = coin_if_differ(a.engine, b.engine);
+  child.schedule = coin_if_differ(a.schedule, b.schedule);
+  child.device_count = coin_if_differ(a.device_count, b.device_count);
   return child;
 }
 
@@ -111,18 +120,6 @@ GaResult genetic_algorithm(const ConfigSpace& space, const BatchObjective& objec
 
   result.evaluations = evaluations;
   return result;
-}
-
-GaResult genetic_algorithm(const ConfigSpace& space, const Objective& objective,
-                           const GaParams& params) {
-  if (!objective) throw std::invalid_argument("genetic_algorithm: null objective");
-  const BatchObjective batched = [&objective](const std::vector<SystemConfig>& configs) {
-    std::vector<double> energies;
-    energies.reserve(configs.size());
-    for (const SystemConfig& c : configs) energies.push_back(objective(c));
-    return energies;
-  };
-  return genetic_algorithm(space, batched, params);
 }
 
 }  // namespace hetopt::opt

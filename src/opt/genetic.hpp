@@ -5,7 +5,8 @@
 //
 // Standard generational GA: tournament selection, per-axis uniform
 // crossover, neighbourhood mutation, elitism. The evaluation budget (number
-// of objective calls) is the comparison currency, as everywhere else.
+// of objective calls) is the comparison currency, as everywhere else. Runs
+// go through opt::GeneticSearch (opt/strategy.hpp) and core::TuningSession.
 #pragma once
 
 #include <cstdint>
@@ -33,15 +34,9 @@ struct GaResult {
   std::size_t evaluations = 0;
 };
 
-[[nodiscard]] GaResult genetic_algorithm(const ConfigSpace& space,
-                                         const Objective& objective,
-                                         const GaParams& params = {});
-
-/// Batch form: each generation's offspring are produced first (consuming the
-/// RNG in exactly the same order as the serial form, since evaluation never
-/// draws from it) and then evaluated in one batch-objective call, so a
-/// concurrent backend can score a whole population in parallel. Bit-identical
-/// results to the serial overload for any objective.
+/// Each generation's offspring are produced first (evaluation never draws
+/// from the RNG) and then evaluated in one batch-objective call, so a
+/// concurrent backend can score a whole population in parallel.
 [[nodiscard]] GaResult genetic_algorithm(const ConfigSpace& space,
                                          const BatchObjective& objective,
                                          const GaParams& params = {});

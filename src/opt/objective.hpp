@@ -2,10 +2,8 @@
 // predicted or measured execution time, E = max(T_host, T_device)).
 #pragma once
 
-#include <cstddef>
 #include <functional>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 #include "opt/config.hpp"
@@ -21,34 +19,13 @@ using Objective = std::function<double(const SystemConfig&)>;
 /// consume it.
 using BatchObjective = std::function<std::vector<double>(const std::vector<SystemConfig>&)>;
 
-/// Shared guard for every evaluation path (CountingObjective, the batched
-/// GA, core::Evaluator): energies are times, so NaN and negatives are bugs.
+/// Shared guard for every evaluation path (simulated annealing, the GA,
+/// core::Evaluator): energies are times, so NaN and negatives are bugs.
 inline double checked_energy(double e) {
   if (!(e == e) || e < 0.0) {  // NaN or negative time
     throw std::runtime_error("objective returned invalid energy");
   }
   return e;
 }
-
-/// Wraps an objective and counts evaluations (the paper's "number of
-/// experiments"). Rejects non-finite energies.
-class CountingObjective {
- public:
-  explicit CountingObjective(Objective inner) : inner_(std::move(inner)) {
-    if (!inner_) throw std::invalid_argument("CountingObjective: null objective");
-  }
-
-  double operator()(const SystemConfig& c) {
-    ++count_;
-    return checked_energy(inner_(c));
-  }
-
-  [[nodiscard]] std::size_t count() const noexcept { return count_; }
-  void reset() noexcept { count_ = 0; }
-
- private:
-  Objective inner_;
-  std::size_t count_ = 0;
-};
 
 }  // namespace hetopt::opt

@@ -28,11 +28,14 @@ SaResult simulated_annealing(const ConfigSpace& space, const Objective& objectiv
   }
 
   util::Xoshiro256 rng(params.seed);
-  CountingObjective counted(objective);
-
   SaResult result;
+  const auto energy = [&](const SystemConfig& c) {
+    ++result.evaluations;
+    return checked_energy(objective(c));
+  };
+
   SystemConfig current = space.random(rng);
-  double current_energy = counted(current);
+  double current_energy = energy(current);
   result.best = current;
   result.best_energy = current_energy;
 
@@ -41,7 +44,7 @@ SaResult simulated_annealing(const ConfigSpace& space, const Objective& objectiv
   while (temperature > params.min_temperature &&
          (params.max_iterations == 0 || iteration < params.max_iterations)) {
     const SystemConfig candidate = space.neighbor(current, rng);
-    const double candidate_energy = counted(candidate);
+    const double candidate_energy = energy(candidate);
 
     bool accepted = false;
     bool accepted_worse = false;
@@ -71,7 +74,6 @@ SaResult simulated_annealing(const ConfigSpace& space, const Objective& objectiv
   }
 
   result.iterations = iteration;
-  result.evaluations = counted.count();
   return result;
 }
 

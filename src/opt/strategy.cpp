@@ -3,10 +3,17 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "opt/enumeration.hpp"
 #include "util/rng.hpp"
 
 namespace hetopt::opt {
+
+namespace {
+
+// Candidates per objective call for the batch consumers: enough to keep a
+// pool busy, small enough to keep the candidate list cheap.
+constexpr std::size_t kBatchSize = 256;
+
+}  // namespace
 
 SearchObjective::SearchObjective(Objective single, BatchObjective batch)
     : single_(std::move(single)), batch_(std::move(batch)) {
@@ -30,37 +37,81 @@ std::vector<double> SearchObjective::evaluate(const std::vector<SystemConfig>& c
 SearchOutcome ExhaustiveSearch::search(const ConfigSpace& space,
                                        const SearchObjective& objective,
                                        const SearchBudget& /*budget*/) const {
-  const EnumerationResult res = enumerate_best_batched(
-      space, [&objective](const std::vector<SystemConfig>& cs) { return objective.evaluate(cs); },
-      batch_size_);
-  return SearchOutcome{res.best, res.best_energy, res.evaluations};
+  SearchOutcome outcome;
+  std::vector<SystemConfig> batch;
+  batch.reserve(std::min(space.size(), kBatchSize));
+  for (std::size_t begin = 0; begin < space.size(); begin += kBatchSize) {
+    const std::size_t end = std::min(space.size(), begin + kBatchSize);
+    batch.clear();
+    for (std::size_t i = begin; i < end; ++i) batch.push_back(space.at(i));
+    const std::vector<double> energies = objective.evaluate(batch);
+    for (std::size_t j = 0; j < batch.size(); ++j, ++outcome.evaluations) {
+      // Strict < keeps the lowest flat index on ties.
+      if (outcome.evaluations == 0 || energies[j] < outcome.best_energy) {
+        outcome.best = batch[j];
+        outcome.best_energy = energies[j];
+      }
+    }
+  }
+  return outcome;
 }
 
 SearchOutcome RandomSearch::search(const ConfigSpace& space, const SearchObjective& objective,
                                    const SearchBudget& budget) const {
-  const std::size_t samples =
-      budget.max_evaluations != 0 ? budget.max_evaluations : std::min<std::size_t>(space.size(), 1000);
+  const std::size_t samples = budget.max_evaluations != 0
+                                  ? budget.max_evaluations
+                                  : std::min<std::size_t>(space.size(), 1000);
   util::Xoshiro256 rng(budget.seed);
 
   SearchOutcome outcome;
-  bool first = true;
   std::vector<SystemConfig> batch;
-  const std::size_t chunk = std::max<std::size_t>(1, batch_size_);
-  batch.reserve(std::min(samples, chunk));
-  for (std::size_t drawn = 0; drawn < samples;) {
-    const std::size_t n = std::min(chunk, samples - drawn);
+  batch.reserve(std::min(samples, kBatchSize));
+  while (outcome.evaluations < samples) {
+    const std::size_t n = std::min(kBatchSize, samples - outcome.evaluations);
     batch.clear();
     for (std::size_t i = 0; i < n; ++i) batch.push_back(space.random(rng));
     const std::vector<double> energies = objective.evaluate(batch);
-    for (std::size_t i = 0; i < n; ++i) {
-      ++outcome.evaluations;
-      if (first || energies[i] < outcome.best_energy) {
-        first = false;
+    for (std::size_t i = 0; i < n; ++i, ++outcome.evaluations) {
+      if (outcome.evaluations == 0 || energies[i] < outcome.best_energy) {
         outcome.best = batch[i];
         outcome.best_energy = energies[i];
       }
     }
-    drawn += n;
+  }
+  return outcome;
+}
+
+SearchOutcome HillClimbingSearch::search(const ConfigSpace& space,
+                                         const SearchObjective& objective,
+                                         const SearchBudget& budget) const {
+  constexpr std::size_t kPatience = 25;  // failed moves before a restart
+  const std::size_t evals = budget.max_evaluations != 0 ? budget.max_evaluations : 1000;
+  util::Xoshiro256 rng(budget.seed);
+
+  SearchOutcome outcome;
+  SystemConfig current = space.random(rng);
+  double current_energy = objective(current);
+  outcome.evaluations = 1;
+  outcome.best = current;
+  outcome.best_energy = current_energy;
+  std::size_t failures = 0;
+
+  while (outcome.evaluations < evals) {
+    const bool restart = failures >= kPatience;
+    const SystemConfig candidate = restart ? space.random(rng) : space.neighbor(current, rng);
+    const double e = objective(candidate);
+    ++outcome.evaluations;
+    if (restart || e < current_energy) {
+      current = candidate;
+      current_energy = e;
+      failures = 0;
+    } else {
+      ++failures;
+    }
+    if (e < outcome.best_energy) {
+      outcome.best = candidate;
+      outcome.best_energy = e;
+    }
   }
   return outcome;
 }
@@ -114,9 +165,7 @@ SearchOutcome GeneticSearch::search(const ConfigSpace& space, const SearchObject
   if (params.tournament < 1) params.tournament = 1;
 
   const GaResult res = genetic_algorithm(
-      space, BatchObjective([&objective](const std::vector<SystemConfig>& cs) {
-        return objective.evaluate(cs);
-      }),
+      space, [&objective](const std::vector<SystemConfig>& cs) { return objective.evaluate(cs); },
       params);
   return SearchOutcome{res.best, res.best_energy, res.evaluations};
 }

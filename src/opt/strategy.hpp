@@ -1,13 +1,16 @@
-// Pluggable search strategies. The paper hardwires two searches (enumeration,
-// simulated annealing); this interface makes the search axis orthogonal to
-// the evaluation axis, so any strategy can drive any backend (measurement,
-// ML prediction, multi-device makespan) through core::TuningSession.
+// Search strategies: the search half of every tuning run. The paper
+// hardwires two searches (enumeration, simulated annealing); this interface
+// makes the search axis orthogonal to the evaluation axis, so any strategy
+// can drive any backend (measurement, ML prediction, multi-device makespan)
+// through core::TuningSession, which is the one way a search runs.
 //
 // A strategy minimizes a SearchObjective over a ConfigSpace within a
 // SearchBudget. Objectives come in single-candidate and batched form; batch
 // consumers (enumeration chunks, GA generations, random batches) let a
 // concurrent backend score many candidates at once, while inherently
-// sequential strategies (simulated annealing) use the single form.
+// sequential strategies (simulated annealing, hill climbing) use the single
+// form. TuningSession::with_strategy(name) reaches the first four by name;
+// HillClimbingSearch is passed as an object.
 #pragma once
 
 #include <cstdint>
@@ -64,17 +67,14 @@ class SearchStrategy {
                                              const SearchBudget& budget) const = 0;
 };
 
-/// Enumeration: evaluates every configuration (ties resolve to the lowest
-/// flat index), `batch_size` candidates per objective call.
+/// Enumeration ("EM"/"EML"): evaluates every configuration in flat-index
+/// order, 256 candidates per objective call; ties resolve to the lowest flat
+/// index.
 class ExhaustiveSearch final : public SearchStrategy {
  public:
-  explicit ExhaustiveSearch(std::size_t batch_size = 256) : batch_size_(batch_size) {}
   [[nodiscard]] std::string_view name() const noexcept override { return "exhaustive"; }
   [[nodiscard]] SearchOutcome search(const ConfigSpace& space, const SearchObjective& objective,
                                      const SearchBudget& budget) const override;
-
- private:
-  std::size_t batch_size_;
 };
 
 /// Uniform random sampling — the cheap sanity baseline every metaheuristic
@@ -82,13 +82,21 @@ class ExhaustiveSearch final : public SearchStrategy {
 /// sample.
 class RandomSearch final : public SearchStrategy {
  public:
-  explicit RandomSearch(std::size_t batch_size = 256) : batch_size_(batch_size) {}
   [[nodiscard]] std::string_view name() const noexcept override { return "random"; }
   [[nodiscard]] SearchOutcome search(const ConfigSpace& space, const SearchObjective& objective,
                                      const SearchBudget& budget) const override;
+};
 
- private:
-  std::size_t batch_size_;
+/// First-improvement hill climbing with random restarts — the ablation
+/// baseline that shows what annealing's uphill moves buy. Each step proposes
+/// a neighbour and takes it only if it improves; after 25 failures in a row
+/// the walk restarts from a random point. Deterministic in budget.seed; a
+/// budget of 0 means 1000 evaluations.
+class HillClimbingSearch final : public SearchStrategy {
+ public:
+  [[nodiscard]] std::string_view name() const noexcept override { return "hill-climbing"; }
+  [[nodiscard]] SearchOutcome search(const ConfigSpace& space, const SearchObjective& objective,
+                                     const SearchBudget& budget) const override;
 };
 
 /// Simulated annealing (the paper's Fig. 3 loop). Constructed with explicit

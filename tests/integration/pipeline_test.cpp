@@ -35,6 +35,14 @@ class PipelineFixture : public ::testing::Test {
   static dna::GenomeCatalog* catalog_;
   static core::TrainingData* data_;
   static core::PerformancePredictor* predictor_;
+
+  [[nodiscard]] static core::SessionReport run(core::Method method, const core::Workload& w,
+                                               std::size_t sa_iterations = 1000,
+                                               std::uint64_t seed = 0x7475ULL) {
+    return core::TuningSession::preset(method, *machine_, *space_, predictor_, sa_iterations,
+                                       seed)
+        .run(w);
+  }
 };
 
 sim::Machine* PipelineFixture::machine_ = nullptr;
@@ -87,12 +95,10 @@ TEST_F(PipelineFixture, HalfSplitPredictionAccuracyInPaperBand) {
 
 TEST_F(PipelineFixture, AllFourMethodsProduceCompetitiveConfigs) {
   const core::Workload dog("dog", 2380.0);
-  const auto em = core::run_em(*space_, *machine_, dog);
-  const auto eml = core::run_eml(*space_, *machine_, dog, *predictor_);
-  const auto sam = core::run_sam(*space_, *machine_, dog,
-                                 core::sa_params_for_iterations(1000, 5));
-  const auto saml = core::run_saml(*space_, *machine_, dog, *predictor_,
-                                   core::sa_params_for_iterations(1000, 5));
+  const auto em = run(core::Method::kEM, dog);
+  const auto eml = run(core::Method::kEML, dog);
+  const auto sam = run(core::Method::kSAM, dog, 1000, 5);
+  const auto saml = run(core::Method::kSAML, dog, 1000, 5);
   // EM is the optimum; every other method is within 40% of it.
   for (const auto* r : {&eml, &sam, &saml}) {
     EXPECT_GE(r->measured_time, em.measured_time * 0.999);
@@ -107,7 +113,7 @@ TEST_F(PipelineFixture, SpeedupsReproducePaperShape) {
   // by >1.9x on every genome, and device-only is slower than host-only.
   for (const auto& genome : catalog_->all()) {
     const core::Workload w(genome.name, genome.size_mb);
-    const auto em = core::run_em(*space_, *machine_, w);
+    const auto em = run(core::Method::kEM, w);
     const auto host = core::host_only_baseline(*space_, *machine_, w);
     const auto device = core::device_only_baseline(*space_, *machine_, w);
     EXPECT_GT(host.measured_time / em.measured_time, 1.4) << genome.name;
@@ -120,14 +126,13 @@ TEST_F(PipelineFixture, SamlIterationSweepImprovesMonotonically) {
   // Table VI: percent difference decreases as iterations grow (averaged over
   // seeds to suppress SA variance).
   const core::Workload cat("cat", 2430.0);
-  const auto em = core::run_em(*space_, *machine_, cat);
+  const auto em = run(core::Method::kEM, cat);
   double prev_avg = 1e9;
   for (const std::size_t iters : {250u, 1000u, 2000u}) {
     double sum = 0.0;
     constexpr int kSeeds = 5;
     for (int seed = 0; seed < kSeeds; ++seed) {
-      const auto r = core::run_saml(*space_, *machine_, cat, *predictor_,
-                                    core::sa_params_for_iterations(iters, seed));
+      const auto r = run(core::Method::kSAML, cat, iters, seed);
       sum += r.measured_time;
     }
     const double avg = sum / kSeeds;
@@ -141,8 +146,7 @@ TEST_F(PipelineFixture, TunedConfigDrivesRealExecution) {
   // Close the loop: tune with SAML, then actually run the DNA kernel with
   // the recommended fraction on a materialized (scaled) genome.
   const core::Workload human("human", 3170.0);
-  const auto saml = core::run_saml(*space_, *machine_, human, *predictor_,
-                                   core::sa_params_for_iterations(500, 9));
+  const auto saml = run(core::Method::kSAML, human, 500, 9);
   const dna::Sequence seq = catalog_->materialize(
       "human", 1 << 20, {{"GATTACAGATTACA", 10}});
   const automata::DenseDfa dfa = automata::build_aho_corasick({"GATTACAGATTACA"});

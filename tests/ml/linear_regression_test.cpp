@@ -87,6 +87,33 @@ TEST(PoissonRegressorTest, RejectsNonPositiveTargets) {
   EXPECT_THROW(PoissonRegressor(0), std::invalid_argument);
 }
 
+TEST(PoissonRegressorTest, ConstantColumnGetsZeroWeight) {
+  // Like a one-hot column or a pool share that never changes over the
+  // training rows: a constant of 100 made the normal equations singular.
+  Dataset d({"x", "share"});
+  for (int i = 0; i < 40; ++i) {
+    const double x = 0.1 * i - 2.0;
+    d.add(std::vector<double>{x, 100.0}, std::exp(0.5 + 0.3 * x));
+  }
+  PoissonRegressor model;
+  ASSERT_NO_THROW(model.fit(d));
+  EXPECT_NEAR(model.predict(std::vector<double>{0.0, 100.0}), std::exp(0.5), 0.02);
+  EXPECT_NEAR(model.predict(std::vector<double>{2.0, 100.0}), std::exp(1.1), 0.05);
+  // The intercept absorbed the constant: other values change nothing.
+  EXPECT_EQ(model.predict(std::vector<double>{1.0, 7.0}),
+            model.predict(std::vector<double>{1.0, 100.0}));
+}
+
+TEST(LinearRegressorTest, ConstantColumnGetsZeroCoefficient) {
+  Dataset d({"x", "share"});
+  for (int i = 0; i < 20; ++i) d.add(std::vector<double>{1.0 * i, 100.0}, 2.0 + 3.0 * i);
+  LinearRegressor model(0.0);
+  model.fit(d);
+  EXPECT_EQ(model.coefficients()[2], 0.0);
+  EXPECT_NEAR(model.coefficients()[0], 2.0, 1e-9);
+  EXPECT_NEAR(model.coefficients()[1], 3.0, 1e-9);
+}
+
 TEST(RegressorInterface, NamesIdentifyModels) {
   EXPECT_EQ(LinearRegressor().name(), "LinearRegression");
   EXPECT_EQ(PoissonRegressor().name(), "PoissonRegression");

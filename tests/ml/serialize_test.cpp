@@ -1,7 +1,10 @@
 #include "ml/serialize.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <cstdlib>
+#include <functional>
 #include <sstream>
 
 #include "util/rng.hpp"
@@ -37,6 +40,48 @@ TEST(SerializeNormalizer, RoundTripPreservesTransform) {
     loaded.transform_row(data.row(i), b);
     for (std::size_t j = 0; j < 3; ++j) EXPECT_DOUBLE_EQ(a[j], b[j]);
   }
+}
+
+/// Peak resident set of this process, in KiB.
+long max_rss_kib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+/// Runs `load` in a forked child and exits 0 when it threw
+/// std::runtime_error and raised the child's peak resident set by less than
+/// 32 MiB.
+void expect_small_failed_load(const std::function<void()>& load) {
+  EXPECT_EXIT(
+      {
+        const long before = max_rss_kib();
+        bool threw = false;
+        try {
+          load();
+        } catch (const std::runtime_error&) {
+          threw = true;
+        }
+        std::_Exit(threw && max_rss_kib() - before < 32 * 1024 ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
+TEST(SerializeNormalizer, TruncatedFileAllocatesOnlyWhatItHolds) {
+  // Claims a million features and holds one range.
+  expect_small_failed_load([] {
+    std::stringstream file("hetopt-normalizer-v1\n1000000\n0 1\n");
+    (void)load_normalizer(file);
+  });
+}
+
+TEST(SerializeBoostedTrees, TruncatedFileAllocatesOnlyWhatItHolds) {
+  // Claims a ten-million-node tree and holds one node.
+  expect_small_failed_load([] {
+    std::stringstream file(
+        "hetopt-boosted-trees-v1\n1 0.1 5 3 6 1 7\n0.5\n1 1\n10000000\n-1 0 -1 -1 1\n");
+    (void)load_boosted_trees(file);
+  });
 }
 
 TEST(SerializeNormalizer, RejectsUnfittedAndGarbage) {

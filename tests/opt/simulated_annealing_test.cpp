@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "opt/enumeration.hpp"
+#include "opt/strategy.hpp"
 
 namespace hetopt::opt {
 namespace {
@@ -29,7 +29,7 @@ TEST(CoolingRate, ProducesRequestedIterationCount) {
 
 TEST(SimulatedAnnealingTest, FindsOptimumOfTinySpace) {
   const ConfigSpace space = ConfigSpace::tiny();
-  const auto em = enumerate_best(space, bowl);
+  const SearchOutcome em = ExhaustiveSearch().search(space, SearchObjective(bowl), {});
   SaParams params;
   params.cooling_rate = SaParams::cooling_rate_for(2.0, 1e-3, 2000);
   params.seed = 123;

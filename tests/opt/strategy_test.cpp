@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "opt/enumeration.hpp"
-
 namespace hetopt::opt {
 namespace {
 
@@ -15,6 +13,29 @@ double bowl(const SystemConfig& c) {
 }
 
 SearchObjective bowl_objective() { return SearchObjective(bowl); }
+
+/// The optimum by brute force over flat indices, lowest index on ties.
+std::size_t brute_force_best(const ConfigSpace& space, const Objective& objective) {
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < space.size(); ++i) {
+    if (objective(space.at(i)) < objective(space.at(best))) best = i;
+  }
+  return best;
+}
+
+/// Counts single-candidate calls and keeps the best energy seen.
+struct Tally {
+  std::size_t calls = 0;
+  double best = 1e300;
+  Objective wrap(Objective inner) {
+    return [this, inner = std::move(inner)](const SystemConfig& c) {
+      ++calls;
+      const double e = inner(c);
+      best = std::min(best, e);
+      return e;
+    };
+  }
+};
 
 TEST(SearchObjective, RejectsNullSingleObjective) {
   EXPECT_THROW(SearchObjective(Objective{}), std::invalid_argument);
@@ -39,23 +60,35 @@ TEST(SearchObjective, MismatchedBatchSizeThrows) {
   EXPECT_THROW((void)obj.evaluate({space.at(0), space.at(1)}), std::runtime_error);
 }
 
-TEST(ExhaustiveSearchTest, MatchesEnumerateBestIncludingTieBreak) {
+TEST(ExhaustiveSearchTest, MatchesBruteForceIncludingTieBreak) {
   const ConfigSpace space = ConfigSpace::tiny();
-  const auto reference = enumerate_best(space, bowl);
-  // Batch size 7 exercises a remainder chunk on the 80-point tiny space.
-  const ExhaustiveSearch strategy(7);
-  const SearchOutcome outcome = strategy.search(space, bowl_objective(), SearchBudget{});
-  EXPECT_EQ(outcome.best, reference.best);
-  EXPECT_DOUBLE_EQ(outcome.best_energy, reference.best_energy);
+  const SearchOutcome outcome = ExhaustiveSearch().search(space, bowl_objective(), SearchBudget{});
+  EXPECT_EQ(outcome.best, space.at(brute_force_best(space, bowl)));
+  EXPECT_DOUBLE_EQ(outcome.best_energy, bowl(outcome.best));
   EXPECT_EQ(outcome.evaluations, space.size());
+}
+
+TEST(ExhaustiveSearchTest, EvaluatesEveryConfigurationOnceInFlatOrder) {
+  // The paper space (19 926 points, the paper's enumeration count) spans
+  // many 256-candidate batches and ends on a partial one.
+  const ConfigSpace space = ConfigSpace::paper();
+  std::vector<std::size_t> seen;
+  const SearchObjective recording(
+      [](const SystemConfig&) { return 0.0; },
+      [&](const std::vector<SystemConfig>& cs) {
+        for (const SystemConfig& c : cs) seen.push_back(space.index_of(c));
+        return std::vector<double>(cs.size(), 1.0);
+      });
+  const SearchOutcome outcome = ExhaustiveSearch().search(space, recording, SearchBudget{});
+  EXPECT_EQ(outcome.evaluations, 19926u);
+  ASSERT_EQ(seen.size(), space.size());
+  for (std::size_t i = 0; i < seen.size(); ++i) ASSERT_EQ(seen[i], i);
 }
 
 TEST(ExhaustiveSearchTest, ConstantObjectiveTiesToLowestIndex) {
   const ConfigSpace space = ConfigSpace::tiny();
-  const ExhaustiveSearch strategy;
-  const SearchOutcome outcome =
-      strategy.search(space, SearchObjective([](const SystemConfig&) { return 3.0; }),
-                      SearchBudget{});
+  const SearchOutcome outcome = ExhaustiveSearch().search(
+      space, SearchObjective([](const SystemConfig&) { return 3.0; }), SearchBudget{});
   EXPECT_EQ(outcome.best, space.at(0));
 }
 
@@ -73,18 +106,73 @@ TEST(RandomSearchTest, RespectsBudgetAndIsDeterministic) {
   EXPECT_DOUBLE_EQ(a.best_energy, b.best_energy);
 }
 
-TEST(RandomSearchTest, BatchedAndSerialPathsAgree) {
+TEST(RandomSearchTest, CallsTheObjectiveExactlyBudgetTimes) {
+  // 300 spans a full 256-candidate batch and a partial one.
+  const ConfigSpace space = ConfigSpace::tiny();
+  Tally tally;
+  SearchBudget budget;
+  budget.max_evaluations = 300;
+  budget.seed = 1;
+  const SearchOutcome r = RandomSearch().search(space, SearchObjective(tally.wrap(bowl)), budget);
+  EXPECT_EQ(tally.calls, 300u);
+  EXPECT_EQ(r.evaluations, 300u);
+  EXPECT_DOUBLE_EQ(r.best_energy, tally.best);
+}
+
+TEST(RandomSearchTest, LargeBudgetFindsOptimumOfTinySpace) {
+  const ConfigSpace space = ConfigSpace::tiny();
+  SearchBudget budget;
+  budget.max_evaluations = 2000;
+  budget.seed = 3;
+  const SearchOutcome r = RandomSearch().search(space, bowl_objective(), budget);
+  EXPECT_DOUBLE_EQ(r.best_energy, bowl(space.at(brute_force_best(space, bowl))));
+}
+
+TEST(HillClimbingSearchTest, CallsTheObjectiveExactlyBudgetTimes) {
+  const ConfigSpace space = ConfigSpace::tiny();
+  Tally tally;
+  SearchBudget budget;
+  budget.max_evaluations = 73;
+  budget.seed = 2;
+  const SearchOutcome r =
+      HillClimbingSearch().search(space, SearchObjective(tally.wrap(bowl)), budget);
+  EXPECT_EQ(tally.calls, 73u);
+  EXPECT_EQ(r.evaluations, 73u);
+  EXPECT_DOUBLE_EQ(r.best_energy, tally.best);
+}
+
+TEST(HillClimbingSearchTest, ClimbsCloseToTheOptimum) {
   const ConfigSpace space = ConfigSpace::paper();
   SearchBudget budget;
-  budget.max_evaluations = 100;
-  budget.seed = 17;
-  // Batch size 1 forces per-candidate calls; 64 exercises chunking. The RNG
-  // stream only depends on the seed, so outcomes must match exactly.
-  const SearchOutcome serial = RandomSearch(1).search(space, bowl_objective(), budget);
-  const SearchOutcome batched = RandomSearch(64).search(space, bowl_objective(), budget);
-  EXPECT_EQ(serial.best, batched.best);
-  EXPECT_DOUBLE_EQ(serial.best_energy, batched.best_energy);
-  EXPECT_EQ(serial.evaluations, batched.evaluations);
+  budget.max_evaluations = 500;
+  budget.seed = 4;
+  const SearchOutcome r = HillClimbingSearch().search(space, bowl_objective(), budget);
+  const SearchOutcome em = ExhaustiveSearch().search(space, bowl_objective(), SearchBudget{});
+  EXPECT_LT(r.best_energy, em.best_energy * 1.5 + 0.5);
+}
+
+TEST(HillClimbingSearchTest, RestartsSpendTheBudgetOnAFlatObjective) {
+  // Every move fails to improve, so the budget goes to restarts.
+  const ConfigSpace space = ConfigSpace::tiny();
+  SearchBudget budget;
+  budget.max_evaluations = 200;
+  budget.seed = 6;
+  const SearchOutcome r = HillClimbingSearch().search(
+      space, SearchObjective([](const SystemConfig&) { return 1.0; }), budget);
+  EXPECT_EQ(r.evaluations, 200u);
+  EXPECT_TRUE(space.contains(r.best));
+}
+
+TEST(HillClimbingSearchTest, DeterministicInSeedAndBudgetZeroMeansDefault) {
+  const ConfigSpace space = ConfigSpace::paper();
+  SearchBudget budget;
+  budget.max_evaluations = 0;
+  budget.seed = 8;
+  const SearchOutcome a = HillClimbingSearch().search(space, bowl_objective(), budget);
+  const SearchOutcome b = HillClimbingSearch().search(space, bowl_objective(), budget);
+  EXPECT_EQ(a.evaluations, 1000u);
+  EXPECT_EQ(a.best, b.best);
+  EXPECT_EQ(a.best_energy, b.best_energy);
 }
 
 TEST(AnnealingSearchTest, ExplicitParamsReproduceSimulatedAnnealing) {
@@ -125,13 +213,12 @@ TEST(AnnealingSearchTest, BudgetZeroMeansPaperDefaultAndBudgetOneThrows) {
 
 TEST(GeneticSearchTest, RunsWithinBudgetAndFindsTinyOptimum) {
   const ConfigSpace space = ConfigSpace::tiny();
-  const auto reference = enumerate_best(space, bowl);
   SearchBudget budget;
   budget.max_evaluations = 600;
   budget.seed = 5;
   const SearchOutcome outcome = GeneticSearch().search(space, bowl_objective(), budget);
   EXPECT_LE(outcome.evaluations, 600u);
-  EXPECT_DOUBLE_EQ(outcome.best_energy, reference.best_energy);
+  EXPECT_DOUBLE_EQ(outcome.best_energy, bowl(space.at(brute_force_best(space, bowl))));
 }
 
 TEST(GeneticSearchTest, ShrinksPopulationToFitSmallBudget) {
@@ -155,7 +242,9 @@ TEST(GeneticSearchTest, ExplicitParamsWinOverBudgetLikeAnnealing) {
   budget.seed = 9;
   const SearchOutcome via_strategy =
       GeneticSearch(params).search(space, bowl_objective(), budget);
-  const GaResult direct = genetic_algorithm(space, Objective(bowl), params);
+  const GaResult direct = genetic_algorithm(
+      space, [](const std::vector<SystemConfig>& cs) { return bowl_objective().evaluate(cs); },
+      params);
   EXPECT_EQ(via_strategy.best, direct.best);
   EXPECT_DOUBLE_EQ(via_strategy.best_energy, direct.best_energy);
   EXPECT_EQ(via_strategy.evaluations, direct.evaluations);
@@ -170,44 +259,26 @@ TEST(GeneticSearchTest, BudgetOfOneThrows) {
                std::invalid_argument);
 }
 
-TEST(GeneticAlgorithmBatch, BatchedOverloadBitIdenticalToSerial) {
+TEST(SearchStrategies, BatchedAndSingleObjectivesAgree) {
+  // Batch consumers see the same energies whether the objective scores a
+  // batch itself or falls back to single calls.
   const ConfigSpace space = ConfigSpace::paper();
-  GaParams params;
-  params.max_evaluations = 400;
-  params.seed = 11;
-  const GaResult serial = genetic_algorithm(space, Objective(bowl), params);
-  const GaResult batched = genetic_algorithm(
-      space,
-      BatchObjective([](const std::vector<SystemConfig>& cs) {
-        std::vector<double> out;
-        out.reserve(cs.size());
-        for (const SystemConfig& c : cs) out.push_back(bowl(c));
-        return out;
-      }),
-      params);
-  EXPECT_EQ(serial.best, batched.best);
-  EXPECT_DOUBLE_EQ(serial.best_energy, batched.best_energy);
-  EXPECT_EQ(serial.evaluations, batched.evaluations);
-  EXPECT_EQ(serial.generations, batched.generations);
-}
-
-TEST(EnumerateBestBatched, MatchesSerialEnumeration) {
-  const ConfigSpace space = ConfigSpace::tiny();
-  const auto serial = enumerate_best(space, bowl);
-  std::size_t visited = 0;
-  const auto batched = enumerate_best_batched(
-      space,
-      [](const std::vector<SystemConfig>& cs) {
-        std::vector<double> out;
-        out.reserve(cs.size());
-        for (const SystemConfig& c : cs) out.push_back(bowl(c));
-        return out;
-      },
-      13, [&](const SystemConfig&, double) { ++visited; });
-  EXPECT_EQ(batched.best, serial.best);
-  EXPECT_DOUBLE_EQ(batched.best_energy, serial.best_energy);
-  EXPECT_EQ(batched.evaluations, space.size());
-  EXPECT_EQ(visited, space.size());
+  SearchBudget budget;
+  budget.max_evaluations = 400;
+  budget.seed = 17;
+  const SearchObjective batched(bowl, [](const std::vector<SystemConfig>& cs) {
+    return SearchObjective(bowl).evaluate(cs);
+  });
+  const std::vector<std::shared_ptr<SearchStrategy>> strategies{
+      std::make_shared<RandomSearch>(), std::make_shared<GeneticSearch>(),
+      std::make_shared<HillClimbingSearch>()};
+  for (const auto& strategy : strategies) {
+    const SearchOutcome single = strategy->search(space, bowl_objective(), budget);
+    const SearchOutcome batch = strategy->search(space, batched, budget);
+    EXPECT_EQ(single.best, batch.best) << strategy->name();
+    EXPECT_EQ(single.best_energy, batch.best_energy) << strategy->name();
+    EXPECT_EQ(single.evaluations, batch.evaluations) << strategy->name();
+  }
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "core/methods.hpp"
-#include "opt/enumeration.hpp"
 #include "sim/machine.hpp"
 
 int main() {
@@ -24,7 +23,7 @@ int main() {
     const double mb = name[0] == 'h' ? 3170.0 : name[0] == 'm' ? 2770.0
                                   : name[0] == 'c' ? 2430.0 : 2380.0;
     const core::Workload w(name, mb);
-    const auto em = core::run_em(space, m, w);
+    const auto em = core::TuningSession::preset(core::Method::kEM, m, space).run(w);
     const auto host = core::host_only_baseline(space, m, w);
     const auto dev = core::device_only_baseline(space, m, w);
     std::printf("%-6s EM=%.3fs (%s)  host_only=%.3fs dev_only=%.3fs  speedup %.2f / %.2f\n",
