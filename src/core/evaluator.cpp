@@ -8,12 +8,8 @@
 
 namespace hetopt::core {
 
-double Evaluator::checked(const opt::SystemConfig& config, const Workload& workload) const {
-  return opt::checked_energy(value(config, workload));
-}
-
 double Evaluator::evaluate(const opt::SystemConfig& config, const Workload& workload) {
-  const double e = checked(config, workload);
+  const double e = opt::checked_energy(value(config, workload));
   ++evaluations_;
   return e;
 }
@@ -22,11 +18,17 @@ std::vector<double> Evaluator::evaluate_batch(const std::vector<opt::SystemConfi
                                               const Workload& workload,
                                               parallel::ThreadPool* pool) {
   parallel::ThreadPool* usable = (concurrent() && configs.size() > 1) ? pool : nullptr;
-  std::vector<double> energies = parallel::map_indexed(
-      usable, configs.size(),
-      [&](std::size_t i) { return checked(configs[i], workload); });
+  std::vector<double> energies = value_batch(configs, workload, usable);
+  for (const double e : energies) (void)opt::checked_energy(e);
   evaluations_ += configs.size();
   return energies;
+}
+
+std::vector<double> Evaluator::value_batch(const std::vector<opt::SystemConfig>& configs,
+                                           const Workload& workload,
+                                           parallel::ThreadPool* pool) const {
+  return parallel::map_indexed(pool, configs.size(),
+                               [&](std::size_t i) { return value(configs[i], workload); });
 }
 
 // --- MeasurementEvaluator ---------------------------------------------------
@@ -54,6 +56,12 @@ PredictionEvaluator::PredictionEvaluator(const PerformancePredictor& predictor,
 
 double PredictionEvaluator::value(const opt::SystemConfig& c, const Workload& w) const {
   return predictor_->predict_combined(c, w.size_mb);
+}
+
+std::vector<double> PredictionEvaluator::value_batch(const std::vector<opt::SystemConfig>& configs,
+                                                     const Workload& w,
+                                                     parallel::ThreadPool* pool) const {
+  return predictor_->predict_combined(configs, w.size_mb, pool);
 }
 
 double PredictionEvaluator::score(const opt::SystemConfig& c, const Workload& w) const {

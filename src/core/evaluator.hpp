@@ -9,6 +9,12 @@
 // and separately provide score(): the measured execution time of the winning
 // configuration, which is how every method is ranked regardless of what the
 // search optimized ("for fair comparison we use the measured values", §IV-C).
+//
+// A backend answers through two protected hooks: value() for one candidate
+// and value_batch() for a batch. evaluate() and evaluate_batch() wrap them
+// with the energy check and the evaluation count, so a backend that prices
+// a batch its own way (PredictionEvaluator walks each distinct side row
+// once) is checked and counted like every other.
 #pragma once
 
 #include <cstddef>
@@ -38,9 +44,10 @@ class Evaluator {
   /// std::runtime_error when the backend produces a NaN or negative time.
   double evaluate(const opt::SystemConfig& config, const Workload& workload);
 
-  /// Batch counterpart, energies in input order; counts configs.size()
-  /// evaluations. Runs on `pool` when one is provided, the backend is safe
-  /// to query concurrently, and the batch is big enough to matter.
+  /// Batch counterpart, energies in input order, each checked like
+  /// evaluate()'s; counts configs.size() evaluations. Hands value_batch()
+  /// `pool` when one is provided, the backend is safe to query concurrently,
+  /// and the batch holds more than one candidate.
   std::vector<double> evaluate_batch(const std::vector<opt::SystemConfig>& configs,
                                      const Workload& workload,
                                      parallel::ThreadPool* pool = nullptr);
@@ -61,11 +68,16 @@ class Evaluator {
   /// true (the batch path may call it from pool workers).
   [[nodiscard]] virtual double value(const opt::SystemConfig& config,
                                      const Workload& workload) const = 0;
+  /// The backend query for a batch, values in input order and unchecked;
+  /// `pool` is null unless concurrent(). The default calls value() per
+  /// config, on the pool when there is one. An override must return what
+  /// value() returns for each config and throw what it throws.
+  [[nodiscard]] virtual std::vector<double> value_batch(
+      const std::vector<opt::SystemConfig>& configs, const Workload& workload,
+      parallel::ThreadPool* pool) const;
   [[nodiscard]] virtual bool concurrent() const noexcept { return true; }
 
  private:
-  [[nodiscard]] double checked(const opt::SystemConfig& config, const Workload& workload) const;
-
   std::size_t evaluations_ = 0;
 };
 
@@ -94,6 +106,8 @@ class MeasurementEvaluator final : public Evaluator {
 /// the ML-based methods. Throws std::logic_error when the predictor is not
 /// trained. The predictor is held by reference (trained ensembles are big
 /// and long-lived) and must outlive the evaluator; the machine is copied.
+/// A batch goes to the predictor's batch form, which predicts each distinct
+/// host and device row of the batch once and returns the single form's bits.
 class PredictionEvaluator final : public Evaluator {
  public:
   PredictionEvaluator(const PerformancePredictor& predictor, sim::Machine machine);
@@ -105,6 +119,9 @@ class PredictionEvaluator final : public Evaluator {
  protected:
   [[nodiscard]] double value(const opt::SystemConfig& config,
                              const Workload& workload) const override;
+  [[nodiscard]] std::vector<double> value_batch(const std::vector<opt::SystemConfig>& configs,
+                                                const Workload& workload,
+                                                parallel::ThreadPool* pool) const override;
 
  private:
   const PerformancePredictor* predictor_;

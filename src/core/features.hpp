@@ -17,8 +17,14 @@
 // holds (host: always 100; device: 100 / device_count, the water-filled
 // equal split across identical accelerators). The defaults encode the
 // classic pair, so legacy call sites produce constant columns.
+//
+// write_host_features/write_device_features are the one encoder: they fill
+// a caller's fixed-size FeatureRow, so prediction encodes a row on the stack
+// without allocating. host_features/device_features wrap them for training,
+// which stores rows in an ml::Dataset.
 #pragma once
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -30,9 +36,27 @@ namespace hetopt::core {
 
 inline constexpr std::size_t kFeatureCount = 16;
 
+/// One environment's feature row in the layout above.
+using FeatureRow = std::array<double, kFeatureCount>;
+
 [[nodiscard]] std::vector<std::string> host_feature_names();
 [[nodiscard]] std::vector<std::string> device_feature_names();
 
+/// Overwrites every column of `out`. Throws std::invalid_argument on a
+/// negative or NaN size, threads < 1, pool_count < 1 or a pool share
+/// outside [0, 100].
+void write_host_features(FeatureRow& out, double size_mb, int threads,
+                         parallel::HostAffinity affinity,
+                         automata::EngineKind engine = automata::EngineKind::kCompiledDfa,
+                         parallel::SchedulePolicy schedule = parallel::SchedulePolicy::kStatic,
+                         int pool_count = 2, double pool_share_percent = 100.0);
+void write_device_features(FeatureRow& out, double size_mb, int threads,
+                           parallel::DeviceAffinity affinity,
+                           automata::EngineKind engine = automata::EngineKind::kCompiledDfa,
+                           parallel::SchedulePolicy schedule = parallel::SchedulePolicy::kStatic,
+                           int pool_count = 2, double pool_share_percent = 100.0);
+
+/// The same rows as a vector, for datasets.
 [[nodiscard]] std::vector<double> host_features(
     double size_mb, int threads, parallel::HostAffinity affinity,
     automata::EngineKind engine = automata::EngineKind::kCompiledDfa,

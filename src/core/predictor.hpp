@@ -1,15 +1,31 @@
 // The paper's Fig. 4 pipeline: normalize -> train Boosted Decision Tree
 // Regression -> predict unseen configurations. One model per environment
 // (host, device); the combined estimate is Eq. 2, max of the two sides.
+//
+// Prediction cost: a side prediction encodes, normalizes and walks its row
+// in fixed-size stack buffers and allocates nothing. A side's time depends
+// only on its own feature row, so the batch form of predict_combined
+// predicts each distinct host row and device row of its batch once, walking
+// the ensemble tree by tree over them: an EML over the paper space in
+// 256-candidate batches makes 3,191 walks instead of 39,852. Both forms run
+// the same share math and the same combine step, so they return the same
+// bits.
 #pragma once
 
 #include <iosfwd>
 #include <memory>
+#include <span>
+#include <vector>
 
+#include "core/features.hpp"
 #include "core/workload.hpp"
 #include "ml/boosted_trees.hpp"
 #include "ml/dataset.hpp"
 #include "opt/config.hpp"
+
+namespace hetopt::parallel {
+class ThreadPool;
+}
 
 namespace hetopt::core {
 
@@ -35,6 +51,9 @@ class PerformancePredictor {
   void train(const ml::Dataset& host_data, const ml::Dataset& device_data);
   [[nodiscard]] bool trained() const noexcept { return trained_; }
 
+  /// One environment's predicted time for `size_mb` megabytes. A size <= 0
+  /// predicts 0; a NaN size throws std::invalid_argument, like every
+  /// argument write_host_features/write_device_features reject.
   [[nodiscard]] double predict_host(
       double size_mb, int threads, parallel::HostAffinity affinity,
       automata::EngineKind engine = automata::EngineKind::kCompiledDfa,
@@ -51,9 +70,19 @@ class PerformancePredictor {
   /// device_count K > 1 the device fraction is shared equally by K identical
   /// device pools (the water-filled split of sim::MultiDeviceMachine), so
   /// static predicts max(host, one device's 1/K share) and the shared-queue
-  /// schedules combine one host rate with K device rates.
+  /// schedules combine one host rate with K device rates. Throws
+  /// std::invalid_argument on a non-positive or NaN total, device_count < 1
+  /// or a host_percent outside [0, 100] (NaN included).
   [[nodiscard]] double predict_combined(const opt::SystemConfig& config,
                                         double total_mb) const;
+
+  /// Batch form: element i is predict_combined(configs[i], total_mb), bit
+  /// for bit, and it throws what that call throws. Each distinct host row
+  /// and device row is predicted once per call; with a pool the distinct
+  /// rows are predicted on it. Nothing is kept between calls.
+  [[nodiscard]] std::vector<double> predict_combined(std::span<const opt::SystemConfig> configs,
+                                                     double total_mb,
+                                                     parallel::ThreadPool* pool = nullptr) const;
 
   [[nodiscard]] const ml::BoostedTreesRegressor& host_model() const { return host_model_; }
   [[nodiscard]] const ml::BoostedTreesRegressor& device_model() const {
@@ -67,6 +96,16 @@ class PerformancePredictor {
   [[nodiscard]] static PerformancePredictor load(std::istream& is);
 
  private:
+  enum class Side { kHost, kDevice };
+  /// One side's times for raw (unnormalized) feature rows: normalizes them
+  /// into `scaled` (raw.size() * kFeatureCount doubles) and walks the model
+  /// over all of them. Allocates nothing.
+  void predict_rows(Side side, std::span<const FeatureRow> raw, std::span<double> scaled,
+                    std::span<double> out) const;
+  /// predict_rows() over one row, in stack buffers.
+  [[nodiscard]] double predict_row(Side side, const FeatureRow& raw) const;
+  void require_trained() const;
+
   PredictorOptions options_;
   ml::Normalizer host_norm_;
   ml::Normalizer device_norm_;

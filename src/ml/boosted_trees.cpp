@@ -1,5 +1,6 @@
 #include "ml/boosted_trees.hpp"
 
+#include <algorithm>
 #include <numeric>
 #include <stdexcept>
 
@@ -101,6 +102,22 @@ double BoostedTreesRegressor::predict_staged(std::span<const double> features,
     acc += params_.learning_rate * trees_[static_cast<std::size_t>(r)].predict(features);
   }
   return acc;
+}
+
+void BoostedTreesRegressor::predict_rows(std::span<const double> rows,
+                                         std::span<double> out) const {
+  if (!fitted_) throw std::logic_error("BoostedTrees: predict before fit");
+  const std::size_t width = out.empty() ? 0 : rows.size() / out.size();
+  if (rows.size() != width * out.size()) {
+    throw std::invalid_argument("BoostedTrees: rows do not split into out.size() rows");
+  }
+  // Each row sums base + lr * tree(row) in tree order, as predict_staged does.
+  std::fill(out.begin(), out.end(), base_prediction_);
+  for (const RegressionTree& tree : trees_) {
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] += params_.learning_rate * tree.predict(rows.subspan(i * width, width));
+    }
+  }
 }
 
 }  // namespace hetopt::ml

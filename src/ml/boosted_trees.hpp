@@ -36,6 +36,12 @@ class BoostedTreesRegressor final : public Regressor {
   /// to property-test that training error is non-increasing in rounds).
   [[nodiscard]] double predict_staged(std::span<const double> features, int rounds) const;
 
+  /// predict() over rows stored back to back in `rows`, one per element of
+  /// `out`: out[i] equals predict() of row i bit for bit. The ensemble is
+  /// walked tree by tree, so each tree's nodes stay in cache while every row
+  /// descends it. Allocates nothing.
+  void predict_rows(std::span<const double> rows, std::span<double> out) const;
+
   [[nodiscard]] int trained_rounds() const noexcept { return static_cast<int>(trees_.size()); }
   [[nodiscard]] const BoostedTreesParams& params() const noexcept { return params_; }
 

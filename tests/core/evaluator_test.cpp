@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "core/features.hpp"
 #include "core/training.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -76,6 +80,125 @@ TEST(PredictionEvaluatorTest, SearchesOnPredictionsButScoresByMeasurement) {
   EXPECT_DOUBLE_EQ(evaluator.score(c, human()), measured);
   // Prediction and measurement agree only approximately.
   EXPECT_NE(evaluator.evaluate(c, human()), evaluator.score(c, human()));
+}
+
+// One predictor for the batch parity tests. Its sweep varies the schedule
+// and pool-count columns too (the paper sweeps hold them constant, and a
+// constant column normalizes to 0), so a batch that keyed rows without one
+// of them would return different times. 50 rounds keep the single-call
+// reference cheap.
+class PredictionBatchFixture : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    const sim::Machine machine = sim::emil_machine();
+    ml::Dataset host(host_feature_names());
+    ml::Dataset device(device_feature_names());
+    for (const double mb : {100.0, 800.0, 3170.0}) {
+      for (const parallel::SchedulePolicy schedule : parallel::kAllSchedulePolicies) {
+        const double slowdown = 1.0 + 0.2 * static_cast<double>(schedule);
+        for (const int devices : {1, 2, 4}) {
+          for (const int threads : {4, 24}) {
+            for (const parallel::HostAffinity a : parallel::kAllHostAffinities) {
+              host.add(host_features(mb, threads, a, automata::EngineKind::kCompiledDfa,
+                                     schedule, devices + 1, 100.0),
+                       slowdown * (1.0 + 0.1 * devices) * machine.host_time_model(mb, threads, a));
+            }
+          }
+          for (const int threads : {30, 120}) {
+            for (const parallel::DeviceAffinity a : parallel::kAllDeviceAffinities) {
+              device.add(device_features(mb / devices, threads, a,
+                                         automata::EngineKind::kCompiledDfa, schedule,
+                                         devices + 1, 100.0 / devices),
+                         slowdown * machine.device_time_model(mb / devices, threads, a));
+            }
+          }
+        }
+      }
+    }
+    PredictorOptions options = PredictorOptions::defaults();
+    options.host_params.rounds = 50;
+    options.device_params.rounds = 50;
+    predictor_ = new PerformancePredictor(options);
+    predictor_->train(host, device);
+  }
+  static void TearDownTestSuite() {
+    delete predictor_;
+    predictor_ = nullptr;
+  }
+
+  // evaluate_batch must return exactly what evaluate() returns, config by
+  // config, inline and on a 2-thread pool, and count one evaluation each.
+  static void expect_batch_matches_single(const std::vector<opt::SystemConfig>& configs) {
+    const sim::Machine machine = sim::emil_machine();
+    PredictionEvaluator serial(*predictor_, machine);
+    std::vector<double> expected;
+    expected.reserve(configs.size());
+    for (const auto& c : configs) expected.push_back(serial.evaluate(c, human()));
+
+    PredictionEvaluator inline_batch(*predictor_, machine);
+    EXPECT_EQ(inline_batch.evaluate_batch(configs, human()), expected);
+    EXPECT_EQ(inline_batch.evaluations(), configs.size());
+
+    parallel::ThreadPool pool(2);
+    PredictionEvaluator pooled(*predictor_, machine);
+    EXPECT_EQ(pooled.evaluate_batch(configs, human(), &pool), expected);
+    EXPECT_EQ(pooled.evaluations(), configs.size());
+  }
+
+  static PerformancePredictor* predictor_;
+};
+
+PerformancePredictor* PredictionBatchFixture::predictor_ = nullptr;
+
+TEST_F(PredictionBatchFixture, BatchMatchesSingleOverThePaperSpace) {
+  // One batch of all 19,926 configurations: 720 distinct host rows and 1,080
+  // device rows, and both zero-byte fractions (0 and 100).
+  const opt::ConfigSpace space = opt::ConfigSpace::paper();
+  std::vector<opt::SystemConfig> configs;
+  configs.reserve(space.size());
+  for (std::size_t i = 0; i < space.size(); ++i) configs.push_back(space.at(i));
+  expect_batch_matches_single(configs);
+}
+
+TEST_F(PredictionBatchFixture, BatchMatchesSingleAcrossSchedulesAndFleets) {
+  // Shared-queue rows price the whole input on both sides and combine rates;
+  // fleet rows carry pool_count and a 1/K device share.
+  const opt::ConfigSpace space =
+      opt::ConfigSpace::paper()
+          .with_schedules({parallel::SchedulePolicy::kStatic, parallel::SchedulePolicy::kDynamic,
+                           parallel::SchedulePolicy::kGuided,
+                           parallel::SchedulePolicy::kAdaptive})
+          .with_device_counts({1, 2, 4});
+  std::vector<opt::SystemConfig> configs;
+  for (std::size_t i = 0; i < space.size(); i += 61) configs.push_back(space.at(i));
+  for (const parallel::SchedulePolicy schedule : parallel::kAllSchedulePolicies) {
+    for (const int devices : {1, 2, 4}) {
+      EXPECT_TRUE(std::any_of(configs.begin(), configs.end(), [&](const opt::SystemConfig& c) {
+        return c.schedule == schedule && c.device_count == devices;
+      }));
+    }
+  }
+  expect_batch_matches_single(configs);
+}
+
+TEST_F(PredictionBatchFixture, BatchWithOneInvalidConfigThrowsLikeTheSingleCall) {
+  const sim::Machine machine = sim::emil_machine();
+  const opt::ConfigSpace space = opt::ConfigSpace::tiny();
+  opt::SystemConfig impossible_split = space.at(3);
+  impossible_split.host_percent = 150.0;
+  opt::SystemConfig no_threads = space.at(3);
+  no_threads.device_threads = 0;
+  opt::SystemConfig no_devices = space.at(3);
+  no_devices.device_count = 0;
+  for (const opt::SystemConfig& bad : {impossible_split, no_threads, no_devices}) {
+    PredictionEvaluator evaluator(*predictor_, machine);
+    EXPECT_THROW((void)evaluator.evaluate(bad, human()), std::invalid_argument);
+    std::vector<opt::SystemConfig> batch;
+    for (std::size_t i = 0; i < space.size(); ++i) batch.push_back(space.at(i));
+    batch[batch.size() / 2] = bad;
+    EXPECT_THROW((void)evaluator.evaluate_batch(batch, human()), std::invalid_argument);
+    EXPECT_EQ(evaluator.evaluations(), 0u);
+  }
 }
 
 TEST(MultiDeviceEvaluatorTest, SharesSumTo100AndRespectHostFraction) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
+#include <vector>
 
 #include "core/training.hpp"
 #include "ml/metrics.hpp"
@@ -256,6 +258,54 @@ TEST(PredictorUsage, CombinedHandlesDeviceFleets) {
                                        automata::EngineKind::kCompiledDfa,
                                        parallel::SchedulePolicy::kStatic, 5, 100.0);
   EXPECT_GE(four, host_t);  // the host side is a floor on the fleet makespan
+}
+
+TEST(PredictorUsage, CombinedRejectsImpossibleSplitsAndNaNSizes) {
+  const sim::Machine machine = sim::emil_machine();
+  const dna::GenomeCatalog catalog;
+  const TrainingData data =
+      generate_training_data(machine, catalog, TrainingSweepOptions::tiny());
+  PerformancePredictor p;
+  p.train(data.host, data.device);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+
+  // A fraction outside [0, 100] is no split at all; the simulator's
+  // measure_combined rejects it too. Both forms throw, for every schedule.
+  opt::SystemConfig c;
+  c.host_threads = 12;
+  c.device_threads = 120;
+  for (const parallel::SchedulePolicy schedule :
+       {parallel::SchedulePolicy::kStatic, parallel::SchedulePolicy::kDynamic}) {
+    c.schedule = schedule;
+    for (const double host_percent : {150.0, -20.0, nan}) {
+      c.host_percent = host_percent;
+      EXPECT_THROW((void)p.predict_combined(c, 1000.0), std::invalid_argument) << host_percent;
+      EXPECT_THROW((void)p.predict_combined(std::vector<opt::SystemConfig>{c}, 1000.0),
+                   std::invalid_argument)
+          << host_percent;
+    }
+  }
+  EXPECT_THROW((void)p.predict_combined(opt::SystemConfig{}, nan), std::invalid_argument);
+  EXPECT_THROW((void)p.predict_host(nan, 12, parallel::HostAffinity::kScatter),
+               std::invalid_argument);
+  EXPECT_THROW((void)p.predict_device(nan, 120, parallel::DeviceAffinity::kBalanced),
+               std::invalid_argument);
+
+  // A size <= 0 still predicts 0: at host_percent 100 the device side,
+  // total - total * 100 / 100, lands one ulp below zero for some totals.
+  c.schedule = parallel::SchedulePolicy::kStatic;
+  c.host_percent = 100.0;
+  int below_zero = 0;
+  for (int k = 1; k <= 200; ++k) {
+    const double total = 0.37 * k;
+    if (total - total * 100.0 / 100.0 >= 0.0) continue;
+    ++below_zero;
+    EXPECT_EQ(p.predict_combined(c, total),
+              p.predict_host(total * 100.0 / 100.0, 12, c.host_affinity))
+        << total;
+  }
+  EXPECT_GT(below_zero, 0);
+  EXPECT_EQ(p.predict_device(-1e-12, 120, parallel::DeviceAffinity::kBalanced), 0.0);
 }
 
 TEST(PredictorUsage, CombinedRejectsNonPositiveTotal) {

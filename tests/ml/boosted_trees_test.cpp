@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "ml/metrics.hpp"
 #include "util/rng.hpp"
@@ -150,6 +152,39 @@ TEST(BoostedTreesTest, UsageErrors) {
                                           model.trained_rounds() + 1),
                std::invalid_argument);
   EXPECT_EQ(model.name(), "BoostedDecisionTreeRegression");
+}
+
+TEST(BoostedTreesTest, PredictRowsMatchesPredictBitForBit) {
+  const Dataset train = smooth_surface(300, 5);
+  const Dataset probe = smooth_surface(64, 6);
+  BoostedTreesParams params;
+  params.rounds = 80;
+  params.subsample = 0.7;
+  BoostedTreesRegressor model(params);
+  model.fit(train);
+
+  std::vector<double> rows;
+  std::vector<double> expected;
+  for (std::size_t i = 0; i < probe.size(); ++i) {
+    const auto row = probe.row(i);
+    rows.insert(rows.end(), row.begin(), row.end());
+    expected.push_back(model.predict(row));
+  }
+  std::vector<double> out(probe.size());
+  model.predict_rows(rows, out);
+  EXPECT_EQ(out, expected);
+
+  // One row, and no rows at all.
+  double one = 0.0;
+  model.predict_rows(std::span<const double>(rows).first(2), {&one, 1});
+  EXPECT_EQ(one, expected[0]);
+  model.predict_rows({}, {});
+
+  // The row buffer must split evenly into out.size() rows.
+  std::vector<double> two(2);
+  EXPECT_THROW(model.predict_rows(std::span<const double>(rows).first(5), two),
+               std::invalid_argument);
+  EXPECT_THROW(BoostedTreesRegressor().predict_rows(rows, out), std::logic_error);
 }
 
 class LearningRateSweep : public ::testing::TestWithParam<double> {};
