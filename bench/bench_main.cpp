@@ -69,6 +69,7 @@
 #include <thread>
 #include <vector>
 
+#include "automata/parallel_matcher.hpp"
 #include "automata/simd/simd_kernels.hpp"
 #include "automata/simd_engine.hpp"
 #include "core/hetopt.hpp"
@@ -141,6 +142,12 @@ struct RealRow {
   core::RealMeasurement real;
   bool match_parity = false;
 };
+
+/// The host pool (pool 0) of a measurement's reported run; all zeros for an
+/// invalid measurement, which reports no pools.
+[[nodiscard]] core::PoolReport host_pool(const core::RealMeasurement& m) {
+  return m.report.pools.empty() ? core::PoolReport{} : m.report.pools.front();
+}
 
 void write_real_row(util::JsonWriter& json, const RealRow& row) {
   json.begin_object()
@@ -1019,7 +1026,7 @@ int main(int argc, char** argv) {
             .member("evaluations", report.evaluations)
             .member("real_time_s", real.seconds)
             .member("throughput_mb_s", real.throughput_mb_s)
-            .member("realized_host_percent", real.realized_host_percent)
+            .member("realized_host_percent", host_pool(real).realized_percent)
             .member("match_parity", parity)
             .key("winner");
         write_config(json, report.config);
@@ -1062,34 +1069,29 @@ int main(int argc, char** argv) {
                                           .distribute(rw.physical_mb(), c.host_percent,
                                                       c.host_threads, c.host_affinity,
                                                       c.device_threads, c.device_affinity);
+      const std::vector<core::PoolReport>& pools = m.report.pools;
       json.begin_object()
           .member("device_count", devices)
-          .member("pool_count", m.pool_count)
+          .member("pool_count", devices + 1)
           .member("seconds", m.seconds)
           .member("throughput_mb_s", m.throughput_mb_s)
           .member("matches", m.matches)
           .member("match_parity", parity)
-          .member("imbalance", m.imbalance)
+          .member("imbalance", m.report.imbalance)
           .member("sim_makespan_s", shares.makespan_s);
       json.key("configured_percents").begin_array();
-      for (const double s : m.configured_percents) json.value(s);
+      for (const core::PoolReport& pool : pools) json.value(pool.configured_percent);
       json.end_array().key("realized_percents").begin_array();
-      for (const double s : m.realized_percents) json.value(s);
+      for (const core::PoolReport& pool : pools) json.value(pool.realized_percent);
       json.end_array().key("pool_steals").begin_array();
-      for (const std::uint64_t s : m.pool_steals) json.value(s);
+      for (const core::PoolReport& pool : pools) json.value(pool.steals);
       json.end_array().end_object();
       std::cout << "  device_matrix " << devices << " device"
                 << (devices == 1 ? "" : "s") << ": "
                 << util::format_double(m.throughput_mb_s, 1) << " MB/s, host "
-                << util::format_double(m.realized_percents.empty()
-                                           ? 0.0
-                                           : m.realized_percents.front(),
-                                       1)
+                << util::format_double(host_pool(m).realized_percent, 1)
                 << "% realized (configured "
-                << util::format_double(m.configured_percents.empty()
-                                           ? 0.0
-                                           : m.configured_percents.front(),
-                                       1)
+                << util::format_double(host_pool(m).configured_percent, 1)
                 << "%)\n";
     }
     json.end_array();
@@ -1214,7 +1216,7 @@ int main(int argc, char** argv) {
         }
         core::HeterogeneousExecutor executor(
             rw.engine(automata::EngineKind::kCompiledDfa), specs);
-        executor.set_recovery({0.02, 3});  // fast watchdog for the stall rows
+        executor.set_recovery({0.02});  // fast watchdog for the stall rows
         const std::vector<double> shares(pools, 100.0 / static_cast<double>(pools));
         const std::string last = std::to_string(pools - 1);
         const std::vector<std::string> plans = {

@@ -22,6 +22,10 @@ namespace hetopt::core {
 
 namespace {
 
+/// Scan attempts per chunk under the recovery policy before the chunk
+/// degrades to the naive scanner.
+constexpr std::size_t kMaxChunkAttempts = 3;
+
 [[nodiscard]] parallel::ThreadPool::WorkerInit pool_init(const PoolSpec& spec) {
   if (spec.host_affinity) {
     return [a = *spec.host_affinity, threads = spec.threads](std::size_t worker) {
@@ -236,14 +240,12 @@ struct RecoveryContext {
   }
 };
 
-/// The watchdog: ticks on a fraction of the tightest deadline and declares a
-/// pool failed once it has gone `deadlines[i]` seconds without completing a
-/// chunk. Runs on its own thread until a stop is requested.
-void watchdog_loop(const std::stop_token& stop, RecoveryContext& ctx,
-                   const std::vector<double>& deadlines) {
-  const std::size_t n = deadlines.size();
-  double tick = *std::min_element(deadlines.begin(), deadlines.end()) / 4.0;
-  tick = std::max(tick, 0.001);
+/// The watchdog: ticks on a fraction of the deadline and declares a pool
+/// failed once it has gone `deadline` seconds without completing a chunk.
+/// Runs on its own thread until a stop is requested.
+void watchdog_loop(const std::stop_token& stop, RecoveryContext& ctx, double deadline) {
+  const std::size_t n = ctx.progress.size();
+  const double tick = std::max(deadline / 4.0, 0.001);
   std::vector<std::uint64_t> last(n, 0);
   std::vector<double> stagnant(n, 0.0);
   while (!stop.stop_requested()) {
@@ -261,7 +263,7 @@ void watchdog_loop(const std::stop_token& stop, RecoveryContext& ctx,
         continue;
       }
       stagnant[i] += tick;
-      if (stagnant[i] >= deadlines[i]) ctx.mark_failed(i);
+      if (stagnant[i] >= deadline) ctx.mark_failed(i);
     }
   }
 }
@@ -613,7 +615,7 @@ ExecutionReport HeterogeneousExecutor::run_chunks(std::string_view text,
   // are retried up to the budget, then the chunk falls back to the naive
   // scanner. An injected slowdown stretches the scan by the planned factor.
   const auto scan_recover = [&](std::size_t t, PageRef& pin) -> std::uint64_t {
-    for (std::size_t attempt = 0; attempt < recovery_.max_chunk_attempts; ++attempt) {
+    for (std::size_t attempt = 0; attempt < kMaxChunkAttempts; ++attempt) {
       try {
         injector->chunk_scan(t, attempt);
         util::Timer timer;
@@ -694,16 +696,13 @@ ExecutionReport HeterogeneousExecutor::run_chunks(std::string_view text,
   if (!recover) {
     for_each_pool(n, active, run_pool);
   } else {
-    std::vector<double> deadlines(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      deadlines[i] = specs_[i].watchdog_seconds > 0.0 ? specs_[i].watchdog_seconds
-                                                      : recovery_.watchdog_seconds;
-    }
     {
       // The jthread requests a stop and joins when this scope ends, on the
       // exception path too.
       const std::jthread watchdog(
-          [&ctx, deadlines](const std::stop_token& stop) { watchdog_loop(stop, ctx, deadlines); });
+          [&ctx, deadline = recovery_.watchdog_seconds](const std::stop_token& stop) {
+            watchdog_loop(stop, ctx, deadline);
+          });
       for_each_pool(n, active, run_pool);
     }
 

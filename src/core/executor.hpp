@@ -29,9 +29,11 @@
 // up over its own lead bytes); what changes is who scans what and when.
 // Engines with no synchronization bound cannot warm up, so they run static
 // with one chunk per pool, each pool entering its segment through
-// count_chunk's prefix replay (in memory only). ExecutionReport::pools
-// records per-pool realized shares, steal counts, and an imbalance metric so
-// the tuner and the benches can see the difference.
+// count_chunk's prefix replay (in memory only). ExecutionReport is the one
+// record of a run: per-pool matches, bytes, seconds, configured vs realized
+// shares and steal counts, plus an imbalance metric.
+// core::RealWorkloadEvaluator hands the report of the run it measured on
+// whole inside its RealMeasurement.
 //
 // A paged ticket pins its page (at most one pin per worker, kept across the
 // worker's tickets on that page) and is scanned on the pinned halo+payload
@@ -42,12 +44,13 @@
 // reader past pages its owner has not reached.
 //
 // Fault tolerance is a policy on the same loop, switched on only while an
-// armed util::FaultInjector plan exercises recovery: a watchdog deadlines
-// every pool, a dead or stalled pool's unclaimed tickets are requeued to the
-// survivors (under static, a failed pool's segment is the only legal steal
-// source), a failing chunk is retried and then degraded to the naive
-// scanner, and a final sweep on the caller covers total fleet loss. With no
-// such plan armed, scan errors (e.g. a non-ACGT byte) propagate unchanged.
+// armed util::FaultInjector plan exercises recovery: a watchdog gives every
+// pool the one RecoveryOptions deadline, a dead or stalled pool's unclaimed
+// tickets are requeued to the survivors (under static, a failed pool's
+// segment is the only legal steal source), a failing chunk gets three scan
+// attempts and then degrades to the naive scanner, and a final sweep on the
+// caller covers total fleet loss. With no such plan armed, scan errors (e.g.
+// a non-ACGT byte) propagate unchanged.
 //
 // The executor is engine-generic: any automata::MatchEngine (compiled DFA,
 // Aho–Corasick, bitap) drives every pool, which is how the tuner prices the
@@ -89,22 +92,18 @@ struct PoolSpec {
   /// into under the static and adaptive schedules; 0 means one chunk per
   /// worker.
   std::size_t chunks = 0;
-  /// Watchdog deadline for this pool when the recovery policy is on: the
-  /// pool is declared failed after this long without completing a chunk.
-  /// 0 means "use the executor's RecoveryOptions::watchdog_seconds".
-  double watchdog_seconds = 0.0;
   std::optional<parallel::HostAffinity> host_affinity;
   std::optional<parallel::DeviceAffinity> device_affinity;
 };
 
 /// Tunables of the recovery policy (on only while a util::FaultInjector plan
 /// with execution faults is armed — the no-fault run loop skips all of it).
+/// A failing chunk gets three scan attempts before it degrades to the naive
+/// scanner.
 struct RecoveryOptions {
-  /// Default per-pool watchdog deadline: a pool that completes no chunk for
+  /// Watchdog deadline of every pool: a pool that completes no chunk for
   /// this long is declared failed and its unclaimed work is redistributed.
   double watchdog_seconds = 0.05;
-  /// Scan attempts per chunk before degrading to the naive scanner.
-  std::size_t max_chunk_attempts = 3;
 };
 
 /// Tunables of the fleet's paged (out-of-core) scan.
@@ -251,8 +250,8 @@ class HeterogeneousExecutor {
   [[nodiscard]] std::size_t pool_count() const noexcept { return specs_.size(); }
   [[nodiscard]] const std::vector<PoolSpec>& pools() const noexcept { return specs_; }
 
-  /// Tunes the recovery policy (watchdog deadline, retry budget). Takes
-  /// effect on the next run; irrelevant while no fault plan is armed.
+  /// Tunes the recovery policy (the watchdog deadline). Takes effect on the
+  /// next run; irrelevant while no fault plan is armed.
   void set_recovery(const RecoveryOptions& options) noexcept { recovery_ = options; }
   [[nodiscard]] const RecoveryOptions& recovery() const noexcept { return recovery_; }
 

@@ -13,7 +13,6 @@
 #include "automata/regex.hpp"
 #include "automata/scanner.hpp"
 #include "automata/subset.hpp"
-#include "core/executor.hpp"
 #include "dna/alphabet.hpp"
 #include "parallel/partitioner.hpp"
 #include "sim/multi.hpp"
@@ -24,6 +23,11 @@
 namespace hetopt::core {
 
 namespace {
+
+/// Measurement attempts a self-healing measure() may spend beyond `repeats`
+/// on failed runs before it gives up and returns a marked-invalid
+/// measurement.
+constexpr std::size_t kMeasureRetryBudget = 2;
 
 /// One concrete ACGT instantiation of an IUPAC motif (first base of every
 /// ambiguity class), used to plant findable copies into the genome. Regex
@@ -108,11 +112,6 @@ namespace {
 }
 
 }  // namespace
-
-double real_workload_model_seconds(const opt::SystemConfig& config, std::size_t host_bytes,
-                                   std::size_t device_bytes) {
-  return real_workload_model_fleet_seconds(config, host_bytes, {device_bytes});
-}
 
 double real_workload_model_fleet_seconds(const opt::SystemConfig& config,
                                          std::size_t host_bytes,
@@ -274,9 +273,6 @@ RealWorkloadEvaluator::RealWorkloadEvaluator(dna::GenomeCatalog catalog,
   if (options_.repeats == 0) {
     throw std::invalid_argument("RealWorkloadEvaluator: repeats must be >= 1");
   }
-  if (options_.chunks_per_thread == 0) {
-    throw std::invalid_argument("RealWorkloadEvaluator: chunks_per_thread must be >= 1");
-  }
 }
 
 std::shared_ptr<const RealWorkload> RealWorkloadEvaluator::cached(
@@ -306,14 +302,7 @@ RealMeasurement RealWorkloadEvaluator::measure(const opt::SystemConfig& config,
   }
   const std::shared_ptr<const RealWorkload> rw = cached(workload);
 
-  const auto host_threads = static_cast<std::size_t>(config.host_threads);
-  const auto device_threads = static_cast<std::size_t>(config.device_threads);
   const auto devices = static_cast<std::size_t>(config.device_count);
-
-  RealMeasurement m;
-  m.pool_count = config.device_count + 1;
-  m.host_chunks = host_threads * options_.chunks_per_thread;
-  m.device_chunks = device_threads * options_.chunks_per_thread;
 
   // Configured shares, fleet order. The paper's pair splits by the raw
   // fraction, {host_percent, 100 - host_percent}; a larger fleet keeps the
@@ -333,25 +322,19 @@ RealMeasurement RealWorkloadEvaluator::measure(const opt::SystemConfig& config,
     for (const double d : sv.device_percent) shares.push_back(d);
   }
 
-  // The configured engine runs every pool; asking for an engine the motif
-  // set does not qualify for throws with the gap reason (callers size the
-  // engine axis from RealWorkload::engines(), so search never gets here).
-  std::vector<PoolSpec> specs;
-  specs.reserve(devices + 1);
-  PoolSpec host;
-  host.threads = host_threads;
-  host.share_percent = shares[0];
-  host.chunks = m.host_chunks;
-  if (options_.pin_threads) host.host_affinity = config.host_affinity;
-  specs.push_back(host);
-  for (std::size_t d = 0; d < devices; ++d) {
-    PoolSpec dev;
-    dev.threads = device_threads;
-    dev.share_percent = shares[d + 1];
-    dev.chunks = m.device_chunks;
-    if (options_.pin_threads) dev.device_affinity = config.device_affinity;
-    specs.push_back(dev);
+  // One host pool plus `devices` device pools, pinned per the affinity axes,
+  // each cut into one chunk per worker. The configured engine runs every
+  // pool; asking for an engine the motif set does not qualify for throws
+  // with the gap reason (callers size the engine axis from
+  // RealWorkload::engines(), so search never gets here).
+  std::vector<PoolSpec> specs(devices + 1);
+  specs[0].threads = static_cast<std::size_t>(config.host_threads);
+  specs[0].host_affinity = config.host_affinity;
+  for (std::size_t d = 1; d <= devices; ++d) {
+    specs[d].threads = static_cast<std::size_t>(config.device_threads);
+    specs[d].device_affinity = config.device_affinity;
   }
+  for (std::size_t i = 0; i <= devices; ++i) specs[i].share_percent = shares[i];
   HeterogeneousExecutor executor(rw->engine(config.engine), std::move(specs));
 
   // --- Self-healing measurement loop ----------------------------------------
@@ -360,6 +343,7 @@ RealMeasurement RealWorkloadEvaluator::measure(const opt::SystemConfig& config,
   // unit of the retry budget and backs off with seeded jitter before the
   // next try. With no armed fault plan this collects exactly `repeats`
   // samples, as before.
+  RealMeasurement m;
   const util::FaultInjector* injector = util::FaultInjector::current();
   util::Backoff backoff(injector != nullptr ? injector->plan().seed : 0);
   struct Sample {
@@ -368,7 +352,7 @@ RealMeasurement RealWorkloadEvaluator::measure(const opt::SystemConfig& config,
   };
   std::vector<Sample> samples;
   samples.reserve(options_.repeats);
-  std::size_t budget = options_.measure_retry_budget;
+  std::size_t budget = kMeasureRetryBudget;
   while (samples.size() < options_.repeats) {
     try {
       if (injector != nullptr && injector->measure_fails()) {
@@ -417,102 +401,48 @@ RealMeasurement RealWorkloadEvaluator::measure(const opt::SystemConfig& config,
     std::sort(sorted.begin(), sorted.end());
     reject_above = 4.0 * sorted[sorted.size() / 2];
   }
-  const Sample* best = nullptr;
-  for (const Sample& s : samples) {
+  Sample* best = nullptr;
+  for (Sample& s : samples) {
     if (s.seconds > reject_above) {
       ++m.rejected_outliers;
       continue;
     }
     if (best == nullptr || s.seconds < best->seconds) best = &s;
   }
-  {
-    const ExecutionReport& report = best->report;
-    m.seconds = best->seconds;
-    m.matches = report.total_matches();
-    m.imbalance = report.imbalance;
-    m.configured_percents.clear();
-    m.realized_percents.clear();
-    m.pool_seconds.clear();
-    m.pool_bytes.clear();
-    m.pool_steals.clear();
-    for (const PoolReport& pool : report.pools) {
-      m.configured_percents.push_back(pool.configured_percent);
-      m.realized_percents.push_back(pool.realized_percent);
-      m.pool_seconds.push_back(pool.seconds);
-      m.pool_bytes.push_back(pool.bytes);
-      m.pool_steals.push_back(pool.steals);
-    }
-    // Host = pool 0; the device side aggregates pools 1..K (sums, with the
-    // slowest device's seconds).
-    const PoolReport& host_pool = report.pools.front();
-    m.host_seconds = host_pool.seconds;
-    m.host_bytes = host_pool.bytes;
-    m.realized_host_percent = host_pool.realized_percent;
-    m.host_steals = host_pool.steals;
-    m.device_seconds = 0.0;
-    m.device_bytes = 0;
-    m.device_steals = 0;
-    for (std::size_t i = 1; i < report.pools.size(); ++i) {
-      m.device_seconds = std::max(m.device_seconds, report.pools[i].seconds);
-      m.device_bytes += report.pools[i].bytes;
-      m.device_steals += report.pools[i].steals;
-    }
-    m.failed_pools = report.failed_pools;
-    m.requeued_chunks = report.requeued_chunks;
-    m.chunk_retries = report.chunk_retries;
-    m.degraded = report.degraded;
-  }
+  m.seconds = best->seconds;
+  m.report = std::move(best->report);
+  m.matches = m.report.total_matches();
   if (options_.deterministic_timing) {
     // Model the *configured* split, not the realized bytes: under the
     // shared-queue schedules the realized distribution varies run to run,
     // and seeded deterministic tuning must not. (For static the two are the
-    // same split, so pre-schedule-axis numbers are unchanged.) The
-    // distribution-runtime fields are overridden to the configured split
-    // too — a half-deterministic measurement whose bytes disagreed with its
-    // modeled seconds would flake any test or JSON diff that reads them.
-    //
-    // The byte split is the executor's own segment cut (share_bounds).
+    // same split, so pre-schedule-axis numbers are unchanged.) The report's
+    // distribution fields are rewritten to the configured split too — a
+    // half-deterministic measurement whose bytes disagreed with its modeled
+    // seconds would flake any test or JSON diff that reads them. Each pool's
+    // bytes are the executor's own segment cut (share_bounds), and its
+    // seconds the static formula for that pool alone — a standalone drain
+    // time, deterministic in the config alone.
     const std::size_t total = rw->text().size();
     const std::vector<std::size_t> bounds = parallel::share_bounds(total, shares);
-    const std::size_t host_b = bounds[1] - bounds[0];
-    std::vector<std::size_t> device_b(shares.size() - 1);
-    for (std::size_t d = 0; d + 1 < shares.size(); ++d) {
-      device_b[d] = bounds[d + 2] - bounds[d + 1];
-    }
-    m.seconds = real_workload_model_fleet_seconds(config, host_b, device_b);
-    // The per-pool display fields use the static per-pool formula — a
-    // pool's standalone drain time, deterministic in the config alone.
     opt::SystemConfig side = config;
     side.schedule = parallel::SchedulePolicy::kStatic;
-    m.host_seconds = real_workload_model_seconds(side, host_b, 0);
-    m.device_seconds = 0.0;
-    m.configured_percents = shares;
-    m.realized_percents.assign(shares.size(), 0.0);
-    m.pool_seconds.assign(shares.size(), 0.0);
-    m.pool_bytes.assign(shares.size(), 0);
-    m.pool_steals.assign(shares.size(), 0);
-    m.pool_seconds[0] = m.host_seconds;
-    m.pool_bytes[0] = host_b;
-    std::size_t device_total = 0;
-    for (std::size_t d = 0; d < device_b.size(); ++d) {
-      const double device_s = real_workload_model_seconds(side, 0, device_b[d]);
-      m.device_seconds = std::max(m.device_seconds, device_s);
-      m.pool_seconds[d + 1] = device_s;
-      m.pool_bytes[d + 1] = device_b[d];
-      device_total += device_b[d];
-    }
-    for (std::size_t i = 0; i < shares.size(); ++i) {
-      m.realized_percents[i] =
+    std::vector<std::size_t> device_bytes;
+    device_bytes.reserve(devices);
+    for (std::size_t i = 0; i < m.report.pools.size(); ++i) {
+      PoolReport& pool = m.report.pools[i];
+      pool.bytes = bounds[i + 1] - bounds[i];
+      pool.seconds = i == 0 ? real_workload_model_fleet_seconds(side, pool.bytes, {0})
+                            : real_workload_model_fleet_seconds(side, 0, {pool.bytes});
+      pool.realized_percent =
           total == 0 ? 0.0
-                     : 100.0 * static_cast<double>(m.pool_bytes[i]) /
-                           static_cast<double>(total);
+                     : 100.0 * static_cast<double>(pool.bytes) / static_cast<double>(total);
+      pool.steals = 0;
+      if (i > 0) device_bytes.push_back(pool.bytes);
     }
-    m.host_bytes = host_b;
-    m.device_bytes = device_total;
-    m.realized_host_percent = m.realized_percents[0];
-    m.host_steals = 0;
-    m.device_steals = 0;
-    m.imbalance = 0.0;
+    m.seconds = real_workload_model_fleet_seconds(config, m.report.pools[0].bytes, device_bytes);
+    m.report.total_seconds = m.seconds;
+    m.report.imbalance = 0.0;
   }
   m.throughput_mb_s = m.seconds > 0.0 ? rw->physical_mb() / m.seconds : 0.0;
   return m;

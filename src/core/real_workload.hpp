@@ -11,16 +11,25 @@
 // EM/EML/SAM/SAML therefore tune live code end-to-end, which is what the
 // paper's testbed did.
 //
+// A RealMeasurement is what the evaluator adds (seconds, throughput, the
+// match count, validity and the self-healing counters) plus the executor's
+// ExecutionReport of the run it reports, passed on whole: who scanned what,
+// for how long, and what the recovery policy did is read from
+// `report.pools` and the report's fault fields, not from copies.
+//
 // Two timing modes:
 //   wall          (default) monotonic wall-clock of the real scan, min over
 //                 `repeats` runs. Non-deterministic, as real measurements are.
 //   deterministic the scan still runs (match counts stay live and exact) but
 //                 the reported seconds come from a pure work model of the
-//                 executed bytes/threads/affinity. Used by tests and CI smoke
-//                 runs, where wall-clock noise would make seeds meaningless.
+//                 configured split, and the report's per-pool bytes, shares
+//                 and seconds are rewritten to that model. Used by tests and
+//                 CI smoke runs, where wall-clock noise would make seeds
+//                 meaningless.
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -33,8 +42,8 @@
 #include "automata/dense_dfa.hpp"
 #include "automata/engine_kind.hpp"
 #include "automata/match_engine.hpp"
-#include "automata/parallel_matcher.hpp"
 #include "core/evaluator.hpp"
+#include "core/executor.hpp"
 #include "core/workload.hpp"
 #include "dna/catalog.hpp"
 #include "dna/paged_genome.hpp"
@@ -55,18 +64,12 @@ struct RealWorkloadOptions {
   std::size_t min_physical_bytes = std::size_t{64} * 1024;
   std::size_t max_physical_bytes = std::size_t{64} * 1024 * 1024;
   /// Timed repetitions per measurement; the minimum is reported (standard
-  /// practice for wall-clock microbenchmarks).
+  /// practice for wall-clock microbenchmarks). A self-healing measure() may
+  /// spend two more attempts on failed runs, backing off with seeded jitter,
+  /// before it returns a marked-invalid (infinite-seconds) measurement.
   std::size_t repeats = 1;
-  /// Chunks per pool worker (the matcher's chunking knob).
-  std::size_t chunks_per_thread = 1;
-  /// Apply the configuration's scatter/compact policies to the pool workers.
-  bool pin_threads = true;
   /// Replace wall-clock with the deterministic work model (tests, CI).
   bool deterministic_timing = false;
-  /// Extra measurement attempts (beyond `repeats`) a self-healing measure()
-  /// may spend on failed runs before giving up and returning a marked-invalid
-  /// (infinite-seconds) measurement. Retries back off with seeded jitter.
-  std::size_t measure_retry_budget = 2;
   /// Opt-in out-of-core mode: the materialized genome is additionally
   /// written to a temporary raw file and every measurement streams it
   /// through a bounded page cache (dna::PagedGenome + the executor's paged
@@ -164,39 +167,15 @@ class RealWorkload {
   std::unique_ptr<dna::PagedGenome> paged_;
 };
 
-/// Everything one timed run of a configuration produced.
+/// One measurement of a configuration: what the evaluator adds, plus the
+/// executor's report of the run it reports.
 struct RealMeasurement {
-  double seconds = 0.0;          // overlapped time (max of pools; min over repeats)
-  double host_seconds = 0.0;     // host-side wall time of the reported run
-  double device_seconds = 0.0;   // slowest emulated-device-side wall time
+  /// Overlapped seconds of the reported run (the fastest of `repeats` that
+  /// survived the outlier filter), or the work model's seconds under
+  /// deterministic timing; +infinity when `valid` is false.
+  double seconds = 0.0;
   double throughput_mb_s = 0.0;  // physical MB scanned per reported second
-  std::uint64_t matches = 0;     // total motif occurrences found
-  std::size_t host_bytes = 0;    // bytes the host side actually scanned
-  std::size_t device_bytes = 0;  // bytes all device pools scanned, summed
-  std::size_t host_chunks = 0;
-  std::size_t device_chunks = 0;  // chunks *per device pool*
-  // The distribution runtime's view of the reported run (executor.hpp):
-  // under the shared-queue schedules the realized fraction emerges at
-  // runtime; under static it equals the configured one and steals are 0.
-  double realized_host_percent = 0.0;
-  std::uint64_t host_steals = 0;
-  std::uint64_t device_steals = 0;  // summed over all device pools
-  double imbalance = 0.0;
-
-  // --- Fleet view (pool 0 = host, pools 1..K = devices) ----------------------
-  // One entry per pool of the executed fleet, in fleet order (the scalars
-  // above are derived from them: host = pool 0, device = pools 1..K). For
-  // the paper's pair (device_count = 1) these have exactly two entries; the
-  // differential-oracle test layer compares configured_percents against
-  // sim::MultiDeviceMachine::distribute.
-  int pool_count = 2;                       // host + device_count
-  std::vector<double> configured_percents;  // shares the run was asked for
-  std::vector<double> realized_percents;    // shares that actually emerged
-  std::vector<double> pool_seconds;         // per-pool wall time
-  std::vector<std::size_t> pool_bytes;      // per-pool scanned bytes
-  std::vector<std::uint64_t> pool_steals;   // per-pool cross-segment claims
-
-  // --- Self-healing / failure view -------------------------------------------
+  std::uint64_t matches = 0;     // report.total_matches()
   /// False when every attempt failed and the retry budget ran out; `seconds`
   /// is then +infinity, so opt::checked_energy prices the candidate out
   /// instead of aborting the tuning session.
@@ -205,11 +184,15 @@ struct RealMeasurement {
   std::uint64_t measure_failures = 0;
   /// Timing samples rejected by the median-of-k outlier filter.
   std::uint64_t rejected_outliers = 0;
-  // Executor failure telemetry of the reported run (ExecutionReport):
-  std::vector<std::size_t> failed_pools;
-  std::uint64_t requeued_chunks = 0;
-  std::uint64_t chunk_retries = 0;
-  bool degraded = false;
+  /// The reported run: one pool per fleet member (pool 0 = host, pools
+  /// 1..K = devices), whose configured_percent is the share measure()
+  /// configured, plus the recovery policy's failure telemetry. Under
+  /// deterministic timing each pool's bytes, seconds and realized share are
+  /// the model's (the executor's share cut of the configured split, priced
+  /// standalone), steals and imbalance are 0, and total_seconds equals
+  /// `seconds`; per-pool matches stay the live run's, and only their sum is
+  /// independent of the schedule. `pools` is empty when `valid` is false.
+  ExecutionReport report;
 };
 
 /// Evaluator backend that prices configurations by executing the real
@@ -265,26 +248,17 @@ class RealWorkloadEvaluator final : public Evaluator {
 };
 
 /// The deterministic work model (exposed for tests): overlapped seconds for
-/// scanning `host_bytes` + `device_bytes` under `config`, including the
-/// configured engine's rate factor (the default compiled-DFA engine's factor
-/// is exactly 1, so pre-engine-axis numbers are unchanged) and the
-/// configured schedule's shape: static is exactly the pre-schedule-axis
-/// formula (factor 1.0); the shared-queue schedules drain the combined work
-/// with both pools, costed at the summed rates times a policy-specific
-/// queue-traffic factor (dynamic > guided > adaptive — adaptive touches the
-/// shared ends least). Pure.
-[[nodiscard]] double real_workload_model_seconds(const opt::SystemConfig& config,
-                                                 std::size_t host_bytes,
-                                                 std::size_t device_bytes);
-
-/// Fleet generalization of the work model: `device_bytes[i]` is the share of
-/// device pool i (all device pools run `config.device_threads` under
-/// `config.device_affinity` — the identical-accelerator assumption of
-/// sim::emil_with_phis). Static is the max over the host's drain and every
+/// scanning `host_bytes` on the host and `device_bytes[i]` on device pool i
+/// under `config`. Every device pool runs `config.device_threads` under
+/// `config.device_affinity` (the identical-accelerator assumption of
+/// sim::emil_with_phis). The configured engine scales the scan cost (the
+/// default compiled-DFA engine's factor is exactly 1), and the schedule sets
+/// the shape: static is the max over the host's drain and every non-empty
 /// device's launch + drain; the shared-queue schedules drain the combined
-/// bytes at the summed rate (one host rate + K device rates). With one
-/// device this is *literally* real_workload_model_seconds — the 2-arg form
-/// delegates here — so pre-fleet seeded numbers are unchanged. Pure.
+/// bytes at the summed rate (one host rate + K device rates) times a
+/// policy-specific queue-traffic factor (dynamic > guided > adaptive —
+/// adaptive touches the shared ends least). Throws std::invalid_argument
+/// when `device_bytes` is empty. Pure.
 [[nodiscard]] double real_workload_model_fleet_seconds(
     const opt::SystemConfig& config, std::size_t host_bytes,
     const std::vector<std::size_t>& device_bytes);

@@ -21,26 +21,12 @@ Machine::Machine(MachineSpec spec) : spec_(std::move(spec)) {
 
 double Machine::host_time_model(double mb, int threads,
                                 parallel::HostAffinity affinity) const {
-  if (mb < 0.0) throw std::invalid_argument("host_time_model: negative size");
-  if (mb == 0.0) return 0.0;
-  const Placement p = host_placement(spec_.host, threads, affinity);
-  const double gb = mb / 1024.0;
-  return spec_.host.serial_overhead_s + gb / throughput_gbps(spec_.host, p);
+  return host_scan_seconds(spec_.host, mb, threads, affinity);
 }
 
 double Machine::device_time_model(double mb, int threads,
                                   parallel::DeviceAffinity affinity) const {
-  if (mb < 0.0) throw std::invalid_argument("device_time_model: negative size");
-  if (mb == 0.0) return 0.0;
-  const Placement p = device_placement(spec_.device, threads, affinity);
-  const double gb = mb / 1024.0;
-  const double compute = gb / throughput_gbps(spec_.device, p);
-  const double transfer = gb / spec_.offload.pcie_gbps;
-  // Streaming offload: compute overlaps all but the leading buffer fill of
-  // the transfer; the device finishes no earlier than the transfer itself.
-  const double overlapped = std::max(
-      compute + spec_.offload.non_overlapped_fraction * transfer, transfer);
-  return spec_.offload.launch_latency_s + spec_.device.serial_overhead_s + overlapped;
+  return device_scan_seconds(spec_.device, spec_.offload, mb, threads, affinity);
 }
 
 double Machine::noise_factor(std::uint64_t stream, double sigma,
@@ -88,7 +74,7 @@ double Machine::measure_device(double mb, int threads, parallel::DeviceAffinity 
 double Machine::combined_time_model(double total_mb, double host_percent, int host_threads,
                                     parallel::HostAffinity host_affinity, int device_threads,
                                     parallel::DeviceAffinity device_affinity) const {
-  if (host_percent < 0.0 || host_percent > 100.0) {
+  if (!(host_percent >= 0.0 && host_percent <= 100.0)) {  // rejects NaN too
     throw std::invalid_argument("combined_time_model: host_percent out of [0,100]");
   }
   const double host_mb = total_mb * host_percent / 100.0;
@@ -101,7 +87,7 @@ double Machine::measure_combined(double total_mb, double host_percent, int host_
                                  parallel::HostAffinity host_affinity, int device_threads,
                                  parallel::DeviceAffinity device_affinity,
                                  std::uint64_t repetition) const {
-  if (host_percent < 0.0 || host_percent > 100.0) {
+  if (!(host_percent >= 0.0 && host_percent <= 100.0)) {  // rejects NaN too
     throw std::invalid_argument("measure_combined: host_percent out of [0,100]");
   }
   const double host_mb = total_mb * host_percent / 100.0;

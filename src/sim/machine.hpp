@@ -42,7 +42,9 @@ class Machine {
 
   /// The paper's objective (Eq. 2): host and device run overlapped, so the
   /// application finishes when the slower side does.
-  /// `host_percent` of `total_mb` goes to the host, the rest to the device.
+  /// `host_percent` of `total_mb` goes to the host, the rest to the device;
+  /// a host_percent outside [0, 100] (NaN included) throws
+  /// std::invalid_argument.
   [[nodiscard]] double measure_combined(double total_mb, double host_percent, int host_threads,
                                         parallel::HostAffinity host_affinity,
                                         int device_threads,

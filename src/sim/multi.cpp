@@ -32,24 +32,13 @@ MultiDeviceMachine::MultiDeviceMachine(ProcessorSpec host, std::vector<DeviceCon
 
 double MultiDeviceMachine::host_time(double mb, int threads,
                                      parallel::HostAffinity affinity) const {
-  if (mb < 0.0) throw std::invalid_argument("MultiDeviceMachine: negative size");
-  if (mb == 0.0) return 0.0;
-  const Placement p = host_placement(host_, threads, affinity);
-  return host_.serial_overhead_s + mb / 1024.0 / throughput_gbps(host_, p);
+  return host_scan_seconds(host_, mb, threads, affinity);
 }
 
 double MultiDeviceMachine::device_time(std::size_t i, double mb) const {
   if (i >= devices_.size()) throw std::out_of_range("MultiDeviceMachine: device index");
-  if (mb < 0.0) throw std::invalid_argument("MultiDeviceMachine: negative size");
-  if (mb == 0.0) return 0.0;
   const DeviceContext& d = devices_[i];
-  const Placement p = device_placement(d.spec, d.threads, d.affinity);
-  const double gb = mb / 1024.0;
-  const double compute = gb / throughput_gbps(d.spec, p);
-  const double transfer = gb / d.offload.pcie_gbps;
-  const double overlapped =
-      std::max(compute + d.offload.non_overlapped_fraction * transfer, transfer);
-  return d.offload.launch_latency_s + d.spec.serial_overhead_s + overlapped;
+  return device_scan_seconds(d.spec, d.offload, mb, d.threads, d.affinity);
 }
 
 double MultiDeviceMachine::makespan(double total_mb, const ShareVector& shares,
@@ -177,20 +166,22 @@ ShareVector MultiDeviceMachine::distribute(double total_mb, double host_percent,
                                            parallel::DeviceAffinity device_affinity,
                                            double tolerance_s) const {
   if (total_mb <= 0.0) throw std::invalid_argument("MultiDeviceMachine: non-positive size");
-  const double hp = std::clamp(host_percent, 0.0, 100.0);
+  if (!(host_percent >= 0.0 && host_percent <= 100.0)) {  // rejects NaN too
+    throw std::invalid_argument("MultiDeviceMachine: host_percent out of [0,100]");
+  }
 
   ShareVector shares;
   shares.device_percent.resize(devices_.size(), 0.0);
 
-  if (devices_.empty() || hp >= 100.0) {
+  if (devices_.empty() || host_percent == 100.0) {
     // No devices to offload to (or nothing left for them): host takes all.
     shares.host_percent = 100.0;
     shares.makespan_s = host_time(total_mb, host_threads, host_affinity);
     return shares;
   }
 
-  shares.host_percent = hp;
-  const double device_mb = total_mb * (100.0 - hp) / 100.0;
+  shares.host_percent = host_percent;
+  const double device_mb = total_mb * (100.0 - host_percent) / 100.0;
 
   // Per-device affine models under the uniform (clamped) threading.
   std::vector<AffineRate> rates;
@@ -215,7 +206,7 @@ ShareVector MultiDeviceMachine::distribute(double total_mb, double host_percent,
   }
   const double t = hi;
 
-  double remaining_pct = 100.0 - hp;
+  double remaining_pct = 100.0 - host_percent;
   std::size_t largest = 0;
   for (std::size_t i = 0; i < devices_.size() && remaining_pct > 0.0; ++i) {
     const double mb = absorbable_mb(t, rates[i].overhead_s, rates[i].mb_per_second);
@@ -230,7 +221,7 @@ ShareVector MultiDeviceMachine::distribute(double total_mb, double host_percent,
 
   // Makespan under the overridden threading (makespan() would use each
   // device's stored context, so compute from the affine models directly).
-  double worst = host_time(total_mb * hp / 100.0, host_threads, host_affinity);
+  double worst = host_time(total_mb * host_percent / 100.0, host_threads, host_affinity);
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     const double mb = total_mb * shares.device_percent[i] / 100.0;
     if (mb > 0.0) {

@@ -70,8 +70,10 @@ class MultiDeviceMachine {
   /// `host_percent` of the input, every device runs with the given uniform
   /// threading (clamped to its own limit), and the device remainder is split
   /// across the devices by the water-filling solver so they finish together.
-  /// With no devices (or host_percent >= 100) the host takes everything.
+  /// With no devices (or host_percent 100) the host takes everything.
   /// Returned shares sum to 100 within fp rounding; makespan_s is filled in.
+  /// Throws std::invalid_argument for a non-positive size or a host_percent
+  /// outside [0, 100] (NaN included).
   [[nodiscard]] ShareVector distribute(double total_mb, double host_percent, int host_threads,
                                        parallel::HostAffinity host_affinity, int device_threads,
                                        parallel::DeviceAffinity device_affinity,

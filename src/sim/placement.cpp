@@ -77,4 +77,26 @@ double throughput_gbps(const ProcessorSpec& spec, const Placement& p) {
   return spec.per_thread_gbps * p.thread_units / contention * p.penalty;
 }
 
+double host_scan_seconds(const ProcessorSpec& host, double mb, int threads,
+                         parallel::HostAffinity affinity) {
+  if (mb < 0.0) throw std::invalid_argument("host_scan_seconds: negative size");
+  if (mb == 0.0) return 0.0;
+  const Placement p = host_placement(host, threads, affinity);
+  const double gb = mb / 1024.0;
+  return host.serial_overhead_s + gb / throughput_gbps(host, p);
+}
+
+double device_scan_seconds(const ProcessorSpec& device, const OffloadSpec& offload, double mb,
+                           int threads, parallel::DeviceAffinity affinity) {
+  if (mb < 0.0) throw std::invalid_argument("device_scan_seconds: negative size");
+  if (mb == 0.0) return 0.0;
+  const Placement p = device_placement(device, threads, affinity);
+  const double gb = mb / 1024.0;
+  const double compute = gb / throughput_gbps(device, p);
+  const double transfer = gb / offload.pcie_gbps;
+  const double overlapped =
+      std::max(compute + offload.non_overlapped_fraction * transfer, transfer);
+  return offload.launch_latency_s + device.serial_overhead_s + overlapped;
+}
+
 }  // namespace hetopt::sim

@@ -36,4 +36,19 @@ struct Placement {
 ///   per_thread_gbps * thread_units / (1 + beta * (cores_used - 1)) * penalty
 [[nodiscard]] double throughput_gbps(const ProcessorSpec& spec, const Placement& p);
 
+/// Time for a host processor to scan `mb` megabytes: serial overhead plus
+/// the bytes at the placement's throughput. 0 MB -> 0 s; throws
+/// std::invalid_argument on a negative size.
+[[nodiscard]] double host_scan_seconds(const ProcessorSpec& host, double mb, int threads,
+                                       parallel::HostAffinity affinity);
+
+/// Time for a device to scan `mb` megabytes including offload costs: launch
+/// latency, serial overhead, and compute overlapped with the streamed PCIe
+/// transfer (all but its non-overlapped leading fill; the device finishes no
+/// earlier than the transfer itself). 0 MB -> 0 s; throws
+/// std::invalid_argument on a negative size.
+[[nodiscard]] double device_scan_seconds(const ProcessorSpec& device,
+                                         const OffloadSpec& offload, double mb, int threads,
+                                         parallel::DeviceAffinity affinity);
+
 }  // namespace hetopt::sim

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "core/features.hpp"
+#include "core/real_workload.hpp"
 #include "core/training.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -199,6 +201,44 @@ TEST_F(PredictionBatchFixture, BatchWithOneInvalidConfigThrowsLikeTheSingleCall)
     EXPECT_THROW((void)evaluator.evaluate_batch(batch, human()), std::invalid_argument);
     EXPECT_EQ(evaluator.evaluations(), 0u);
   }
+}
+
+TEST(EvaluatorValidationTest, EveryEvaluatorRejectsAHostPercentOutsideZeroToHundred) {
+  // An impossible split is an error wherever it is priced: never clamped
+  // into a split that runs, never left for checked_energy to trip over.
+  const sim::Machine machine = sim::emil_machine();
+  const dna::GenomeCatalog catalog;
+  const TrainingData data =
+      generate_training_data(machine, catalog, TrainingSweepOptions::tiny());
+  PerformancePredictor predictor;
+  predictor.train(data.host, data.device);
+  RealWorkloadOptions real_options;
+  real_options.bytes_per_logical_mb = 54.0;  // cat (2430 logical MB) -> ~128 KB
+  real_options.min_physical_bytes = 64 * 1024;
+  real_options.deterministic_timing = true;
+  const Workload cat("cat", 2430.0);
+
+  MeasurementEvaluator measurement(machine);
+  PredictionEvaluator prediction(predictor, machine);
+  MultiDeviceMeasurementEvaluator multi(sim::emil_with_phis(3));
+  RealWorkloadEvaluator real(catalog, real_options);
+  for (const double bad : {150.0, -20.0, std::numeric_limits<double>::quiet_NaN()}) {
+    opt::SystemConfig c = opt::ConfigSpace::paper().at(1234);
+    c.host_percent = bad;
+    EXPECT_THROW((void)measurement.evaluate(c, human()), std::invalid_argument) << bad;
+    EXPECT_THROW((void)prediction.evaluate(c, human()), std::invalid_argument) << bad;
+    EXPECT_THROW((void)multi.evaluate(c, human()), std::invalid_argument) << bad;
+    opt::SystemConfig live;
+    live.host_threads = 2;
+    live.device_threads = 2;
+    live.host_percent = bad;
+    for (const int devices : {1, 2, 3}) {
+      live.device_count = devices;
+      EXPECT_THROW((void)real.evaluate(live, cat), std::invalid_argument)
+          << bad << " at " << devices << " devices";
+    }
+  }
+  EXPECT_EQ(real.invalid_measurements(), 0u);
 }
 
 TEST(MultiDeviceEvaluatorTest, SharesSumTo100AndRespectHostFraction) {

@@ -90,7 +90,7 @@ PagedFleetOptions paged_with(parallel::SchedulePolicy policy) {
 TEST_F(FaultRecoveryFixture, CountParityHoldsForEveryPlanPoolCountAndPolicy) {
   for (std::size_t pools = 1; pools <= 4; ++pools) {
     HeterogeneousExecutor exec(*dfa_, fleet_specs(pools));
-    exec.set_recovery({0.02, 3});  // fast watchdog keeps the stall runs short
+    exec.set_recovery({0.02});  // fast watchdog keeps the stall runs short
     for (const parallel::SchedulePolicy policy : parallel::kAllSchedulePolicies) {
       for (const std::string& spec : plans_for(pools)) {
         for (const bool paged : {false, true}) {
@@ -113,7 +113,7 @@ TEST_F(FaultRecoveryFixture, CountParityHoldsForEveryPlanPoolCountAndPolicy) {
 TEST_F(FaultRecoveryFixture, CollectedPositionsStayByteIdenticalUnderFaults) {
   for (std::size_t pools = 1; pools <= 4; ++pools) {
     HeterogeneousExecutor exec(*dfa_, fleet_specs(pools));
-    exec.set_recovery({0.02, 3});
+    exec.set_recovery({0.02});
     for (const parallel::SchedulePolicy policy : parallel::kAllSchedulePolicies) {
       for (const std::string& spec : plans_for(pools)) {
         for (const bool paged : {false, true}) {
@@ -154,7 +154,7 @@ TEST_F(FaultRecoveryFixture, PoolDeathUnderStaticRequeuesToSurvivorsAndIsRecorde
 
 TEST_F(FaultRecoveryFixture, PoolStallIsReleasedByTheWatchdogAndRecorded) {
   HeterogeneousExecutor exec(*dfa_, fleet_specs(2));
-  exec.set_recovery({0.02, 3});
+  exec.set_recovery({0.02});
   const util::FaultInjector injector(util::FaultPlan::parse("pool-stall:pool=1"));
   const ExecutionReport r =
       exec.run_fleet(text_, equal_shares(2), parallel::SchedulePolicy::kStatic);
@@ -165,7 +165,7 @@ TEST_F(FaultRecoveryFixture, PoolStallIsReleasedByTheWatchdogAndRecorded) {
 
 TEST_F(FaultRecoveryFixture, TransientChunkThrowIsRetriedWithoutDegrading) {
   HeterogeneousExecutor exec(*dfa_, fleet_specs(2));
-  // times=2 < max_chunk_attempts=3: the third attempt on chunk 0 succeeds
+  // times=2 < the three attempts a chunk gets: the third attempt succeeds
   // on the real engine, so no degradation to the naive scanner is needed.
   const util::FaultInjector injector(
       util::FaultPlan::parse("chunk-throw:chunk=0,times=2"));

@@ -22,6 +22,13 @@ RealWorkloadOptions tiny_options(bool deterministic) {
 
 Workload cat() { return Workload("cat", 2430.0); }
 
+/// Bytes the pools of a measurement's reported run scanned, summed.
+std::size_t scanned_bytes(const RealMeasurement& m) {
+  std::size_t bytes = 0;
+  for (const PoolReport& pool : m.report.pools) bytes += pool.bytes;
+  return bytes;
+}
+
 TEST(RealWorkloadTest, MaterializesScaledGenomeWithGroundTruth) {
   const dna::GenomeCatalog catalog;
   const RealWorkload rw(catalog, cat(), tiny_options(false));
@@ -44,35 +51,29 @@ TEST(RealWorkloadTest, RejectsEmptyMotifsAndBadOptions) {
   RealWorkloadOptions zero_repeats = tiny_options(false);
   zero_repeats.repeats = 0;
   EXPECT_THROW((void)RealWorkloadEvaluator(catalog, zero_repeats), std::invalid_argument);
-  RealWorkloadOptions zero_chunks = tiny_options(false);
-  zero_chunks.chunks_per_thread = 0;
-  EXPECT_THROW((void)RealWorkloadEvaluator(catalog, zero_chunks), std::invalid_argument);
 }
 
 TEST(RealWorkloadEvaluatorTest, MatchCountsEqualSequentialScanAcrossChunkCounts) {
   const dna::GenomeCatalog catalog;
-  // Sweep thread counts and chunks-per-thread: every parallel decomposition
-  // must reproduce the sequential match count exactly (the PaREM property).
-  for (const std::size_t chunks_per_thread : {std::size_t{1}, std::size_t{3}}) {
-    RealWorkloadOptions options = tiny_options(false);
-    options.chunks_per_thread = chunks_per_thread;
-    const RealWorkloadEvaluator evaluator(catalog, options);
-    const std::uint64_t expected = evaluator.real(cat()).sequential_matches();
-    for (const int host_threads : {1, 2, 5}) {
-      for (const int device_threads : {1, 4}) {
-        for (const double fraction : {0.0, 33.0, 75.0, 100.0}) {
-          opt::SystemConfig c;
-          c.host_threads = host_threads;
-          c.device_threads = device_threads;
-          c.host_percent = fraction;
-          const RealMeasurement m = evaluator.measure(c, cat());
-          EXPECT_EQ(m.matches, expected)
-              << "host_threads=" << host_threads << " device_threads=" << device_threads
-              << " fraction=" << fraction << " cpt=" << chunks_per_thread;
-          EXPECT_EQ(m.host_bytes + m.device_bytes, evaluator.real(cat()).physical_bytes());
-          EXPECT_GT(m.seconds, 0.0);
-          EXPECT_GT(m.throughput_mb_s, 0.0);
-        }
+  // Sweep thread counts (one chunk per worker, so the chunk count follows
+  // them): every parallel decomposition must reproduce the sequential match
+  // count exactly (the PaREM property).
+  const RealWorkloadEvaluator evaluator(catalog, tiny_options(false));
+  const std::uint64_t expected = evaluator.real(cat()).sequential_matches();
+  for (const int host_threads : {1, 2, 5}) {
+    for (const int device_threads : {1, 4}) {
+      for (const double fraction : {0.0, 33.0, 75.0, 100.0}) {
+        opt::SystemConfig c;
+        c.host_threads = host_threads;
+        c.device_threads = device_threads;
+        c.host_percent = fraction;
+        const RealMeasurement m = evaluator.measure(c, cat());
+        EXPECT_EQ(m.matches, expected) << "host_threads=" << host_threads
+                                       << " device_threads=" << device_threads
+                                       << " fraction=" << fraction;
+        EXPECT_EQ(scanned_bytes(m), evaluator.real(cat()).physical_bytes());
+        EXPECT_GT(m.seconds, 0.0);
+        EXPECT_GT(m.throughput_mb_s, 0.0);
       }
     }
   }
@@ -108,13 +109,13 @@ TEST(RealWorkloadEvaluatorTest, DeterministicModelPrefersMoreThreads) {
   many.host_threads = 8;
   many.device_threads = 8;
   const std::size_t mb = 4 * 1024 * 1024;
-  EXPECT_LT(real_workload_model_seconds(many, mb, mb),
-            real_workload_model_seconds(few, mb, mb));
+  EXPECT_LT(real_workload_model_fleet_seconds(many, mb, {mb}),
+            real_workload_model_fleet_seconds(few, mb, {mb}));
   // Overlapped time is the max of the sides: dropping one side never slows
   // the other down.
-  EXPECT_LE(real_workload_model_seconds(few, 0, mb),
-            real_workload_model_seconds(few, mb, mb) + 1e-12);
-  EXPECT_GT(real_workload_model_seconds(few, mb, 0), 0.0);
+  EXPECT_LE(real_workload_model_fleet_seconds(few, 0, {mb}),
+            real_workload_model_fleet_seconds(few, mb, {mb}) + 1e-12);
+  EXPECT_GT(real_workload_model_fleet_seconds(few, mb, {0}), 0.0);
 }
 
 TEST(RealWorkloadEvaluatorTest, CachesMaterializedWorkloads) {
@@ -201,15 +202,15 @@ TEST(RealWorkloadEvaluatorTest, DeterministicModelDifferentiatesEngines) {
   c.device_threads = 4;
   c.host_percent = 50.0;
   const std::size_t mb = 4 * 1024 * 1024;
-  const double dfa_s = real_workload_model_seconds(c, mb, mb);
+  const double dfa_s = real_workload_model_fleet_seconds(c, mb, {mb});
   c.engine = automata::EngineKind::kBitap;
-  const double bitap_s = real_workload_model_seconds(c, mb, mb);
+  const double bitap_s = real_workload_model_fleet_seconds(c, mb, {mb});
   c.engine = automata::EngineKind::kAhoCorasick;
-  const double ac_s = real_workload_model_seconds(c, mb, mb);
+  const double ac_s = real_workload_model_fleet_seconds(c, mb, {mb});
   c.engine = automata::EngineKind::kBitapSimd;
-  const double simd_s = real_workload_model_seconds(c, mb, mb);
+  const double simd_s = real_workload_model_fleet_seconds(c, mb, {mb});
   c.engine = automata::EngineKind::kPrefilterDfa;
-  const double prefilter_s = real_workload_model_seconds(c, mb, mb);
+  const double prefilter_s = real_workload_model_fleet_seconds(c, mb, {mb});
   EXPECT_LT(bitap_s, dfa_s);
   EXPECT_GT(ac_s, dfa_s);
   // The SIMD tier: vectorized bitap under the scalar one, the prefiltered
@@ -256,13 +257,15 @@ TEST(RealWorkloadEvaluatorTest, HonorsTheConfiguredSchedule) {
     c.schedule = policy;
     const RealMeasurement m = evaluator.measure(c, cat());
     EXPECT_EQ(m.matches, expected) << parallel::to_string(policy);
-    EXPECT_EQ(m.host_bytes + m.device_bytes, evaluator.real(cat()).physical_bytes());
-    EXPECT_GE(m.realized_host_percent, 0.0);
-    EXPECT_LE(m.realized_host_percent, 100.0);
+    EXPECT_EQ(scanned_bytes(m), evaluator.real(cat()).physical_bytes());
+    ASSERT_EQ(m.report.pools.size(), 2u);
+    const PoolReport& host = m.report.pools[0];
+    EXPECT_GE(host.realized_percent, 0.0);
+    EXPECT_LE(host.realized_percent, 100.0);
     if (policy == parallel::SchedulePolicy::kStatic) {
-      EXPECT_EQ(m.host_steals, 0u);
-      EXPECT_EQ(m.device_steals, 0u);
-      EXPECT_DOUBLE_EQ(m.realized_host_percent, 75.0);
+      EXPECT_EQ(host.steals, 0u);
+      EXPECT_EQ(m.report.pools[1].steals, 0u);
+      EXPECT_DOUBLE_EQ(host.realized_percent, 75.0);
     }
   }
 }
@@ -277,20 +280,20 @@ TEST(RealWorkloadEvaluatorTest, DeterministicModelDifferentiatesSchedules) {
   // side; every shared-queue policy beats it, adaptive cheapest of all
   // (static's factor is exactly 1.0 — its formula is untouched).
   c.host_percent = 100.0;
-  const double skewed_static = real_workload_model_seconds(c, 2 * mb, 0);
+  const double skewed_static = real_workload_model_fleet_seconds(c, 2 * mb, {0});
   c.schedule = parallel::SchedulePolicy::kDynamic;
-  const double skewed_dynamic = real_workload_model_seconds(c, 2 * mb, 0);
+  const double skewed_dynamic = real_workload_model_fleet_seconds(c, 2 * mb, {0});
   c.schedule = parallel::SchedulePolicy::kGuided;
-  const double skewed_guided = real_workload_model_seconds(c, 2 * mb, 0);
+  const double skewed_guided = real_workload_model_fleet_seconds(c, 2 * mb, {0});
   c.schedule = parallel::SchedulePolicy::kAdaptive;
-  const double skewed_adaptive = real_workload_model_seconds(c, 2 * mb, 0);
+  const double skewed_adaptive = real_workload_model_fleet_seconds(c, 2 * mb, {0});
   EXPECT_LT(skewed_dynamic, skewed_static);
   EXPECT_LT(skewed_guided, skewed_dynamic);
   EXPECT_LT(skewed_adaptive, skewed_guided);
 
   // Seeded determinism: the model is a pure function of the configured
   // split, so shared-queue pricing reproduces exactly.
-  EXPECT_DOUBLE_EQ(skewed_adaptive, real_workload_model_seconds(c, 2 * mb, 0));
+  EXPECT_DOUBLE_EQ(skewed_adaptive, real_workload_model_fleet_seconds(c, 2 * mb, {0}));
 }
 
 TEST(RealWorkloadEvaluatorTest, DeterministicTuningWithScheduleAxisReproduces) {

@@ -12,9 +12,13 @@
 
 #include <cmath>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "core/real_workload.hpp"
 #include "opt/config.hpp"
+#include "parallel/partitioner.hpp"
+#include "parallel/schedule.hpp"
 
 namespace hetopt::sim {
 namespace {
@@ -38,6 +42,19 @@ opt::SystemConfig fleet_config(int devices) {
   return c;
 }
 
+/// The shares the evaluator configures `c`'s fleet with: the raw fraction
+/// for the pair, the host fraction plus distribute's water-filled device
+/// remainder for a larger fleet.
+std::vector<double> configured_shares(const opt::SystemConfig& c, double mb) {
+  if (c.device_count == 1) return {c.host_percent, 100.0 - c.host_percent};
+  const ShareVector sv = emil_with_phis(static_cast<std::size_t>(c.device_count))
+                             .distribute(mb, c.host_percent, c.host_threads, c.host_affinity,
+                                         c.device_threads, c.device_affinity);
+  std::vector<double> shares{sv.host_percent};
+  shares.insert(shares.end(), sv.device_percent.begin(), sv.device_percent.end());
+  return shares;
+}
+
 TEST(DistributeParityTest, ConfiguredSharesAgreeWithDistributeExactly) {
   // The evaluator and this test make the *same* distribute call, so the
   // configured shares must be bit-identical, for every fleet size.
@@ -51,11 +68,11 @@ TEST(DistributeParityTest, ConfiguredSharesAgreeWithDistributeExactly) {
                                .distribute(mb, c.host_percent, c.host_threads,
                                            c.host_affinity, c.device_threads,
                                            c.device_affinity);
-    ASSERT_EQ(m.pool_count, devices + 1);
-    ASSERT_EQ(m.configured_percents.size(), static_cast<std::size_t>(devices) + 1);
-    EXPECT_DOUBLE_EQ(m.configured_percents[0], sv.host_percent) << devices;
+    const std::vector<core::PoolReport>& pools = m.report.pools;
+    ASSERT_EQ(pools.size(), static_cast<std::size_t>(devices) + 1);
+    EXPECT_DOUBLE_EQ(pools[0].configured_percent, sv.host_percent) << devices;
     for (int d = 0; d < devices; ++d) {
-      EXPECT_DOUBLE_EQ(m.configured_percents[static_cast<std::size_t>(d) + 1],
+      EXPECT_DOUBLE_EQ(pools[static_cast<std::size_t>(d) + 1].configured_percent,
                        sv.device_percent[static_cast<std::size_t>(d)])
           << devices << "/" << d;
     }
@@ -69,9 +86,9 @@ TEST(DistributeParityTest, PairConfiguredSharesAreTheRawFraction) {
   const dna::GenomeCatalog catalog;
   const core::RealWorkloadEvaluator evaluator(catalog, tiny_options(true));
   const core::RealMeasurement m = evaluator.measure(fleet_config(1), cat());
-  ASSERT_EQ(m.configured_percents.size(), 2u);
-  EXPECT_DOUBLE_EQ(m.configured_percents[0], 40.0);
-  EXPECT_DOUBLE_EQ(m.configured_percents[1], 60.0);
+  ASSERT_EQ(m.report.pools.size(), 2u);
+  EXPECT_DOUBLE_EQ(m.report.pools[0].configured_percent, 40.0);
+  EXPECT_DOUBLE_EQ(m.report.pools[1].configured_percent, 60.0);
 }
 
 TEST(DistributeParityTest, StaticRealizedSharesMatchConfiguredUpToRounding) {
@@ -82,13 +99,13 @@ TEST(DistributeParityTest, StaticRealizedSharesMatchConfiguredUpToRounding) {
   const core::RealWorkloadEvaluator evaluator(catalog, tiny_options(false));
   for (const int devices : {1, 3}) {
     const core::RealMeasurement m = evaluator.measure(fleet_config(devices), cat());
-    ASSERT_EQ(m.realized_percents.size(), m.configured_percents.size());
+    ASSERT_EQ(m.report.pools.size(), static_cast<std::size_t>(devices) + 1);
     double realized_total = 0.0;
-    for (std::size_t i = 0; i < m.realized_percents.size(); ++i) {
-      EXPECT_NEAR(m.realized_percents[i], m.configured_percents[i], 0.5)
-          << devices << "/" << i;
-      realized_total += m.realized_percents[i];
-      EXPECT_EQ(m.pool_steals[i], 0u);
+    for (std::size_t i = 0; i < m.report.pools.size(); ++i) {
+      const core::PoolReport& pool = m.report.pools[i];
+      EXPECT_NEAR(pool.realized_percent, pool.configured_percent, 0.5) << devices << "/" << i;
+      realized_total += pool.realized_percent;
+      EXPECT_EQ(pool.steals, 0u);
     }
     EXPECT_NEAR(realized_total, 100.0, 1e-9);
   }
@@ -107,52 +124,90 @@ TEST(DistributeParityTest, SharedQueueRealizedSharesTrackConfiguredOrWarn) {
   const core::RealMeasurement m = evaluator.measure(c, cat());
   EXPECT_EQ(m.matches, evaluator.real(cat()).sequential_matches());
   std::size_t bytes = 0;
-  for (const std::size_t b : m.pool_bytes) bytes += b;
+  for (const core::PoolReport& pool : m.report.pools) bytes += pool.bytes;
   EXPECT_EQ(bytes, evaluator.real(cat()).physical_bytes());
   constexpr double kAdvisoryTolerancePercent = 25.0;
-  for (std::size_t i = 0; i < m.realized_percents.size(); ++i) {
-    const double drift = std::abs(m.realized_percents[i] - m.configured_percents[i]);
+  for (std::size_t i = 0; i < m.report.pools.size(); ++i) {
+    const core::PoolReport& pool = m.report.pools[i];
+    const double drift = std::abs(pool.realized_percent - pool.configured_percent);
     if (drift > kAdvisoryTolerancePercent) {
       std::cerr << "[          ] warning: pool " << i << " realized "
-                << m.realized_percents[i] << "% vs configured "
-                << m.configured_percents[i] << "% (drift " << drift
+                << pool.realized_percent << "% vs configured "
+                << pool.configured_percent << "% (drift " << drift
                 << " > " << kAdvisoryTolerancePercent
                 << "); machine-dependent, not failing\n";
     }
   }
 }
 
-TEST(DistributeParityTest, FleetModelCollapsesToThePairModel) {
-  // The 2-arg work model and the 1-device fleet model are the same function
-  // — the delegation the deterministic evaluator's bit-identity rests on.
-  const opt::SystemConfig c = fleet_config(1);
-  const std::size_t mb = 4 * 1024 * 1024;
-  for (const auto [host_b, device_b] :
-       {std::pair<std::size_t, std::size_t>{2 * mb, mb},
-        {0, mb},
-        {mb, 0},
-        {0, 0}}) {
-    EXPECT_DOUBLE_EQ(
-        core::real_workload_model_seconds(c, host_b, device_b),
-        core::real_workload_model_fleet_seconds(c, host_b, {device_b}));
+TEST(DistributeParityTest, DeterministicFleetMeasurementsReproduce) {
+  // What a deterministic measurement's report guarantees, for every
+  // schedule and fleet size: one pool per fleet member, each configured
+  // with the share measure() computed, each scanning the executor's share
+  // cut of those shares, no steals and no imbalance, the modeled seconds as
+  // the run's total, and the oracle's match count. Seeded determinism across
+  // the whole differential surface: measured twice, all of it agrees.
+  const dna::GenomeCatalog catalog;
+  const core::RealWorkloadEvaluator evaluator(catalog, tiny_options(true));
+  const core::RealWorkload& rw = evaluator.real(cat());
+  for (const parallel::SchedulePolicy schedule : parallel::kAllSchedulePolicies) {
+    for (const int devices : {1, 2, 4}) {
+      opt::SystemConfig c = fleet_config(devices);
+      c.schedule = schedule;
+      const std::string what =
+          std::string(parallel::to_string(schedule)) + "/" + std::to_string(devices);
+      const std::vector<double> shares = configured_shares(c, rw.physical_mb());
+      const std::vector<std::size_t> bounds =
+          parallel::share_bounds(rw.physical_bytes(), shares);
+      const core::RealMeasurement a = evaluator.measure(c, cat());
+      const core::RealMeasurement b = evaluator.measure(c, cat());
+      for (const core::RealMeasurement* m : {&a, &b}) {
+        const std::vector<core::PoolReport>& pools = m->report.pools;
+        ASSERT_EQ(pools.size(), static_cast<std::size_t>(devices) + 1) << what;
+        std::size_t bytes = 0;
+        for (std::size_t i = 0; i < pools.size(); ++i) {
+          EXPECT_EQ(pools[i].configured_percent, shares[i]) << what << " pool " << i;
+          EXPECT_EQ(pools[i].bytes, bounds[i + 1] - bounds[i]) << what << " pool " << i;
+          EXPECT_EQ(pools[i].steals, 0u) << what << " pool " << i;
+          bytes += pools[i].bytes;
+        }
+        EXPECT_EQ(bytes, rw.physical_bytes()) << what;
+        EXPECT_EQ(m->report.imbalance, 0.0) << what;
+        EXPECT_EQ(m->report.total_seconds, m->seconds) << what;
+        EXPECT_EQ(m->matches, m->report.total_matches()) << what;
+        EXPECT_EQ(m->matches, rw.sequential_matches()) << what;
+      }
+      EXPECT_EQ(a.seconds, b.seconds) << what;
+      EXPECT_EQ(a.matches, b.matches) << what;
+      for (std::size_t i = 0; i < a.report.pools.size(); ++i) {
+        const core::PoolReport& pa = a.report.pools[i];
+        const core::PoolReport& pb = b.report.pools[i];
+        EXPECT_EQ(pa.configured_percent, pb.configured_percent) << what << " pool " << i;
+        EXPECT_EQ(pa.realized_percent, pb.realized_percent) << what << " pool " << i;
+        EXPECT_EQ(pa.bytes, pb.bytes) << what << " pool " << i;
+        EXPECT_EQ(pa.seconds, pb.seconds) << what << " pool " << i;
+      }
+    }
   }
 }
 
-TEST(DistributeParityTest, DeterministicFleetMeasurementsReproduce) {
-  // Seeded determinism across the whole differential surface: the same
-  // fleet config measured twice produces identical seconds and shares.
+TEST(DistributeParityTest, WallClockMeasurementsAreTheirReportedRun) {
+  // With no fault plan armed, a wall-clock measurement's seconds and match
+  // count are exactly those of the run its report describes.
   const dna::GenomeCatalog catalog;
-  const core::RealWorkloadEvaluator evaluator(catalog, tiny_options(true));
-  for (const int devices : {1, 2, 4}) {
-    opt::SystemConfig c = fleet_config(devices);
-    c.schedule = parallel::SchedulePolicy::kGuided;
-    const core::RealMeasurement a = evaluator.measure(c, cat());
-    const core::RealMeasurement b = evaluator.measure(c, cat());
-    EXPECT_DOUBLE_EQ(a.seconds, b.seconds) << devices;
-    EXPECT_EQ(a.matches, b.matches) << devices;
-    EXPECT_EQ(a.configured_percents, b.configured_percents) << devices;
-    EXPECT_EQ(a.pool_bytes, b.pool_bytes) << devices;
-    EXPECT_EQ(a.matches, evaluator.real(cat()).sequential_matches()) << devices;
+  const core::RealWorkloadEvaluator evaluator(catalog, tiny_options(false));
+  for (const parallel::SchedulePolicy schedule : parallel::kAllSchedulePolicies) {
+    for (const int devices : {1, 2, 4}) {
+      opt::SystemConfig c = fleet_config(devices);
+      c.schedule = schedule;
+      const std::string what =
+          std::string(parallel::to_string(schedule)) + "/" + std::to_string(devices);
+      const core::RealMeasurement m = evaluator.measure(c, cat());
+      EXPECT_EQ(m.report.pools.size(), static_cast<std::size_t>(devices) + 1) << what;
+      EXPECT_EQ(m.seconds, m.report.total_seconds) << what;
+      EXPECT_EQ(m.matches, m.report.total_matches()) << what;
+      EXPECT_EQ(m.matches, evaluator.real(cat()).sequential_matches()) << what;
+    }
   }
 }
 

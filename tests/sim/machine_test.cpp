@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace hetopt::sim {
 namespace {
 
@@ -138,6 +140,13 @@ TEST_F(MachineFixture, CombinedRejectsBadFraction) {
                                                   DeviceAffinity::kBalanced),
                std::invalid_argument);
   EXPECT_THROW((void)machine_.measure_combined(100, 101, 48, HostAffinity::kScatter, 240,
+                                               DeviceAffinity::kBalanced),
+               std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)machine_.combined_time_model(100, nan, 48, HostAffinity::kScatter, 240,
+                                                  DeviceAffinity::kBalanced),
+               std::invalid_argument);
+  EXPECT_THROW((void)machine_.measure_combined(100, nan, 48, HostAffinity::kScatter, 240,
                                                DeviceAffinity::kBalanced),
                std::invalid_argument);
 }

@@ -10,11 +10,10 @@ using parallel::HostAffinity;
 TEST(MultiDevice, SingleDeviceMatchesMachineModel) {
   const MultiDeviceMachine multi = emil_with_phis(1);
   const Machine single = emil_machine();
-  EXPECT_NEAR(multi.device_time(0, 1500.0),
-              single.device_time_model(1500.0, 240, parallel::DeviceAffinity::kBalanced),
-              1e-12);
-  EXPECT_NEAR(multi.host_time(1500.0, 48, HostAffinity::kScatter),
-              single.host_time_model(1500.0, 48, HostAffinity::kScatter), 1e-12);
+  EXPECT_EQ(multi.device_time(0, 1500.0),
+            single.device_time_model(1500.0, 240, parallel::DeviceAffinity::kBalanced));
+  EXPECT_EQ(multi.host_time(1500.0, 48, HostAffinity::kScatter),
+            single.host_time_model(1500.0, 48, HostAffinity::kScatter));
 }
 
 TEST(MultiDevice, BalanceSharesSumTo100) {
