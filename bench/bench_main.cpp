@@ -11,11 +11,10 @@
 //                        Exits non-zero when the fused kernel falls below a
 //                        coarse 1.5x guard over naive (CI gate).
 //   simd_matrix          the ISA tier measured for real: per-ISA whole-genome
-//                        MB/s for the lane-parallel bitap (vs the scalar
-//                        bitap engine) and the prefiltered DFA scan (vs the
-//                        plain compiled-dfa engine), match parity per row as
-//                        a hard exit gate; the >=2x-on-AVX2 expectation is
-//                        recorded with a warning, never gated
+//                        MB/s for the lane-parallel bitap (vs its scalar
+//                        reference kernel), match parity per row as a hard
+//                        exit gate; the >=2x-on-AVX2 expectation is recorded
+//                        with a warning, never gated
 //   matcher_throughput   chunk-parallel scan throughput (MB/s) vs chunk count
 //   io_bound             the out-of-core streaming path measured for real:
 //                        the same corpus scanned in memory, cold through a
@@ -28,7 +27,7 @@
 //                        too, except on single-hardware-thread hosts where
 //                        they warn
 //   engine_matrix        the match-engine axis measured for real: MB/s per
-//                        engine (compiled-dfa / aho-corasick / bitap) x chunk
+//                        engine (compiled-dfa / bitap-simd) x chunk
 //                        count x motif-set shape, plus the tuned-winner
 //                        engine per Table II preset on an engine-enabled
 //                        space — which engine *should* the tuner pick for
@@ -321,10 +320,11 @@ int main(int argc, char** argv) {
 
   // --- simd_matrix ----------------------------------------------------------
   // The ISA tier measured for real: every vector variant the host can run,
-  // whole-genome MB/s against its scalar-engine baseline. Match parity per
-  // row is a hard exit gate (a fast wrong kernel is worthless); the 2x-on-
-  // AVX2 expectation is recorded with a warning, never gated — a noisy or
-  // narrow runner must not flake CI over a throughput ratio.
+  // whole-genome MB/s against the scalar reference kernel (the one-stream
+  // Shift-And every variant must reproduce). Match parity per row is a hard
+  // exit gate (a fast wrong kernel is worthless); the 2x-on-AVX2
+  // expectation is recorded with a warning, never gated — a noisy or narrow
+  // runner must not flake CI over a throughput ratio.
   bool simd_parity = true;
   bool avx2_ge_2x_scalar = true;
   {
@@ -341,66 +341,46 @@ int main(int argc, char** argv) {
       }
       return best;
     };
-    struct Family {
-      const char* name;
-      const automata::MatchEngine* baseline;
-    };
-    const automata::BitapEngine scalar_bitap(real_options.motifs);
-    const automata::MatchEngine& scalar_dfa =
-        rw.engine(automata::EngineKind::kCompiledDfa);
-    const std::vector<Family> families = {{"bitap", &scalar_bitap},
-                                          {"prefilter", &scalar_dfa}};
+    const automata::BitapSimdEngine baseline(real_options.motifs, util::IsaLevel::kScalar);
     json.key("simd_matrix").begin_object().key("rows").begin_array();
-    for (const Family& family : families) {
-      std::uint64_t matches = 0;
-      const double base_seconds = min_seconds(*family.baseline, &matches);
-      const double base_mb_s =
-          base_seconds > 0.0 ? rw.physical_mb() / base_seconds : 0.0;
-      const bool base_parity = matches == rw.sequential_matches();
-      simd_parity = simd_parity && base_parity;
+    std::uint64_t matches = 0;
+    const double base_seconds = min_seconds(baseline, &matches);
+    const double base_mb_s = base_seconds > 0.0 ? rw.physical_mb() / base_seconds : 0.0;
+    const bool base_parity = matches == rw.sequential_matches();
+    simd_parity = simd_parity && base_parity;
+    json.begin_object()
+        .member("family", "bitap")
+        .member("isa", "baseline")
+        .member("engine", automata::to_string(baseline.kind()))
+        .member("seconds", base_seconds)
+        .member("mb_s", base_mb_s)
+        .member("matches", matches)
+        .member("match_parity", base_parity)
+        .member("speedup_vs_scalar_engine", 1.0)
+        .end_object();
+    std::cout << "  simd_matrix bitap/baseline (scalar kernel): "
+              << util::format_double(base_mb_s, 1) << " MB/s\n";
+    for (const util::IsaLevel isa : automata::simd::available_isas()) {
+      const automata::BitapSimdEngine engine(real_options.motifs, isa);
+      const double seconds = min_seconds(engine, &matches);
+      const double mb_s = seconds > 0.0 ? rw.physical_mb() / seconds : 0.0;
+      const double speedup = base_mb_s > 0.0 ? mb_s / base_mb_s : 0.0;
+      const bool parity = matches == rw.sequential_matches();
+      simd_parity = simd_parity && parity;
+      if (isa == util::IsaLevel::kAvx2 && speedup < 2.0) avx2_ge_2x_scalar = false;
       json.begin_object()
-          .member("family", family.name)
-          .member("isa", "baseline")
-          .member("engine", automata::to_string(family.baseline->kind()))
-          .member("seconds", base_seconds)
-          .member("mb_s", base_mb_s)
+          .member("family", "bitap")
+          .member("isa", util::to_string(isa))
+          .member("engine", automata::to_string(engine.kind()))
+          .member("seconds", seconds)
+          .member("mb_s", mb_s)
           .member("matches", matches)
-          .member("match_parity", base_parity)
-          .member("speedup_vs_scalar_engine", 1.0)
+          .member("match_parity", parity)
+          .member("speedup_vs_scalar_engine", speedup)
           .end_object();
-      std::cout << "  simd_matrix " << family.name << "/baseline ("
-                << automata::to_string(family.baseline->kind())
-                << "): " << util::format_double(base_mb_s, 1) << " MB/s\n";
-      for (const util::IsaLevel isa : automata::simd::available_isas()) {
-        std::unique_ptr<const automata::MatchEngine> engine;
-        if (std::string_view(family.name) == "bitap") {
-          engine = std::make_unique<automata::BitapSimdEngine>(real_options.motifs, isa);
-        } else {
-          engine = std::make_unique<automata::PrefilterDfaEngine>(real_options.motifs, isa);
-        }
-        const double seconds = min_seconds(*engine, &matches);
-        const double mb_s = seconds > 0.0 ? rw.physical_mb() / seconds : 0.0;
-        const double speedup = base_mb_s > 0.0 ? mb_s / base_mb_s : 0.0;
-        const bool parity = matches == rw.sequential_matches();
-        simd_parity = simd_parity && parity;
-        if (std::string_view(family.name) == "bitap" &&
-            isa == util::IsaLevel::kAvx2 && speedup < 2.0) {
-          avx2_ge_2x_scalar = false;
-        }
-        json.begin_object()
-            .member("family", family.name)
-            .member("isa", util::to_string(isa))
-            .member("engine", automata::to_string(engine->kind()))
-            .member("seconds", seconds)
-            .member("mb_s", mb_s)
-            .member("matches", matches)
-            .member("match_parity", parity)
-            .member("speedup_vs_scalar_engine", speedup)
-            .end_object();
-        std::cout << "  simd_matrix " << family.name << "/" << util::to_string(isa)
-                  << ": " << util::format_double(mb_s, 1) << " MB/s ("
-                  << util::format_double(speedup, 2) << "x scalar engine)\n";
-      }
+      std::cout << "  simd_matrix bitap/" << util::to_string(isa) << ": "
+                << util::format_double(mb_s, 1) << " MB/s ("
+                << util::format_double(speedup, 2) << "x scalar kernel)\n";
     }
     json.end_array()
         .member("parity_ok", simd_parity)

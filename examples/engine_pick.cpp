@@ -1,17 +1,15 @@
 // Domain example: let the tuner pick the *scan engine*, not just the thread
 // layout. Two contrasting motif sets are tuned with the engine axis enabled:
 //
-//   few long literals     a couple of 14-bp exact sites — every engine
-//                         qualifies (compiled DFA, Aho–Corasick, bitap);
-//   many short IUPAC      six ambiguous motifs — Aho–Corasick is out
-//                         (it needs literal ACGT), bitap still fits in its
-//                         64 state bits.
+//   few long literals     a couple of 14-bp exact sites;
+//   many short IUPAC      six ambiguous motifs, 33 bases in all.
 //
-// For each set the example materializes a genome, reports which engines the
-// motif set qualifies for (and why the others are skipped), runs an
-// exhaustive search over a small engine-enabled space where every candidate
-// is priced by a real timed scan, and prints the engine inside the winning
-// configuration.
+// Both sets qualify for both engines (compiled DFA, bitap-simd): their summed
+// lengths fit in the bitap's 64 state bits. For each set the example
+// materializes a genome, reports which engines the motif set qualifies for
+// (and why any is skipped), runs an exhaustive search over a small
+// engine-enabled space where every candidate is priced by a real timed scan,
+// and prints the engine inside the winning configuration.
 //
 // Run:  ./engine_pick [--genome=human] [--mb=4] [--fast]
 #include <algorithm>

@@ -58,7 +58,8 @@ class BitapMatcher {
 
   /// Resumable scanning: feeds `text` through state `d` (0 = fresh start),
   /// accumulating occurrences into the return value. Enables chunked scans
-  /// with a warm-up prefix (the PaREM warm-up BitapEngine::count_chunk runs).
+  /// with a warm-up prefix (the PaREM warm-up BitapSimdEngine's collect and
+  /// invalid-byte replay run).
   [[nodiscard]] std::uint64_t scan(std::string_view text, std::uint64_t& d) const;
 
   /// Read-only view of the compiled tables for the vector kernels in

@@ -124,14 +124,6 @@ class CompiledDfa {
                                    std::size_t base_offset,
                                    std::vector<Match>& out) const;
 
-  /// Raw fused byte table, next[state * 256 + byte], 64-byte aligned.
-  /// Exposed for the prefiltered scan engine (simd_engine.hpp), which
-  /// interleaves SIMD candidate-skips with single fused steps; invalid bytes
-  /// lead to sink() like everywhere else.
-  [[nodiscard]] const std::uint32_t* byte_table() const noexcept {
-    return byte_next_.data();
-  }
-
  private:
   void check_entry(StateId state) const;
   /// The interleave loop for n <= kMaxStreams streams. Unchecked and

@@ -18,38 +18,21 @@ enum class EngineKind {
   /// lowered into the compiled scan kernels (compiled_dfa.hpp). Handles the
   /// full motif language; the default and the only pre-engine-axis behavior.
   kCompiledDfa = 0,
-  /// Aho–Corasick multi-pattern automaton (aho_corasick.hpp), emitted as a
-  /// dense table and lowered into the same kernels. Literal ACGT motif sets
-  /// only; skips subset construction and minimization entirely.
-  kAhoCorasick = 1,
-  /// Bit-parallel Shift-And (bitap.hpp): the whole pattern-set state lives in
-  /// one 64-bit register, no transition tables. IUPAC classes allowed, no
-  /// regex operators, summed pattern lengths <= 64.
-  kBitap = 2,
-  /// Vectorized Shift-And (simd_engine.hpp): the bitap recurrence run one
-  /// chunk sub-stream per vector lane, with runtime ISA dispatch
-  /// (scalar/SSE2/AVX2 — see src/automata/simd/). Same applicability as
-  /// kBitap; bit-identical counts and positions.
-  kBitapSimd = 3,
-  /// Compiled-DFA scan behind a vectorized byte-class prefilter
-  /// (simd_engine.hpp): SIMD-skips runs of bytes that cannot leave the DFA
-  /// start state before the fused inner loop runs. Needs a positive
-  /// synchronization bound, so no unbounded operators ('*'/'+').
-  kPrefilterDfa = 4,
+  /// Vectorized Shift-And (simd_engine.hpp): the bitap recurrence
+  /// (bitap.hpp) run one chunk sub-stream per vector lane, with runtime ISA
+  /// dispatch (scalar/SSE2/AVX2 — see src/automata/simd/). IUPAC classes
+  /// allowed, no regex operators, summed pattern lengths <= 64.
+  kBitapSimd = 1,
 };
 
-inline constexpr std::size_t kEngineKindCount = 5;
+inline constexpr std::size_t kEngineKindCount = 2;
 inline constexpr std::array<EngineKind, kEngineKindCount> kAllEngineKinds{
-    EngineKind::kCompiledDfa, EngineKind::kAhoCorasick, EngineKind::kBitap,
-    EngineKind::kBitapSimd, EngineKind::kPrefilterDfa};
+    EngineKind::kCompiledDfa, EngineKind::kBitapSimd};
 
 [[nodiscard]] constexpr std::string_view to_string(EngineKind kind) noexcept {
   switch (kind) {
     case EngineKind::kCompiledDfa: return "compiled-dfa";
-    case EngineKind::kAhoCorasick: return "aho-corasick";
-    case EngineKind::kBitap: return "bitap";
     case EngineKind::kBitapSimd: return "bitap-simd";
-    case EngineKind::kPrefilterDfa: return "prefilter-dfa";
   }
   return "?";
 }

@@ -4,19 +4,16 @@
 #include <stdexcept>
 #include <utility>
 
-#include "automata/aho_corasick.hpp"
 #include "automata/hopcroft.hpp"
 #include "automata/regex.hpp"
 #include "automata/simd_engine.hpp"
 #include "automata/subset.hpp"
-#include "dna/alphabet.hpp"
 
 namespace hetopt::automata {
 
 // --- DenseDfaEngine ---------------------------------------------------------
 
-DenseDfaEngine::DenseDfaEngine(EngineKind kind, DenseDfa dfa)
-    : kind_(kind), dfa_(std::move(dfa)), kernel_(dfa_) {}
+DenseDfaEngine::DenseDfaEngine(DenseDfa dfa) : dfa_(std::move(dfa)), kernel_(dfa_) {}
 
 StateId DenseDfaEngine::entry_state(std::string_view text, std::size_t begin) const {
   if (begin == 0) return kernel_.start();
@@ -41,26 +38,6 @@ std::uint64_t DenseDfaEngine::collect_chunk(std::string_view text, std::size_t b
       .match_count;
 }
 
-// --- BitapEngine ------------------------------------------------------------
-
-BitapEngine::BitapEngine(const std::vector<std::string>& patterns) : matcher_(patterns) {}
-
-std::uint64_t BitapEngine::count_chunk(std::string_view text, std::size_t begin,
-                                       std::size_t end) const {
-  std::uint64_t state = 0;
-  const std::size_t lead = std::min(matcher_.synchronization_bound() - 1, begin);
-  if (lead > 0) (void)matcher_.scan(text.substr(begin - lead, lead), state);
-  return matcher_.scan(text.substr(begin, end - begin), state);
-}
-
-std::uint64_t BitapEngine::collect_chunk(std::string_view text, std::size_t begin,
-                                         std::size_t end, std::vector<Match>& out) const {
-  std::uint64_t state = 0;
-  const std::size_t lead = std::min(matcher_.synchronization_bound() - 1, begin);
-  if (lead > 0) (void)matcher_.scan(text.substr(begin - lead, lead), state);
-  return matcher_.collect(text.substr(begin, end - begin), begin, out, state);
-}
-
 // --- Applicability + factory ------------------------------------------------
 
 std::string engine_gap(EngineKind kind, const std::vector<std::string>& motifs) {
@@ -69,46 +46,18 @@ std::string engine_gap(EngineKind kind, const std::vector<std::string>& motifs) 
     case EngineKind::kCompiledDfa:
       // The full motif language; syntax errors surface from compile_motifs.
       return "";
-    case EngineKind::kAhoCorasick:
-      for (const std::string& m : motifs) {
-        if (m.empty()) return "empty pattern";
-        for (const char c : m) {
-          if (!dna::base_from_char(c)) {
-            return "pattern '" + m + "' is not a literal ACGT string ('" +
-                   std::string(1, c) + "')";
-          }
-        }
-      }
-      return "";
-    case EngineKind::kBitap:
     case EngineKind::kBitapSimd: {
-      // The SIMD variant executes the same recurrence, so it carries exactly
-      // the scalar matcher's applicability.
       std::string why;
       if (!BitapMatcher::supports(motifs, &why)) return why;
       return "";
     }
-    case EngineKind::kPrefilterDfa:
-      // The prefilter warms up per chunk, which needs a positive
-      // synchronization bound: no unbounded operators.
-      for (const std::string& m : motifs) {
-        for (const char c : m) {
-          if (c == '*' || c == '+') {
-            return "pattern '" + m + "' uses the unbounded operator '" +
-                   std::string(1, c) +
-                   "' (no synchronization bound for the prefilter warm-up)";
-          }
-        }
-      }
-      return "";
   }
   return "unknown engine kind";
 }
 
 std::unique_ptr<const MatchEngine> try_lower(EngineKind kind,
                                              const std::vector<std::string>& motifs,
-                                             std::string* why,
-                                             std::string_view density_sample) {
+                                             std::string* why) {
   std::string gap = engine_gap(kind, motifs);
   if (!gap.empty()) {
     if (why != nullptr) *why = std::move(gap);
@@ -118,25 +67,18 @@ std::unique_ptr<const MatchEngine> try_lower(EngineKind kind,
     case EngineKind::kCompiledDfa: {
       const CompiledMotifs compiled = compile_motifs(motifs);
       return std::make_unique<DenseDfaEngine>(
-          kind, minimize(determinize(compiled.nfa, compiled.synchronization_bound)));
+          minimize(determinize(compiled.nfa, compiled.synchronization_bound)));
     }
-    case EngineKind::kAhoCorasick:
-      return std::make_unique<DenseDfaEngine>(kind, build_aho_corasick(motifs));
-    case EngineKind::kBitap:
-      return std::make_unique<BitapEngine>(motifs);
     case EngineKind::kBitapSimd:
       return std::make_unique<BitapSimdEngine>(motifs);
-    case EngineKind::kPrefilterDfa:
-      return std::make_unique<PrefilterDfaEngine>(motifs, std::nullopt, density_sample);
   }
   return nullptr;
 }
 
 std::unique_ptr<const MatchEngine> lower(EngineKind kind,
-                                         const std::vector<std::string>& motifs,
-                                         std::string_view density_sample) {
+                                         const std::vector<std::string>& motifs) {
   std::string why;
-  auto engine = try_lower(kind, motifs, &why, density_sample);
+  auto engine = try_lower(kind, motifs, &why);
   if (engine == nullptr) {
     throw std::invalid_argument("lower: engine '" + std::string(to_string(kind)) +
                                 "' cannot execute the motif set: " + why);

@@ -15,7 +15,7 @@ namespace {
 [[nodiscard]] std::unique_ptr<const MatchEngine> validated_engine(const DenseDfa& dfa) {
   const std::string err = dfa.validate();
   if (!err.empty()) throw std::invalid_argument("ParallelMatcher: " + err);
-  return std::make_unique<DenseDfaEngine>(EngineKind::kCompiledDfa, dfa);
+  return std::make_unique<DenseDfaEngine>(dfa);
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
-// AVX2 kernels: four Shift-And lanes per 256-bit register, 32-byte candidate
-// classification. This TU is compiled with a per-file -mavx2 (see
-// CMakeLists.txt) when the toolchain knows the flag; execution is guarded at
-// runtime by the dispatcher's CPU probe, so the rest of the binary never
-// executes an AVX2 instruction.
+// AVX2 kernel: four Shift-And lanes per 256-bit register. This TU is
+// compiled with a per-file -mavx2 (see CMakeLists.txt) when the toolchain
+// knows the flag; execution is guarded at runtime by the dispatcher's CPU
+// probe, so the rest of the binary never executes an AVX2 instruction.
 //
 // Per step the four lanes share one vpsllq/vpor/vpand chain; the per-lane
 // match masks are popcounted with the classic pshufb nibble LUT into a
@@ -15,8 +14,6 @@
 #if defined(__AVX2__)
 
 #include <immintrin.h>
-
-#include <bit>
 
 namespace hetopt::automata::simd {
 
@@ -100,49 +97,19 @@ std::uint64_t avx2_count_range(const BitapMatcher::Tables& t, std::string_view t
   return count;
 }
 
-std::size_t avx2_find_candidate(const PrefilterClasses& c, std::string_view text,
-                                std::size_t pos, std::size_t end) {
-  const char* const p = text.data();
-  const __m256i fold = _mm256_set1_epi8(0x20);
-  __m256i needles[4] = {};
-  for (std::size_t j = 0; j < c.quiet_base_count; ++j) {
-    needles[j] = _mm256_set1_epi8(c.quiet_bases[j]);
-  }
-  while (pos + 32 <= end) {
-    const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + pos));
-    const __m256i folded = _mm256_or_si256(v, fold);
-    __m256i quiet = _mm256_setzero_si256();
-    for (std::size_t j = 0; j < c.quiet_base_count; ++j) {
-      quiet = _mm256_or_si256(quiet, _mm256_cmpeq_epi8(folded, needles[j]));
-    }
-    const auto candidates =
-        static_cast<unsigned>(_mm256_movemask_epi8(quiet)) ^ 0xFFFFFFFFu;
-    if (candidates != 0) {
-      return pos + static_cast<std::size_t>(std::countr_zero(candidates));
-    }
-    pos += 32;
-  }
-  while (pos < end && c.quiet[static_cast<unsigned char>(p[pos])] != 0) ++pos;
-  return pos;
-}
-
 constexpr BitapKernel kAvx2Bitap{util::IsaLevel::kAvx2, /*lanes=*/4,
                                  &avx2_count_range};
-constexpr PrefilterKernel kAvx2Prefilter{util::IsaLevel::kAvx2,
-                                         &avx2_find_candidate};
 
 }  // namespace
 
 const BitapKernel* avx2_bitap_kernel() noexcept { return &kAvx2Bitap; }
-const PrefilterKernel* avx2_prefilter_kernel() noexcept { return &kAvx2Prefilter; }
 
 }  // namespace hetopt::automata::simd
 
-#else  // !__AVX2__: compiled without -mavx2 — stub the getters.
+#else  // !__AVX2__: compiled without -mavx2 — stub the getter.
 
 namespace hetopt::automata::simd {
 const BitapKernel* avx2_bitap_kernel() noexcept { return nullptr; }
-const PrefilterKernel* avx2_prefilter_kernel() noexcept { return nullptr; }
 }  // namespace hetopt::automata::simd
 
 #endif

@@ -26,18 +26,6 @@ const BitapKernel* bitap_for(util::IsaLevel level) noexcept {
   return nullptr;
 }
 
-const PrefilterKernel* prefilter_for(util::IsaLevel level) noexcept {
-  switch (level) {
-    case util::IsaLevel::kScalar:
-      return &scalar_prefilter_kernel();
-    case util::IsaLevel::kSse2:
-      return sse2_prefilter_kernel();
-    case util::IsaLevel::kAvx2:
-      return avx2_prefilter_kernel();
-  }
-  return nullptr;
-}
-
 bool compiled_in(util::IsaLevel level) noexcept { return bitap_for(level) != nullptr; }
 
 /// Throws unless `level` is both compiled in and executable on this CPU;
@@ -80,11 +68,6 @@ util::IsaLevel resolve_isa(std::optional<util::IsaLevel> request) {
 const BitapKernel& bitap_kernel(util::IsaLevel isa) {
   require_available(isa);
   return *bitap_for(isa);
-}
-
-const PrefilterKernel& prefilter_kernel(util::IsaLevel isa) {
-  require_available(isa);
-  return *prefilter_for(isa);
 }
 
 }  // namespace hetopt::automata::simd

@@ -11,8 +11,9 @@
 //
 // Forcing a level the build or the CPU cannot run is a hard error — a
 // result labeled "avx2" must actually have executed AVX2. The scalar
-// variants are the bit-identical reference implementations: every vector
-// kernel is property-tested against them (tests/automata/simd_engine_test).
+// variant is the one-stream reference: it runs BitapMatcher's exact
+// recurrence, and every level is property-tested bit-identical to
+// BitapMatcher (tests/automata/simd_engine_test).
 #pragma once
 
 #include <cstddef>
@@ -42,34 +43,12 @@ struct BitapKernel {
                                bool* bad);
 };
 
-/// Byte classes for the prefilter: quiet bytes are the valid bases that keep
-/// the DFA start state put (delta(start, b) == start); every other byte —
-/// invalid ones included — is a candidate the DFA must actually step on.
-struct PrefilterClasses {
-  std::uint8_t quiet[256] = {};  // 1 = quiet
-  /// The distinct quiet bases, lowercase; vector kernels case-fold the
-  /// input (| 0x20) and compare against these. At most 4 (a/c/g/t).
-  char quiet_bases[4] = {};
-  std::size_t quiet_base_count = 0;
-};
-
-/// One ISA variant of the candidate finder: the first position in
-/// [pos, end) holding a non-quiet byte, or end when the run is all quiet.
-struct PrefilterKernel {
-  util::IsaLevel isa;
-  std::size_t (*find_candidate)(const PrefilterClasses& c, std::string_view text,
-                                std::size_t pos, std::size_t end);
-};
-
-// Per-ISA kernel tables. The scalar pair always exists; a vector getter
+// Per-ISA kernel tables. The scalar kernel always exists; a vector getter
 // returns nullptr when its TU was compiled without the ISA. Whether the
 // *CPU* can run a compiled-in variant is resolve_isa()'s job.
 [[nodiscard]] const BitapKernel& scalar_bitap_kernel() noexcept;
 [[nodiscard]] const BitapKernel* sse2_bitap_kernel() noexcept;
 [[nodiscard]] const BitapKernel* avx2_bitap_kernel() noexcept;
-[[nodiscard]] const PrefilterKernel& scalar_prefilter_kernel() noexcept;
-[[nodiscard]] const PrefilterKernel* sse2_prefilter_kernel() noexcept;
-[[nodiscard]] const PrefilterKernel* avx2_prefilter_kernel() noexcept;
 
 /// ISA levels this binary can execute here and now (compiled in AND
 /// supported by the running CPU). Always contains kScalar, ascending order.
@@ -81,9 +60,8 @@ struct PrefilterKernel {
 /// whether the build or the CPU is the gap).
 [[nodiscard]] util::IsaLevel resolve_isa(std::optional<util::IsaLevel> request);
 
-/// The kernel tables for an *available* level (resolve_isa() output).
+/// The kernel table for an *available* level (resolve_isa() output).
 /// Throws std::runtime_error for unavailable levels.
 [[nodiscard]] const BitapKernel& bitap_kernel(util::IsaLevel isa);
-[[nodiscard]] const PrefilterKernel& prefilter_kernel(util::IsaLevel isa);
 
 }  // namespace hetopt::automata::simd

@@ -1,8 +1,8 @@
-// Scalar reference kernels for the SIMD tier. These are the bit-identical
-// oracles every vector variant is property-tested against, and what
-// HETOPT_FORCE_ISA=scalar (or a non-x86 build) executes: one stream, the
-// exact BitapMatcher::scan recurrence, the exact BitapEngine warm-up — so
-// forced-scalar dispatch reproduces the pre-SIMD engines byte for byte.
+// Scalar reference kernel for the SIMD tier, and what HETOPT_FORCE_ISA=scalar
+// (or a non-x86 build) executes: one stream, the exact BitapMatcher::scan
+// recurrence over the PaREM warm-up lead — so forced-scalar dispatch
+// reproduces BitapMatcher's counts byte for byte, as every vector variant
+// must.
 #include <algorithm>
 
 #include "automata/simd/simd_common.hpp"
@@ -22,21 +22,11 @@ std::uint64_t scalar_count_range(const BitapMatcher::Tables& t, std::string_view
   return count;
 }
 
-std::size_t scalar_find_candidate(const PrefilterClasses& c, std::string_view text,
-                                  std::size_t pos, std::size_t end) {
-  const char* const p = text.data();
-  while (pos < end && c.quiet[static_cast<unsigned char>(p[pos])] != 0) ++pos;
-  return pos;
-}
-
 constexpr BitapKernel kScalarBitap{util::IsaLevel::kScalar, /*lanes=*/1,
                                    &scalar_count_range};
-constexpr PrefilterKernel kScalarPrefilter{util::IsaLevel::kScalar,
-                                           &scalar_find_candidate};
 
 }  // namespace
 
 const BitapKernel& scalar_bitap_kernel() noexcept { return kScalarBitap; }
-const PrefilterKernel& scalar_prefilter_kernel() noexcept { return kScalarPrefilter; }
 
 }  // namespace hetopt::automata::simd

@@ -1,6 +1,6 @@
-// SSE2 kernels: two Shift-And lanes per 128-bit register, 16-byte candidate
-// classification. SSE2 is the x86-64 baseline, so this TU needs no special
-// compile flags there; other targets compile the stub tail.
+// SSE2 kernel: two Shift-And lanes per 128-bit register. SSE2 is the x86-64
+// baseline, so this TU needs no special compile flags there; other targets
+// compile the stub tail.
 //
 // Lane protocol (shared with AVX2): the range splits into `lanes` contiguous
 // sub-streams, each warmed scalar over its bound-1 preceding bytes, then all
@@ -70,51 +70,19 @@ std::uint64_t sse2_count_range(const BitapMatcher::Tables& t, std::string_view t
   return count;
 }
 
-std::size_t sse2_find_candidate(const PrefilterClasses& c, std::string_view text,
-                                std::size_t pos, std::size_t end) {
-  const char* const p = text.data();
-  const __m128i fold = _mm_set1_epi8(0x20);
-  // Case-fold then compare against the lowercase quiet bases: b | 0x20 maps
-  // 'A'->'a' etc., and no non-base byte aliases onto a base that way.
-  __m128i needles[4] = {};
-  for (std::size_t j = 0; j < c.quiet_base_count; ++j) {
-    needles[j] = _mm_set1_epi8(c.quiet_bases[j]);
-  }
-  while (pos + 16 <= end) {
-    const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + pos));
-    const __m128i folded = _mm_or_si128(v, fold);
-    __m128i quiet = _mm_setzero_si128();
-    for (std::size_t j = 0; j < c.quiet_base_count; ++j) {
-      quiet = _mm_or_si128(quiet, _mm_cmpeq_epi8(folded, needles[j]));
-    }
-    const auto candidates =
-        static_cast<unsigned>(_mm_movemask_epi8(quiet)) ^ 0xFFFFu;
-    if (candidates != 0) {
-      return pos + static_cast<std::size_t>(std::countr_zero(candidates));
-    }
-    pos += 16;
-  }
-  while (pos < end && c.quiet[static_cast<unsigned char>(p[pos])] != 0) ++pos;
-  return pos;
-}
-
 constexpr BitapKernel kSse2Bitap{util::IsaLevel::kSse2, /*lanes=*/2,
                                  &sse2_count_range};
-constexpr PrefilterKernel kSse2Prefilter{util::IsaLevel::kSse2,
-                                         &sse2_find_candidate};
 
 }  // namespace
 
 const BitapKernel* sse2_bitap_kernel() noexcept { return &kSse2Bitap; }
-const PrefilterKernel* sse2_prefilter_kernel() noexcept { return &kSse2Prefilter; }
 
 }  // namespace hetopt::automata::simd
 
-#else  // !__SSE2__: this toolchain/target has no SSE2 — stub the getters.
+#else  // !__SSE2__: this toolchain/target has no SSE2 — stub the getter.
 
 namespace hetopt::automata::simd {
 const BitapKernel* sse2_bitap_kernel() noexcept { return nullptr; }
-const PrefilterKernel* sse2_prefilter_kernel() noexcept { return nullptr; }
 }  // namespace hetopt::automata::simd
 
 #endif

@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "automata/hopcroft.hpp"
-#include "automata/regex.hpp"
-#include "automata/subset.hpp"
-
 namespace hetopt::automata {
 
 // --- BitapSimdEngine --------------------------------------------------------
@@ -23,9 +19,9 @@ std::uint64_t BitapSimdEngine::count_chunk(std::string_view text, std::size_t be
   const std::uint64_t count = kernel_->count_range(
       matcher_.tables(), text, begin, end, matcher_.synchronization_bound(), &bad);
   if (bad) {
-    // Cold path: replay the scalar engine's exact scan order (warm-up lead,
-    // then body) so the thrown exception names the same first invalid byte
-    // with the same message as BitapEngine would.
+    // Cold path: replay the scalar matcher over the same warm-up lead and
+    // body so the thrown exception names the first invalid byte in scan
+    // order with BitapMatcher's message, whatever the ISA.
     std::uint64_t state = 0;
     const std::size_t lead = std::min(matcher_.synchronization_bound() - 1, begin);
     if (lead > 0) (void)matcher_.scan(text.substr(begin - lead, lead), state);
@@ -41,171 +37,11 @@ std::uint64_t BitapSimdEngine::collect_chunk(std::string_view text, std::size_t 
                                              std::vector<Match>& out) const {
   // Collection is event-append-bound, not scan-bound: events must land in
   // one ordered vector anyway, so this path runs the scalar matcher directly
-  // — byte-identical to BitapEngine::collect_chunk by construction.
+  // over the warm-up lead and the chunk body.
   std::uint64_t state = 0;
   const std::size_t lead = std::min(matcher_.synchronization_bound() - 1, begin);
   if (lead > 0) (void)matcher_.scan(text.substr(begin - lead, lead), state);
   return matcher_.collect(text.substr(begin, end - begin), begin, out, state);
-}
-
-// --- PrefilterDfaEngine -----------------------------------------------------
-
-namespace {
-
-DenseDfa build_minimized(const std::vector<std::string>& motifs) {
-  const CompiledMotifs compiled = compile_motifs(motifs);
-  return minimize(determinize(compiled.nfa, compiled.synchronization_bound));
-}
-
-/// Minimum mean quiet-run length for the skip to pay: the wider the probe,
-/// the more bytes each find_candidate call must clear to beat the plain
-/// fused scan's per-byte table step. (The scalar probe is a cheap byte loop;
-/// the vector probes carry load/compare/movemask setup per step.)
-[[nodiscard]] double density_skip_cutoff(util::IsaLevel isa) noexcept {
-  switch (isa) {
-    case util::IsaLevel::kScalar: return 2.0;
-    case util::IsaLevel::kSse2: return 4.0;
-    case util::IsaLevel::kAvx2: return 4.0;
-  }
-  return 2.0;
-}
-
-}  // namespace
-
-PrefilterDfaEngine::PrefilterDfaEngine(const std::vector<std::string>& motifs,
-                                       std::optional<util::IsaLevel> isa,
-                                       std::string_view density_sample)
-    : dfa_(build_minimized(motifs)),
-      kernel_(dfa_),
-      isa_(simd::resolve_isa(isa)),
-      prefilter_(&simd::prefilter_kernel(isa_)) {
-  if (dfa_.synchronization_bound() == 0) {
-    // lower() gates this syntactically ('*'/'+'); direct construction with
-    // unbounded motifs is a caller bug, not an input error.
-    throw std::logic_error(
-        "PrefilterDfaEngine: unbounded motif set (no synchronization bound)");
-  }
-  // Quiet bytes keep the start state put. Invalid bytes step start -> sink
-  // (never == start), so they classify as candidates for free and are never
-  // skipped past.
-  const StateId start = kernel_.start();
-  const std::uint32_t* const nx = kernel_.byte_table();
-  for (std::size_t byte = 0; byte < 256; ++byte) {
-    classes_.quiet[byte] =
-        nx[(static_cast<std::size_t>(start) << 8) | byte] == start ? 1 : 0;
-  }
-  // The quiet set is case-symmetric (the DFA folds case), so the vector
-  // kernels compare case-folded input against the lowercase quiet bases.
-  for (const char base : {'a', 'c', 'g', 't'}) {
-    if (classes_.quiet[static_cast<unsigned char>(base)] != 0) {
-      classes_.quiet_bases[classes_.quiet_base_count++] = base;
-    }
-  }
-  // Skipping a quiet run from the start state is exact only when staying at
-  // start contributes no occurrences; motif automata never accept at start
-  // (motifs are non-empty), but all-optional motifs like "A?" can — those
-  // degenerate to the plain fused scan.
-  can_skip_ = kernel_.accept_count(start) == 0 && classes_.quiet_base_count > 0;
-
-  // Density probe: measure the mean quiet-run length on the sample and
-  // self-disable the skip below the ISA-adaptive cutoff. A sample with no
-  // quiet bytes (every byte a candidate) measures 0 and always disables;
-  // exactness never depends on the decision — only the scan strategy does.
-  if (can_skip_ && !density_sample.empty()) {
-    std::uint64_t quiet_bytes = 0;
-    std::uint64_t quiet_runs = 0;
-    bool in_run = false;
-    for (const char c : density_sample) {
-      if (classes_.quiet[static_cast<unsigned char>(c)] != 0) {
-        ++quiet_bytes;
-        if (!in_run) {
-          ++quiet_runs;
-          in_run = true;
-        }
-      } else {
-        in_run = false;
-      }
-    }
-    sampled_quiet_run_ = quiet_runs > 0 ? static_cast<double>(quiet_bytes) /
-                                              static_cast<double>(quiet_runs)
-                                        : 0.0;
-    density_cutoff_ = density_skip_cutoff(isa_);
-    if (sampled_quiet_run_ < density_cutoff_) can_skip_ = false;
-  }
-}
-
-StateId PrefilterDfaEngine::entry_state(std::string_view text, std::size_t begin) const {
-  if (begin == 0) return kernel_.start();
-  const std::size_t lead = std::min(dfa_.synchronization_bound() - 1, begin);
-  if (lead == 0) return kernel_.start();
-  return kernel_.count(text.substr(begin - lead, lead), kernel_.start()).final_state;
-}
-
-std::uint64_t PrefilterDfaEngine::count_chunk(std::string_view text, std::size_t begin,
-                                              std::size_t end) const {
-  StateId s = entry_state(text, begin);
-  const StateId start = kernel_.start();
-  const std::uint32_t* const nx = kernel_.byte_table();
-  const auto* const p = reinterpret_cast<const unsigned char*>(text.data());
-  std::uint64_t count = 0;
-  std::size_t pos = begin;
-  if (can_skip_) {
-    while (pos < end) {
-      if (s == start) {
-        // In the start state every quiet byte is a no-op on both state and
-        // count — skip the whole run at vector speed.
-        pos = prefilter_->find_candidate(classes_, text, pos, end);
-        if (pos >= end) break;
-      }
-      s = nx[(static_cast<std::size_t>(s) << 8) | p[pos]];
-      count += kernel_.accept_count(s);
-      ++pos;
-    }
-  } else {
-    for (; pos < end; ++pos) {
-      s = nx[(static_cast<std::size_t>(s) << 8) | p[pos]];
-      count += kernel_.accept_count(s);
-    }
-  }
-  if (s == kernel_.sink()) {
-    // Invalid input: the fused kernel's cold path throws the scanner's exact
-    // exception for the first bad byte of the chunk body.
-    (void)kernel_.count(text.substr(begin, end - begin), entry_state(text, begin));
-    throw std::logic_error("prefilter-dfa: sink reached on input the fused "
-                           "kernel accepted");
-  }
-  return count;
-}
-
-std::uint64_t PrefilterDfaEngine::collect_chunk(std::string_view text, std::size_t begin,
-                                                std::size_t end,
-                                                std::vector<Match>& out) const {
-  StateId s = entry_state(text, begin);
-  const StateId start = kernel_.start();
-  const std::uint32_t* const nx = kernel_.byte_table();
-  const auto* const p = reinterpret_cast<const unsigned char*>(text.data());
-  std::uint64_t count = 0;
-  std::size_t pos = begin;
-  while (pos < end) {
-    if (can_skip_ && s == start) {
-      // Quiet runs produce no events (the start state accepts nothing).
-      pos = prefilter_->find_candidate(classes_, text, pos, end);
-      if (pos >= end) break;
-    }
-    s = nx[(static_cast<std::size_t>(s) << 8) | p[pos]];
-    const std::uint32_t hits = kernel_.accept_count(s);
-    if (hits != 0) {
-      count += hits;
-      out.push_back(Match{pos + 1, kernel_.accept_mask(s)});
-    }
-    ++pos;
-  }
-  if (s == kernel_.sink()) {
-    (void)kernel_.count(text.substr(begin, end - begin), entry_state(text, begin));
-    throw std::logic_error("prefilter-dfa: sink reached on input the fused "
-                           "kernel accepted");
-  }
-  return count;
 }
 
 }  // namespace hetopt::automata

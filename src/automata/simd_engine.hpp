@@ -1,30 +1,19 @@
-// The SIMD engine tier as MatchEngines: the vector kernels from
-// src/automata/simd/ packaged behind the same chunk-aware contract every
+// The SIMD engine tier as a MatchEngine: the lane-parallel Shift-And kernels
+// from src/automata/simd/ packaged behind the same chunk-aware contract every
 // other engine honors, so the parallel matcher, the executor fleet, and the
-// tuner price them like any other EngineKind.
+// tuner price it like any other EngineKind.
 //
-//  BitapSimdEngine   (kBitapSimd)   lane-parallel Shift-And: each chunk is
-//                                   split into one contiguous sub-stream per
-//                                   vector lane, each lane warms up over its
-//                                   bound-1 preceding bytes (the PaREM chunk
-//                                   protocol applied *inside* the chunk), and
-//                                   all lanes advance in lockstep. Counts are
-//                                   sums over disjoint end-position ranges —
-//                                   bit-identical to BitapEngine by
+//  BitapSimdEngine   (kBitapSimd)   each chunk is split into one contiguous
+//                                   sub-stream per vector lane, each lane
+//                                   warms up over its bound-1 preceding bytes
+//                                   (the PaREM chunk protocol applied *inside*
+//                                   the chunk), and all lanes advance in
+//                                   lockstep. Counts are sums over disjoint
+//                                   end-position ranges — bit-identical to
+//                                   BitapMatcher's one-stream scan by
 //                                   construction, property-tested to stay so.
 //
-//  PrefilterDfaEngine (kPrefilterDfa) compiled-DFA scan behind a vectorized
-//                                   byte-class prefilter: bytes that cannot
-//                                   move the DFA off its start state are
-//                                   skipped at vector speed whenever the scan
-//                                   sits in the start state; the fused kernel
-//                                   only runs while the automaton is live.
-//                                   Exact because skipping quiet bytes from
-//                                   the start state is the identity on both
-//                                   state and count (the start state accepts
-//                                   nothing, or skipping is disabled).
-//
-// Both resolve their ISA at construction: explicit request > HETOPT_FORCE_ISA
+// The ISA is resolved at construction: explicit request > HETOPT_FORCE_ISA
 // > widest the CPU supports. Forcing an unavailable level throws.
 #pragma once
 
@@ -35,7 +24,6 @@
 #include <vector>
 
 #include "automata/bitap.hpp"
-#include "automata/compiled_dfa.hpp"
 #include "automata/dense_dfa.hpp"
 #include "automata/match_engine.hpp"
 #include "automata/simd/simd_kernels.hpp"
@@ -45,9 +33,10 @@ namespace hetopt::automata {
 
 class BitapSimdEngine final : public MatchEngine {
  public:
-  /// Same applicability as BitapEngine (IUPAC, <= 64 summed bits). `isa`
-  /// pins a specific variant (tests sweep every available level); nullopt
-  /// defers to HETOPT_FORCE_ISA, then the widest available.
+  /// Same applicability as BitapMatcher (IUPAC, <= 64 summed bits). `isa`
+  /// pins a specific variant (tests sweep every available level, and the
+  /// scalar level is the one-stream reference kernel); nullopt defers to
+  /// HETOPT_FORCE_ISA, then the widest available.
   explicit BitapSimdEngine(const std::vector<std::string>& patterns,
                            std::optional<util::IsaLevel> isa = std::nullopt);
 
@@ -76,73 +65,6 @@ class BitapSimdEngine final : public MatchEngine {
   BitapMatcher matcher_;
   util::IsaLevel isa_;
   const simd::BitapKernel* kernel_;
-};
-
-class PrefilterDfaEngine final : public MatchEngine {
- public:
-  /// Full motif language minus the unbounded operators '*' and '+' (the
-  /// prefilter's per-chunk warm-up needs a positive synchronization bound).
-  /// Throws std::invalid_argument via compile_motifs on syntax errors.
-  ///
-  /// `density_sample` (typically the corpus' first page) makes the skip
-  /// density-aware: the sample's mean quiet-run length is measured against
-  /// an ISA-adaptive cutoff and the quiet-byte skip self-disables below it
-  /// — on candidate-dense input the vector probe rarely clears its own
-  /// cost, so the plain fused scan is faster. Exactness is unaffected
-  /// either way. An empty sample keeps the static rule (skip whenever the
-  /// classes allow it), the pre-probe behavior.
-  explicit PrefilterDfaEngine(const std::vector<std::string>& motifs,
-                              std::optional<util::IsaLevel> isa = std::nullopt,
-                              std::string_view density_sample = {});
-
-  [[nodiscard]] EngineKind kind() const noexcept override {
-    return EngineKind::kPrefilterDfa;
-  }
-  [[nodiscard]] std::size_t synchronization_bound() const noexcept override {
-    return dfa_.synchronization_bound();
-  }
-  [[nodiscard]] std::size_t pattern_count() const noexcept override {
-    return dfa_.pattern_count();
-  }
-
-  [[nodiscard]] std::uint64_t count_chunk(std::string_view text, std::size_t begin,
-                                          std::size_t end) const override;
-  [[nodiscard]] std::uint64_t collect_chunk(std::string_view text, std::size_t begin,
-                                            std::size_t end,
-                                            std::vector<Match>& out) const override;
-
-  // dfa()/kernel() stay nullptr on purpose: the parallel matcher and the
-  // executor must drive this engine through the chunk-aware interface so the
-  // prefilter actually runs (the kernel() fast path would bypass it).
-
-  [[nodiscard]] util::IsaLevel isa() const noexcept { return isa_; }
-  /// True when the quiet-byte skip is active (the DFA start state accepts
-  /// nothing and at least one base is quiet); false degenerates to the plain
-  /// fused scan, still exact.
-  [[nodiscard]] bool skip_enabled() const noexcept { return can_skip_; }
-  /// The candidate bytes' count (256 - quiet bytes); bench provenance.
-  [[nodiscard]] std::size_t quiet_base_count() const noexcept {
-    return classes_.quiet_base_count;
-  }
-  /// Mean quiet-run length measured on the construction sample, and the
-  /// adaptive cutoff it was held against (both 0 when no sample was given);
-  /// bench provenance for the density-aware skip decision.
-  [[nodiscard]] double sampled_quiet_run() const noexcept { return sampled_quiet_run_; }
-  [[nodiscard]] double density_cutoff() const noexcept { return density_cutoff_; }
-
- private:
-  /// Warm-up entry state for a chunk starting at `begin` — identical to
-  /// DenseDfaEngine's (throws on invalid warm-up bytes like the oracle).
-  [[nodiscard]] StateId entry_state(std::string_view text, std::size_t begin) const;
-
-  DenseDfa dfa_;
-  CompiledDfa kernel_;
-  simd::PrefilterClasses classes_;
-  util::IsaLevel isa_;
-  const simd::PrefilterKernel* prefilter_;
-  bool can_skip_ = false;
-  double sampled_quiet_run_ = 0.0;
-  double density_cutoff_ = 0.0;
 };
 
 }  // namespace hetopt::automata

@@ -321,8 +321,7 @@ std::string ExecutionReport::to_string() const {
 
 HeterogeneousExecutor::HeterogeneousExecutor(const automata::DenseDfa& dfa,
                                              std::vector<PoolSpec> pools)
-    : owned_engine_(std::make_unique<automata::DenseDfaEngine>(
-          automata::EngineKind::kCompiledDfa, dfa)),
+    : owned_engine_(std::make_unique<automata::DenseDfaEngine>(dfa)),
       engine_(owned_engine_.get()) {
   build_fleet(std::move(pools));
 }

@@ -53,8 +53,8 @@
 // a non-ACGT byte) propagate unchanged.
 //
 // The executor is engine-generic: any automata::MatchEngine (compiled DFA,
-// Aho–Corasick, bitap) drives every pool, which is how the tuner prices the
-// engine axis with live runs.
+// bitap-simd) drives every pool, which is how the tuner prices the engine
+// axis with live runs.
 //
 // Substitution note: with no Xeon Phi present, every device share runs on an
 // emulated device — another thread pool on the host. Results (match counts,

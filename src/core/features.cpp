@@ -46,10 +46,10 @@ void write_features(FeatureRow& out, const char* who, double size_mb, int thread
   out[0] = size_mb;
   out[1] = static_cast<double>(threads);
   out[2 + affinity] = 1.0;
-  out[5 + static_cast<std::size_t>(engine)] = 1.0;
-  out[10 + static_cast<std::size_t>(schedule)] = 1.0;
-  out[14] = static_cast<double>(pool_count);
-  out[15] = pool_share_percent;
+  out[kEngineColumn + static_cast<std::size_t>(engine)] = 1.0;
+  out[kScheduleColumn + static_cast<std::size_t>(schedule)] = 1.0;
+  out[kFleetColumn] = static_cast<double>(pool_count);
+  out[kFleetColumn + 1] = pool_share_percent;
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Feature encoding for the performance-prediction models. The paper trains
 // on "the input size, the available computing resources, and the thread
 // allocation strategies" (§III-B); we encode these as
-//   [ size_mb, threads, one-hot affinity (3), one-hot engine (5),
+//   [ size_mb, threads, one-hot affinity (3), one-hot engine (2),
 //     one-hot schedule (4), pool_count, pool_share_pct ]
 // separately per environment (host / device), mirroring the paper's two
 // models. The engine and schedule one-hots and the fleet columns are this
@@ -34,7 +34,12 @@
 
 namespace hetopt::core {
 
-inline constexpr std::size_t kFeatureCount = 16;
+/// Column offsets of the layout above. Each one-hot block is as wide as its
+/// axis, so the offsets follow from the axis sizes.
+inline constexpr std::size_t kEngineColumn = 5;
+inline constexpr std::size_t kScheduleColumn = kEngineColumn + automata::kEngineKindCount;
+inline constexpr std::size_t kFleetColumn = kScheduleColumn + parallel::kSchedulePolicyCount;
+inline constexpr std::size_t kFeatureCount = kFleetColumn + 2;
 
 /// One environment's feature row in the layout above.
 using FeatureRow = std::array<double, kFeatureCount>;

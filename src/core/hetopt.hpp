@@ -11,8 +11,8 @@
 //   util      RNG, statistics, tables
 //   dna       sequences, synthetic genomes, FASTA
 //   automata  motif matching engines (the application kernel): NFA/DFA
-//             pipeline, Aho–Corasick, bitap, unified behind MatchEngine —
-//             a tuned axis of the configuration space
+//             pipeline and the lane-parallel bitap, unified behind
+//             MatchEngine — a tuned axis of the configuration space
 //   parallel  thread pool, affinity vocabulary, partitioning, batch map
 //   sim       the simulated Xeon E5 + Xeon Phi platform (time surface),
 //             plus the 1-host + K-device MultiDeviceMachine

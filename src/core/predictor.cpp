@@ -9,6 +9,7 @@
 #include <optional>
 #include <ostream>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "ml/serialize.hpp"
@@ -17,6 +18,9 @@
 namespace hetopt::core {
 
 namespace {
+
+// The saved-model header's magic: the format version of the feature layout.
+constexpr std::string_view kMagic = "hetopt-predictor-v5";
 
 // A side that scans no bytes predicts 0 without a model walk. Sizes below
 // zero fall under the same rule: at host_percent 100, total - total*100/100
@@ -223,11 +227,11 @@ double PerformancePredictor::predict_device(double size_mb, int threads,
 
 void PerformancePredictor::save(std::ostream& os) const {
   if (!trained_) throw std::runtime_error("PerformancePredictor::save: not trained");
-  // The header records the feature-layout width so a file saved under an
-  // older (narrower) layout fails at load time with a clear message instead
-  // of throwing a row-size mismatch on every predict. v4 = the SIMD-era
-  // layout (five-way engine one-hot: bitap-simd and prefilter-dfa columns).
-  os << "hetopt-predictor-v4 " << kFeatureCount << ' ' << (options_.normalize ? 1 : 0)
+  // The header records the layout version and width so a file saved under
+  // another feature layout fails at load time with a clear message instead
+  // of throwing a row-size mismatch on every predict. v5 = the two-way
+  // engine one-hot (compiled-dfa, bitap-simd).
+  os << kMagic << ' ' << kFeatureCount << ' ' << (options_.normalize ? 1 : 0)
      << ' ' << (options_.log_target ? 1 : 0) << '\n';
   if (options_.normalize) {
     ml::save(os, host_norm_);
@@ -242,27 +246,17 @@ PerformancePredictor PerformancePredictor::load(std::istream& is) {
   if (!(is >> magic)) {
     throw std::runtime_error("PerformancePredictor::load: bad header");
   }
-  if (magic == "hetopt-predictor-v1") {
-    throw std::runtime_error(
-        "PerformancePredictor::load: v1 file uses a pre-schedule-axis feature "
-        "layout; retrain and re-save the predictor");
-  }
-  if (magic == "hetopt-predictor-v2") {
-    throw std::runtime_error(
-        "PerformancePredictor::load: v2 file uses a pre-fleet feature layout "
-        "(no pool_count/pool_share_pct columns); retrain and re-save the "
-        "predictor");
-  }
-  if (magic == "hetopt-predictor-v3") {
-    throw std::runtime_error(
-        "PerformancePredictor::load: v3 file uses the pre-SIMD three-way "
-        "engine one-hot (no bitap-simd/prefilter-dfa columns); retrain and "
-        "re-save the predictor");
+  // v1-v4 each used an older feature layout (the last, v4, a five-way
+  // engine one-hot); their models cannot read this build's rows.
+  if (magic != kMagic && magic.starts_with("hetopt-predictor-v")) {
+    throw std::runtime_error("PerformancePredictor::load: " + magic +
+                             " file uses an older feature layout; retrain and "
+                             "re-save the predictor");
   }
   std::size_t features = 0;
   int normalize = 0;
   int log_target = 0;
-  if (!(is >> features >> normalize >> log_target) || magic != "hetopt-predictor-v4") {
+  if (!(is >> features >> normalize >> log_target) || magic != kMagic) {
     throw std::runtime_error("PerformancePredictor::load: bad header");
   }
   if (features != kFeatureCount) {

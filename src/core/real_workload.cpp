@@ -76,21 +76,14 @@ constexpr std::size_t kMeasureRetryBudget = 2;
 
 /// Relative scan cost of the configured engine in the deterministic model.
 /// The compiled-DFA factor is exactly 1 so pre-engine-axis numbers are
-/// unchanged; bitap is modeled cheapest (its whole state is one register, no
-/// table loads), Aho–Corasick slightly dearer than the minimized DFA (more
-/// states, more table pressure). Real measurements of course override this —
-/// the model only needs seeded runs to face an engine-shaped landscape.
+/// unchanged; the SIMD bitap is modeled cheaper (its whole state is one
+/// register per vector lane, no table loads). Real measurements of course
+/// override this — the model only needs seeded runs to face an
+/// engine-shaped landscape.
 [[nodiscard]] double engine_model_factor(automata::EngineKind k) noexcept {
   switch (k) {
     case automata::EngineKind::kCompiledDfa: return 1.00;
-    case automata::EngineKind::kAhoCorasick: return 1.08;
-    case automata::EngineKind::kBitap: return 0.85;
-    // The SIMD bitap amortizes the same recurrence over vector lanes, so the
-    // model prices it cheapest of all; the prefiltered DFA only wins on
-    // sparse inputs, which the deterministic model does not see — slightly
-    // under the plain DFA, never under bitap.
     case automata::EngineKind::kBitapSimd: return 0.70;
-    case automata::EngineKind::kPrefilterDfa: return 0.95;
   }
   return 1.0;
 }
@@ -184,14 +177,10 @@ RealWorkload::RealWorkload(const dna::GenomeCatalog& catalog, const Workload& lo
 
   // Build every engine the motif set qualifies for; record why the others
   // are skipped. The compiled-DFA engine handles the full motif language and
-  // is therefore always present (compile errors propagate from here). The
-  // materialized genome's first page is the density sample input-adaptive
-  // engines (the prefiltered DFA's skip cutoff) probe at lowering time.
-  const std::string_view sample =
-      sequence_.view().substr(0, std::min(options.paged.page_bytes, sequence_.size()));
+  // is therefore always present (compile errors propagate from here).
   for (const automata::EngineKind kind : automata::kAllEngineKinds) {
     const auto i = static_cast<std::size_t>(kind);
-    engines_[i] = automata::try_lower(kind, options.motifs, &engine_gaps_[i], sample);
+    engines_[i] = automata::try_lower(kind, options.motifs, &engine_gaps_[i]);
   }
   // The oracle every parallel/kernel run is checked against must stay
   // independent of the kernels under test: use the naive reference loop.
@@ -341,8 +330,10 @@ RealMeasurement RealWorkloadEvaluator::measure(const opt::SystemConfig& config,
   // Each successful attempt contributes one timing sample; an attempt that
   // throws (a genuine executor error, or an injected measure-fail) burns one
   // unit of the retry budget and backs off with seeded jitter before the
-  // next try. With no armed fault plan this collects exactly `repeats`
-  // samples, as before.
+  // next try. std::invalid_argument is not retried: the executor throws it
+  // for a configuration it rejects (say, a paged resident budget below the
+  // fleet's workers), which fails the same way on every attempt. With no
+  // armed fault plan this collects exactly `repeats` samples, as before.
   RealMeasurement m;
   const util::FaultInjector* injector = util::FaultInjector::current();
   util::Backoff backoff(injector != nullptr ? injector->plan().seed : 0);
@@ -373,6 +364,8 @@ RealMeasurement RealWorkloadEvaluator::measure(const opt::SystemConfig& config,
         seconds *= injector->measure_noise(samples.size());
       }
       samples.push_back(Sample{seconds, std::move(report)});
+    } catch (const std::invalid_argument&) {
+      throw;
     } catch (...) {
       ++m.measure_failures;  // recorded failure; retried below or given up on
       if (budget == 0) break;

@@ -76,8 +76,9 @@ struct RealWorkloadOptions {
   /// fleet mode) instead of scanning the in-memory copy. Match counts stay
   /// checked against the same in-memory sequential oracle. The `paged`
   /// resident budget must cover the largest fleet a measured configuration
-  /// builds (total workers across pools) or measure() attempts fail. The
-  /// default (false) leaves every path byte-identical to before.
+  /// builds (total workers across pools), or measure() throws
+  /// std::invalid_argument for that configuration. The default (false)
+  /// leaves every path byte-identical to before.
   bool out_of_core = false;
   /// Page geometry/budget of the out-of-core cache. The halo default (63)
   /// covers any motif shorter than 64 bases; longer motif sets need a
@@ -87,10 +88,10 @@ struct RealWorkloadOptions {
 
 /// A logical workload made physical: the scaled synthetic genome plus every
 /// match engine applicable to the motif set, with the sequential match count
-/// as ground truth. The compiled-DFA engine always exists; Aho–Corasick and
-/// bitap are built when the motif set qualifies (literal ACGT patterns /
-/// <= 64 summed pattern bits) and skipped — with a recorded reason — when
-/// not, so the tuner's engine axis can be sized per workload.
+/// as ground truth. The compiled-DFA engine always exists; bitap-simd is
+/// built when the motif set qualifies (IUPAC patterns, <= 64 summed pattern
+/// bits) and skipped — with a recorded reason — when not, so the tuner's
+/// engine axis can be sized per workload.
 class RealWorkload {
  public:
   RealWorkload(const dna::GenomeCatalog& catalog, const Workload& logical,
@@ -216,6 +217,10 @@ class RealWorkloadEvaluator final : public Evaluator {
   /// the configured fraction water-filled across the K devices by
   /// sim::MultiDeviceMachine::distribute (the Emil host + K Phi model) so
   /// identical devices finish together.
+  ///
+  /// Throws std::invalid_argument for a configuration the engine or the
+  /// executor rejects; only other failures are retried and, once the retry
+  /// budget runs out, returned marked-invalid.
   [[nodiscard]] RealMeasurement measure(const opt::SystemConfig& config,
                                         const Workload& workload) const;
 

@@ -42,7 +42,7 @@ struct SystemConfig {
 };
 
 /// "host 24t/scatter 70% | device 60t/balanced 30%"; a non-default engine is
-/// appended as " [bitap]", a non-default schedule as " [dynamic]", and a
+/// appended as " [bitap-simd]", a non-default schedule as " [dynamic]", and a
 /// non-default device count as " [3dev]" (the defaults are implied, so
 /// paper-space and 2-pool strings are unchanged).
 [[nodiscard]] std::string to_string(const SystemConfig& c);

@@ -1,5 +1,5 @@
 // Cross-engine parity property tests: every MatchEngine applicable to a
-// motif set — compiled DFA, Aho–Corasick, bitap — must produce identical
+// motif set — compiled DFA, bitap-simd — must produce identical
 // match counts (and identical collect output) on identical input, for whole
 // texts, for chunk-aware scans at every chunk count, and for matches
 // spanning chunk boundaries. The oracle is the seed per-byte scanner over
@@ -72,46 +72,25 @@ std::string random_iupac(std::mt19937_64& rng) {
 TEST(MatchEngine, LowerBuildsTheRightBackends) {
   const std::vector<std::string> literal{"GATTACA", "CCGG"};
   EXPECT_EQ(lower(EngineKind::kCompiledDfa, literal)->kind(), EngineKind::kCompiledDfa);
-  EXPECT_EQ(lower(EngineKind::kAhoCorasick, literal)->kind(), EngineKind::kAhoCorasick);
-  EXPECT_EQ(lower(EngineKind::kBitap, literal)->kind(), EngineKind::kBitap);
-  EXPECT_EQ(lower(EngineKind::kBitap, literal)->name(), "bitap");
   EXPECT_EQ(lower(EngineKind::kBitapSimd, literal)->kind(), EngineKind::kBitapSimd);
   EXPECT_EQ(lower(EngineKind::kBitapSimd, literal)->name(), "bitap-simd");
-  EXPECT_EQ(lower(EngineKind::kPrefilterDfa, literal)->kind(),
-            EngineKind::kPrefilterDfa);
-  EXPECT_EQ(lower(EngineKind::kPrefilterDfa, literal)->name(), "prefilter-dfa");
 
-  // IUPAC classes: no Aho–Corasick (it needs literal ACGT).
+  // IUPAC classes are fine for the bitap.
   const std::vector<std::string> iupac{"TATAWAW"};
-  EXPECT_EQ(try_lower(EngineKind::kAhoCorasick, iupac), nullptr);
-  EXPECT_NE(try_lower(EngineKind::kBitap, iupac), nullptr);
   EXPECT_NE(try_lower(EngineKind::kBitapSimd, iupac), nullptr);
-  EXPECT_NE(try_lower(EngineKind::kPrefilterDfa, iupac), nullptr);
-  EXPECT_FALSE(engine_gap(EngineKind::kAhoCorasick, iupac).empty());
 
-  // Regex operators: compiled DFA only ('*'/'+' also defeat the prefilter's
-  // bounded warm-up).
+  // Regex operators: compiled DFA only.
   const std::vector<std::string> regex{"GC(N)*GC"};
   EXPECT_NE(try_lower(EngineKind::kCompiledDfa, regex), nullptr);
-  EXPECT_EQ(try_lower(EngineKind::kAhoCorasick, regex), nullptr);
-  EXPECT_EQ(try_lower(EngineKind::kBitap, regex), nullptr);
   EXPECT_EQ(try_lower(EngineKind::kBitapSimd, regex), nullptr);
-  std::string prefilter_why;
-  EXPECT_EQ(try_lower(EngineKind::kPrefilterDfa, regex, &prefilter_why), nullptr);
-  EXPECT_NE(prefilter_why.find("unbounded"), std::string::npos);
-  // The optional operator '?' keeps the bound finite: prefilter stays in.
-  const std::vector<std::string> optional{"GAT?TACA"};
-  EXPECT_NE(try_lower(EngineKind::kPrefilterDfa, optional), nullptr);
 
-  // > 64 summed bits: no bitap (scalar or SIMD), and the gap says why.
+  // > 64 summed bits: no bitap, and the gap says why.
   const std::vector<std::string> wide{std::string(40, 'A'), std::string(30, 'C')};
   std::string why;
-  EXPECT_EQ(try_lower(EngineKind::kBitap, wide, &why), nullptr);
+  EXPECT_EQ(try_lower(EngineKind::kBitapSimd, wide, &why), nullptr);
   EXPECT_NE(why.find("64"), std::string::npos);
-  std::string simd_why;
-  EXPECT_EQ(try_lower(EngineKind::kBitapSimd, wide, &simd_why), nullptr);
-  EXPECT_EQ(simd_why, why);  // same matcher, same applicability, same message
-  EXPECT_THROW((void)lower(EngineKind::kBitap, wide), std::invalid_argument);
+  EXPECT_EQ(engine_gap(EngineKind::kBitapSimd, wide), why);
+  EXPECT_THROW((void)lower(EngineKind::kBitapSimd, wide), std::invalid_argument);
 }
 
 TEST(MatchEngine, CountParityOnRandomLiteralSets) {
@@ -125,7 +104,7 @@ TEST(MatchEngine, CountParityOnRandomLiteralSets) {
     const std::uint64_t expected = oracle_count(motifs, text);
 
     const auto engines = applicable_engines(motifs);
-    ASSERT_EQ(engines.size(), 5u);  // literal sets qualify for every engine
+    ASSERT_EQ(engines.size(), kEngineKindCount);  // literal sets qualify for every engine
     for (const auto& engine : engines) {
       EXPECT_EQ(engine->count(text), expected)
           << engine->name() << " round " << round;
@@ -144,7 +123,7 @@ TEST(MatchEngine, CountParityOnRandomIupacSets) {
     const std::uint64_t expected = oracle_count(motifs, text);
 
     const auto engines = applicable_engines(motifs);
-    ASSERT_GE(engines.size(), 2u);  // compiled DFA + bitap at least
+    ASSERT_EQ(engines.size(), kEngineKindCount);  // short IUPAC sets fit the bitap too
     for (const auto& engine : engines) {
       EXPECT_EQ(engine->count(text), expected)
           << engine->name() << " round " << round;
@@ -245,7 +224,7 @@ TEST(MatchEngine, ParallelMatcherRejectsUnboundedGenericEngines) {
   // A generic (non-DFA) engine must declare a synchronization bound; bitap
   // always has one, so construction through the engine path succeeds.
   parallel::ThreadPool pool(2);
-  const auto bitap = lower(EngineKind::kBitap, {"ACGT"});
+  const auto bitap = lower(EngineKind::kBitapSimd, {"ACGT"});
   EXPECT_NO_THROW(ParallelMatcher(*bitap, pool));
   // DFA-backed engines may be unbounded (regex '+'); the matcher falls back
   // to the speculative kernels, which stay exact.

@@ -1,9 +1,9 @@
 // Cross-ISA parity for the SIMD engine tier: every vector variant the host
 // can run (and the forced-scalar path) must produce counts, collected match
-// events, and error behavior byte-identical to the scalar engines, across
-// random motif sets, chunk counts, and every schedule policy. Suite names
-// matter: the `simd_parity` ctest entry runs exactly SimdEngine* and
-// SimdDispatch*.
+// events, and error behavior byte-identical to BitapMatcher — the one-stream
+// Shift-And recurrence, scanned from offset 0 — across random motif sets,
+// chunk counts, and every schedule policy. Suite names matter: the
+// `simd_parity` ctest entry runs exactly SimdEngine* and SimdDispatch*.
 #include "automata/simd_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "automata/match_engine.hpp"
 #include "automata/parallel_matcher.hpp"
 #include "automata/simd/simd_kernels.hpp"
 #include "dna/generator.hpp"
@@ -61,8 +60,8 @@ std::string random_iupac(std::mt19937_64& rng) {
   return p;
 }
 
-/// Random genome with some positions folded to lowercase, so the prefilter's
-/// case-folding vector compare sees mixed-case input.
+/// Random genome with some positions folded to lowercase, so the kernels'
+/// case-folded byte tables see mixed-case input.
 std::string random_text(std::mt19937_64& rng, std::size_t size, std::uint64_t seed) {
   const dna::GenomeGenerator gen;
   std::string text = gen.generate(size, seed);
@@ -85,7 +84,7 @@ TEST(SimdEngine, BitapCountParityAcrossIsasOnRandomMotifSets) {
     }
     if (!BitapMatcher::supports(motifs)) continue;
     const std::string text = random_text(rng, 30000 + rng() % 50000, round);
-    const BitapEngine scalar(motifs);
+    const BitapMatcher scalar(motifs);
     const std::uint64_t expected = scalar.count(text);
     for (const util::IsaLevel isa : isas) {
       const BitapSimdEngine simd(motifs, isa);
@@ -111,7 +110,7 @@ TEST(SimdEngine, BitapChunkedCountParityAcrossIsasChunksAndSchedules) {
       const std::string& m = motifs[boundary % motifs.size()];
       if (boundary >= m.size()) text.replace(boundary - m.size() / 2, m.size(), m);
     }
-    const BitapEngine scalar(motifs);
+    const BitapMatcher scalar(motifs);
     const std::uint64_t expected = scalar.count(text);
     for (const util::IsaLevel isa : isas) {
       const BitapSimdEngine simd(motifs, isa);
@@ -132,9 +131,9 @@ TEST(SimdEngine, BitapCollectParityAcrossIsas) {
   parallel::ThreadPool pool(4);
   const std::vector<std::string> motifs{"GATTACA", "CCGG", "TTT"};
   const std::string text = random_text(rng, 40000, 7);
-  const BitapEngine scalar(motifs);
+  const BitapMatcher scalar(motifs);
   std::vector<Match> expected;
-  (void)scalar.collect(text, expected);
+  (void)scalar.collect(text, 0, expected);
   ASSERT_FALSE(expected.empty());
   for (const util::IsaLevel isa : simd::available_isas()) {
     const BitapSimdEngine simd(motifs, isa);
@@ -153,92 +152,36 @@ TEST(SimdEngine, BitapCollectParityAcrossIsas) {
   }
 }
 
-TEST(SimdEngine, PrefilterCountAndCollectParityAcrossIsas) {
-  std::mt19937_64 rng(83);
-  parallel::ThreadPool pool(4);
-  // "CCGT" leaves A/G/T quiet at the start state; a text that is mostly 'A'
-  // exercises long vector skips, the random tail exercises dense stepping.
-  const std::vector<std::string> motifs{"CCGT", "GWCC"};
-  std::string text(20000, 'A');
-  text += random_text(rng, 40000, 11);
-  text.replace(500, 4, "CCGT");
-  text.replace(text.size() - 777, 4, "CCGT");
-  const auto oracle = lower(EngineKind::kCompiledDfa, motifs);
-  const std::uint64_t expected = oracle->count(text);
-  std::vector<Match> expected_matches;
-  (void)oracle->collect(text, expected_matches);
-  ASSERT_FALSE(expected_matches.empty());
-  for (const util::IsaLevel isa : simd::available_isas()) {
-    const PrefilterDfaEngine prefilter(motifs, isa);
-    EXPECT_TRUE(prefilter.skip_enabled());
-    EXPECT_EQ(prefilter.quiet_base_count(), 2u);  // A and T; C/G/W open motifs
-    EXPECT_EQ(prefilter.count(text), expected) << util::to_string(isa);
-    std::vector<Match> got;
-    EXPECT_EQ(prefilter.collect(text, got), expected);
-    EXPECT_EQ(got, expected_matches) << util::to_string(isa);
-    // The chunked path drives this engine through the generic chunk-aware
-    // interface (it exposes no DFA kernel on purpose).
-    EXPECT_EQ(prefilter.kernel(), nullptr);
-    const ParallelMatcher matcher(prefilter, pool);
-    for (const parallel::SchedulePolicy policy : parallel::kAllSchedulePolicies) {
-      EXPECT_EQ(matcher.count(text, 11, policy).match_count, expected)
-          << util::to_string(isa) << " schedule " << to_string(policy);
-      std::vector<Match> chunked;
-      (void)matcher.collect(text, 11, chunked, policy);
-      EXPECT_EQ(chunked, expected_matches)
-          << util::to_string(isa) << " schedule " << to_string(policy);
-    }
-  }
-}
-
-TEST(SimdEngine, PrefilterDisabledSetsStillCountExactly) {
-  // Motifs opening with every base leave no byte quiet: the skip degenerates
-  // to the plain fused scan and stays exact.
-  const std::vector<std::string> motifs{"AAC", "CCG", "GGT", "TTA"};
-  const dna::GenomeGenerator gen;
-  const std::string text = gen.generate(20000, 3);
-  const auto oracle = lower(EngineKind::kCompiledDfa, motifs);
-  for (const util::IsaLevel isa : simd::available_isas()) {
-    const PrefilterDfaEngine prefilter(motifs, isa);
-    EXPECT_FALSE(prefilter.skip_enabled());
-    EXPECT_EQ(prefilter.quiet_base_count(), 0u);
-    EXPECT_EQ(prefilter.count(text), oracle->count(text)) << util::to_string(isa);
-  }
-}
-
 TEST(SimdEngine, InvalidByteErrorsMatchTheScalarEnginesExactly) {
   const std::vector<std::string> motifs{"GATTACA", "CCGG"};
   const dna::GenomeGenerator gen;
   std::string text = gen.generate(50000, 17);
   text[text.size() / 2] = 'X';
 
-  const auto message_of = [&](const MatchEngine& engine) -> std::string {
+  const auto message_of = [&](const auto& scan) -> std::string {
     try {
-      (void)engine.count_chunk(text, 0, text.size());
+      scan();
     } catch (const std::invalid_argument& e) {
       return e.what();
     }
     return "";
   };
 
-  const BitapEngine scalar_bitap(motifs);
-  const std::string bitap_message = message_of(scalar_bitap);
-  ASSERT_NE(bitap_message.find('X'), std::string::npos);
-  const auto dfa = lower(EngineKind::kCompiledDfa, motifs);
-  const std::string dfa_message = message_of(*dfa);
-  ASSERT_NE(dfa_message.find('X'), std::string::npos);
+  const BitapMatcher scalar(motifs);
+  const std::string scalar_message = message_of([&] { (void)scalar.count(text); });
+  ASSERT_NE(scalar_message.find('X'), std::string::npos);
 
   for (const util::IsaLevel isa : simd::available_isas()) {
     const BitapSimdEngine simd(motifs, isa);
-    EXPECT_EQ(message_of(simd), bitap_message) << util::to_string(isa);
-    const PrefilterDfaEngine prefilter(motifs, isa);
-    EXPECT_EQ(message_of(prefilter), dfa_message) << util::to_string(isa);
+    EXPECT_EQ(message_of([&] { (void)simd.count_chunk(text, 0, text.size()); }),
+              scalar_message)
+        << util::to_string(isa);
   }
 }
 
 TEST(SimdEngine, PartialCollectOnInvalidInputMatchesTheScalarEvents) {
   // On invalid input, whatever events a collect appended before throwing
-  // must equal the scalar engine's pre-throw event set — recovery code
+  // must equal the scalar matcher's pre-throw event set — recovery code
   // replays chunks and must not see ISA-dependent partial output.
   const std::vector<std::string> motifs{"GAT", "CCG"};
   const dna::GenomeGenerator gen;
@@ -246,36 +189,28 @@ TEST(SimdEngine, PartialCollectOnInvalidInputMatchesTheScalarEvents) {
   text.replace(100, 3, "GAT");
   text[text.size() - 5000] = '?';
 
-  const auto events_of = [&](const MatchEngine& engine, std::string* message) {
-    std::vector<Match> out;
-    try {
-      (void)engine.collect_chunk(text, 0, text.size(), out);
-    } catch (const std::invalid_argument& e) {
-      *message = e.what();
-    }
-    return out;
-  };
-
   std::string scalar_message;
-  const BitapEngine scalar_bitap(motifs);
-  const std::vector<Match> bitap_events = events_of(scalar_bitap, &scalar_message);
+  const BitapMatcher scalar(motifs);
+  std::vector<Match> scalar_events;
+  try {
+    (void)scalar.collect(text, 0, scalar_events);
+  } catch (const std::invalid_argument& e) {
+    scalar_message = e.what();
+  }
   ASSERT_FALSE(scalar_message.empty());
-  ASSERT_FALSE(bitap_events.empty());
-
-  std::string dfa_message;
-  const auto dfa = lower(EngineKind::kCompiledDfa, motifs);
-  const std::vector<Match> dfa_events = events_of(*dfa, &dfa_message);
-  ASSERT_FALSE(dfa_message.empty());
+  ASSERT_FALSE(scalar_events.empty());
 
   for (const util::IsaLevel isa : simd::available_isas()) {
-    std::string message;
     const BitapSimdEngine simd(motifs, isa);
-    EXPECT_EQ(events_of(simd, &message), bitap_events) << util::to_string(isa);
+    std::string message;
+    std::vector<Match> events;
+    try {
+      (void)simd.collect_chunk(text, 0, text.size(), events);
+    } catch (const std::invalid_argument& e) {
+      message = e.what();
+    }
+    EXPECT_EQ(events, scalar_events) << util::to_string(isa);
     EXPECT_EQ(message, scalar_message);
-    message.clear();
-    const PrefilterDfaEngine prefilter(motifs, isa);
-    EXPECT_EQ(events_of(prefilter, &message), dfa_events) << util::to_string(isa);
-    EXPECT_EQ(message, dfa_message);
   }
 }
 
@@ -326,8 +261,6 @@ TEST(SimdDispatch, ForcedScalarEnvironmentGovernsEngineConstruction) {
   const BitapSimdEngine forced(motifs);
   EXPECT_EQ(forced.isa(), util::IsaLevel::kScalar);
   EXPECT_EQ(forced.lanes(), 1u);
-  const PrefilterDfaEngine prefilter(motifs);
-  EXPECT_EQ(prefilter.isa(), util::IsaLevel::kScalar);
   ::unsetenv("HETOPT_FORCE_ISA");
   const BitapSimdEngine widest(motifs);
   EXPECT_EQ(widest.isa(), simd::available_isas().back());
@@ -355,94 +288,6 @@ TEST(SimdDispatch, UnknownOrUnavailableForcedIsaIsAHardError) {
   if (all_available) {
     GTEST_SKIP() << "every ISA level is runnable on this host";
   }
-}
-
-// --- Density-aware prefilter cutoff ----------------------------------------
-
-TEST(SimdEngine, DenseSampleDisablesTheSkipButStaysExact) {
-  // "CCGT"/"GWCC" leave A and T quiet. A sample with no quiet byte at all
-  // (pure CG alternation) measures a mean quiet run of zero: the vector
-  // probe would fire on every byte, so the skip self-disables and the
-  // engine degenerates to the plain fused scan — still exact.
-  const std::vector<std::string> motifs{"CCGT", "GWCC"};
-  const std::string dense_sample(4096, 'C');
-  std::mt19937_64 rng(91);
-  std::string text = random_text(rng, 30000, 7);
-  text.replace(100, 4, "CCGT");
-  const auto oracle = lower(EngineKind::kCompiledDfa, motifs);
-  for (const util::IsaLevel isa : simd::available_isas()) {
-    const PrefilterDfaEngine probed(motifs, isa, dense_sample);
-    EXPECT_FALSE(probed.skip_enabled()) << util::to_string(isa);
-    EXPECT_EQ(probed.sampled_quiet_run(), 0.0);
-    EXPECT_GT(probed.density_cutoff(), 0.0);
-    EXPECT_EQ(probed.count(text), oracle->count(text)) << util::to_string(isa);
-    std::vector<Match> got;
-    std::vector<Match> want;
-    (void)probed.collect(text, got);
-    (void)oracle->collect(text, want);
-    EXPECT_EQ(got, want) << util::to_string(isa);
-  }
-}
-
-TEST(SimdEngine, SparseSampleKeepsTheSkipEnabled) {
-  // Long quiet runs (mostly-'A' corpus) are exactly what the skip is for.
-  const std::vector<std::string> motifs{"CCGT", "GWCC"};
-  std::string sparse_sample(4096, 'A');
-  sparse_sample.replace(1000, 4, "CCGT");
-  std::string text(30000, 'A');
-  text.replace(500, 4, "CCGT");
-  text.replace(20000, 4, "CCGT");
-  const auto oracle = lower(EngineKind::kCompiledDfa, motifs);
-  for (const util::IsaLevel isa : simd::available_isas()) {
-    const PrefilterDfaEngine probed(motifs, isa, sparse_sample);
-    EXPECT_TRUE(probed.skip_enabled()) << util::to_string(isa);
-    EXPECT_GE(probed.sampled_quiet_run(), probed.density_cutoff());
-    EXPECT_EQ(probed.count(text), oracle->count(text)) << util::to_string(isa);
-  }
-}
-
-TEST(SimdEngine, EmptySampleKeepsTheStaticRule) {
-  // No sample means no probe: the pre-probe behavior (skip whenever the
-  // byte classes allow it) is preserved, so existing callers see no change.
-  const std::vector<std::string> motifs{"CCGT", "GWCC"};
-  const PrefilterDfaEngine unprobed(motifs, std::nullopt, std::string_view{});
-  EXPECT_TRUE(unprobed.skip_enabled());
-  EXPECT_EQ(unprobed.sampled_quiet_run(), 0.0);
-  EXPECT_EQ(unprobed.density_cutoff(), 0.0);  // probe never ran
-}
-
-TEST(SimdEngine, DensityCutoffIsIsaAdaptive) {
-  // Mean quiet run of exactly 3: "AAA" quiet islands between candidate 'C's.
-  // The scalar probe (cutoff 2) keeps the skip; a vector probe (cutoff 4)
-  // must clear more bytes per step to pay for itself and disables it.
-  const std::vector<std::string> motifs{"CCGT", "GWCC"};
-  std::string sample;
-  for (int i = 0; i < 512; ++i) sample += "AAAC";
-  const PrefilterDfaEngine scalar(motifs, util::IsaLevel::kScalar, sample);
-  EXPECT_DOUBLE_EQ(scalar.sampled_quiet_run(), 3.0);
-  EXPECT_DOUBLE_EQ(scalar.density_cutoff(), 2.0);
-  EXPECT_TRUE(scalar.skip_enabled());
-  for (const util::IsaLevel isa : simd::available_isas()) {
-    if (isa == util::IsaLevel::kScalar) continue;
-    const PrefilterDfaEngine vector(motifs, isa, sample);
-    EXPECT_DOUBLE_EQ(vector.sampled_quiet_run(), 3.0);
-    EXPECT_DOUBLE_EQ(vector.density_cutoff(), 4.0);
-    EXPECT_FALSE(vector.skip_enabled()) << util::to_string(isa);
-  }
-}
-
-TEST(SimdEngine, TryLowerThreadsTheDensitySampleThrough) {
-  const std::vector<std::string> motifs{"CCGT"};
-  const std::string dense(1024, 'C');
-  const auto probed = try_lower(EngineKind::kPrefilterDfa, motifs, nullptr, dense);
-  ASSERT_NE(probed, nullptr);
-  const auto* engine = dynamic_cast<const PrefilterDfaEngine*>(probed.get());
-  ASSERT_NE(engine, nullptr);
-  EXPECT_FALSE(engine->skip_enabled());
-  // Other engine kinds ignore the sample (it is advisory, not semantic).
-  const auto bitap = try_lower(EngineKind::kBitap, motifs, nullptr, dense);
-  ASSERT_NE(bitap, nullptr);
-  EXPECT_EQ(bitap->kind(), EngineKind::kBitap);
 }
 
 }  // namespace

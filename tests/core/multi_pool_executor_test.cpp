@@ -293,7 +293,7 @@ TEST_F(MultiPoolFixture, FleetReportToStringListsEveryPool) {
 class UnboundedEngine final : public automata::MatchEngine {
  public:
   [[nodiscard]] automata::EngineKind kind() const noexcept override {
-    return automata::EngineKind::kBitap;
+    return automata::EngineKind::kBitapSimd;
   }
   [[nodiscard]] std::size_t synchronization_bound() const noexcept override { return 0; }
   [[nodiscard]] std::size_t pattern_count() const noexcept override { return 1; }

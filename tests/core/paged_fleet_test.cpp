@@ -191,6 +191,28 @@ TEST(RealWorkloadOutOfCore, MeasurementsStreamWithExactMatchCounts) {
   }
 }
 
+TEST(RealWorkloadOutOfCore, AResidentBudgetBelowTheFleetIsAConfigurationError) {
+  // A 2+2-worker fleet against a 2-page budget fails the same way on every
+  // attempt, so measure() throws instead of retrying and pricing the
+  // candidate out as an invalid measurement.
+  const dna::GenomeCatalog catalog;
+  RealWorkloadOptions options = out_of_core_options();
+  options.paged.resident_pages = 2;
+  const RealWorkloadEvaluator evaluator(catalog, options);
+  opt::SystemConfig c;
+  c.host_threads = 2;
+  c.device_threads = 2;
+  c.host_percent = 50.0;
+  try {
+    (void)evaluator.measure(c, cat());
+    ADD_FAILURE() << "measure() accepted a resident budget below the fleet's workers";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("resident budget"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(evaluator.invalid_measurements(), 0u);
+}
+
 TEST(RealWorkloadOutOfCore, PagedAndInMemoryMeasurementsAgree) {
   const dna::GenomeCatalog catalog;
   RealWorkloadOptions in_memory = out_of_core_options();

@@ -128,24 +128,18 @@ TEST(RealWorkloadEvaluatorTest, CachesMaterializedWorkloads) {
 
 TEST(RealWorkloadTest, BuildsEveryApplicableEngine) {
   const dna::GenomeCatalog catalog;
-  // The default motifs (TATAWAW has IUPAC W): every engine but AC (IUPAC
-  // classes are fine for bitap, its SIMD twin, and the prefiltered DFA).
+  // The default motifs (TATAWAW has IUPAC W): IUPAC classes are fine for
+  // the bitap.
   const RealWorkload iupac(catalog, cat(), tiny_options(false));
   EXPECT_EQ(iupac.engines(),
-            (std::vector<automata::EngineKind>{
-                automata::EngineKind::kCompiledDfa, automata::EngineKind::kBitap,
-                automata::EngineKind::kBitapSimd,
-                automata::EngineKind::kPrefilterDfa}));
-  EXPECT_EQ(iupac.find_engine(automata::EngineKind::kAhoCorasick), nullptr);
-  EXPECT_FALSE(iupac.engine_gap(automata::EngineKind::kAhoCorasick).empty());
-  EXPECT_THROW((void)iupac.engine(automata::EngineKind::kAhoCorasick),
-               std::invalid_argument);
+            (std::vector<automata::EngineKind>{automata::EngineKind::kCompiledDfa,
+                                               automata::EngineKind::kBitapSimd}));
 
   // Literal motifs qualify for every engine.
   RealWorkloadOptions literal = tiny_options(false);
   literal.motifs = {"GATTACA", "GGGCGG"};
   const RealWorkload all(catalog, cat(), literal);
-  EXPECT_EQ(all.engines().size(), 5u);
+  EXPECT_EQ(all.engines().size(), automata::kEngineKindCount);
   for (const automata::EngineKind kind : automata::kAllEngineKinds) {
     ASSERT_NE(all.find_engine(kind), nullptr);
     EXPECT_EQ(all.find_engine(kind)->count(all.text()), all.sequential_matches())
@@ -153,24 +147,26 @@ TEST(RealWorkloadTest, BuildsEveryApplicableEngine) {
   }
 }
 
-TEST(RealWorkloadTest, SkipsBitapCleanlyBeyond64Bits) {
-  // > 64 summed pattern bits: the workload still builds (compiled DFA and AC
-  // carry it) and records why bitap is out — the capability-query fallback.
-  const dna::GenomeCatalog catalog;
-  RealWorkloadOptions wide = tiny_options(false);
+/// The default options with a motif set past the bitap's 64 state bits.
+RealWorkloadOptions wide_options(bool deterministic) {
+  RealWorkloadOptions wide = tiny_options(deterministic);
   wide.motifs = {std::string(40, 'A') + "CGT", std::string(30, 'C') + "GTA"};
-  const RealWorkload rw(catalog, cat(), wide);
+  return wide;
+}
+
+TEST(RealWorkloadTest, SkipsBitapCleanlyBeyond64Bits) {
+  // > 64 summed pattern bits: the workload still builds (the compiled DFA
+  // carries it) and records why the bitap is out — the capability-query
+  // fallback.
+  const dna::GenomeCatalog catalog;
+  const RealWorkload rw(catalog, cat(), wide_options(false));
   EXPECT_EQ(rw.engines(),
-            (std::vector<automata::EngineKind>{
-                automata::EngineKind::kCompiledDfa, automata::EngineKind::kAhoCorasick,
-                automata::EngineKind::kPrefilterDfa}));
-  EXPECT_EQ(rw.find_engine(automata::EngineKind::kBitap), nullptr);
-  EXPECT_NE(rw.engine_gap(automata::EngineKind::kBitap).find("64"), std::string::npos);
-  // The SIMD bitap shares the scalar matcher's 64-bit budget exactly.
+            (std::vector<automata::EngineKind>{automata::EngineKind::kCompiledDfa}));
   EXPECT_EQ(rw.find_engine(automata::EngineKind::kBitapSimd), nullptr);
   EXPECT_NE(rw.engine_gap(automata::EngineKind::kBitapSimd).find("64"),
             std::string::npos);
-  // Both surviving engines agree with the oracle.
+  EXPECT_THROW((void)rw.engine(automata::EngineKind::kBitapSimd), std::invalid_argument);
+  // The surviving engine agrees with the oracle.
   for (const automata::EngineKind kind : rw.engines()) {
     EXPECT_EQ(rw.engine(kind).count(rw.text()), rw.sequential_matches());
   }
@@ -192,8 +188,9 @@ TEST(RealWorkloadEvaluatorTest, HonorsTheConfiguredEngine) {
   }
   // Asking for an engine the motif set does not qualify for is an error with
   // the gap reason, not a silent fallback.
-  c.engine = automata::EngineKind::kAhoCorasick;
-  EXPECT_THROW((void)evaluator.measure(c, cat()), std::invalid_argument);
+  const RealWorkloadEvaluator wide(catalog, wide_options(true));
+  c.engine = automata::EngineKind::kBitapSimd;
+  EXPECT_THROW((void)wide.measure(c, cat()), std::invalid_argument);
 }
 
 TEST(RealWorkloadEvaluatorTest, DeterministicModelDifferentiatesEngines) {
@@ -203,21 +200,9 @@ TEST(RealWorkloadEvaluatorTest, DeterministicModelDifferentiatesEngines) {
   c.host_percent = 50.0;
   const std::size_t mb = 4 * 1024 * 1024;
   const double dfa_s = real_workload_model_fleet_seconds(c, mb, {mb});
-  c.engine = automata::EngineKind::kBitap;
-  const double bitap_s = real_workload_model_fleet_seconds(c, mb, {mb});
-  c.engine = automata::EngineKind::kAhoCorasick;
-  const double ac_s = real_workload_model_fleet_seconds(c, mb, {mb});
   c.engine = automata::EngineKind::kBitapSimd;
   const double simd_s = real_workload_model_fleet_seconds(c, mb, {mb});
-  c.engine = automata::EngineKind::kPrefilterDfa;
-  const double prefilter_s = real_workload_model_fleet_seconds(c, mb, {mb});
-  EXPECT_LT(bitap_s, dfa_s);
-  EXPECT_GT(ac_s, dfa_s);
-  // The SIMD tier: vectorized bitap under the scalar one, the prefiltered
-  // DFA between bitap and the plain DFA.
-  EXPECT_LT(simd_s, bitap_s);
-  EXPECT_LT(prefilter_s, dfa_s);
-  EXPECT_GT(prefilter_s, bitap_s);
+  EXPECT_LT(simd_s, dfa_s);
 }
 
 TEST(RealWorkloadEvaluatorTest, TuningWithTheEngineAxisPicksTheModelWinner) {
@@ -229,7 +214,7 @@ TEST(RealWorkloadEvaluatorTest, TuningWithTheEngineAxisPicksTheModelWinner) {
       std::make_shared<RealWorkloadEvaluator>(catalog, tiny_options(true));
   const opt::ConfigSpace space =
       opt::ConfigSpace::real(2).with_engines(evaluator->real(cat()).engines());
-  EXPECT_EQ(space.engines().size(), 4u);
+  EXPECT_EQ(space.engines().size(), 2u);
 
   TuningSession session(space);
   session.with_strategy("exhaustive")

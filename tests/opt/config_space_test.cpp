@@ -174,8 +174,8 @@ TEST(ConfigTest, ToStringIsHumanReadable) {
   c.host_percent = 62.5;
   EXPECT_EQ(to_string(c), "host 24t/scatter 62.5% | device 60t/balanced 37.5%");
   // The default engine is implied; a non-default one is appended.
-  c.engine = automata::EngineKind::kBitap;
-  EXPECT_EQ(to_string(c), "host 24t/scatter 62.5% | device 60t/balanced 37.5% [bitap]");
+  c.engine = automata::EngineKind::kBitapSimd;
+  EXPECT_EQ(to_string(c), "host 24t/scatter 62.5% | device 60t/balanced 37.5% [bitap-simd]");
 }
 
 TEST(ConfigSpaceTest, DefaultEngineAxisIsSingleCompiledDfa) {
@@ -191,7 +191,7 @@ TEST(ConfigSpaceTest, DefaultEngineAxisIsSingleCompiledDfa) {
 TEST(ConfigSpaceTest, EngineAxisMultipliesAndRoundTrips) {
   const ConfigSpace base = ConfigSpace::tiny();
   const ConfigSpace wide = base.with_engines(
-      {automata::EngineKind::kCompiledDfa, automata::EngineKind::kBitap});
+      {automata::EngineKind::kCompiledDfa, automata::EngineKind::kBitapSimd});
   EXPECT_EQ(wide.size(), 2 * base.size());
   // The engine axis is outermost: the first base.size() indices decode
   // exactly as the engine-less space did.
@@ -202,19 +202,19 @@ TEST(ConfigSpaceTest, EngineAxisMultipliesAndRoundTrips) {
     const SystemConfig c = wide.at(i);
     EXPECT_EQ(wide.index_of(c), i);
     EXPECT_EQ(c.engine, i < base.size() ? automata::EngineKind::kCompiledDfa
-                                        : automata::EngineKind::kBitap);
+                                        : automata::EngineKind::kBitapSimd);
   }
   // A config with an off-axis engine is outside the space.
-  SystemConfig off = wide.at(0);
-  off.engine = automata::EngineKind::kAhoCorasick;
-  EXPECT_FALSE(wide.contains(off));
+  SystemConfig off = base.at(0);
+  off.engine = automata::EngineKind::kBitapSimd;
+  EXPECT_FALSE(base.contains(off));
   EXPECT_TRUE(base.contains(base.at(0)));
 }
 
 TEST(ConfigSpaceTest, EngineAxisValidation) {
   EXPECT_THROW((void)ConfigSpace::tiny().with_engines({}), std::invalid_argument);
   EXPECT_THROW((void)ConfigSpace::tiny().with_engines(
-                   {automata::EngineKind::kBitap, automata::EngineKind::kBitap}),
+                   {automata::EngineKind::kBitapSimd, automata::EngineKind::kBitapSimd}),
                std::invalid_argument);
 }
 
@@ -252,14 +252,14 @@ TEST(ConfigSpaceTest, ScheduleAxisMultipliesAndRoundTrips) {
 TEST(ConfigSpaceTest, ScheduleAxisStacksOutsideTheEngineAxis) {
   const ConfigSpace base = ConfigSpace::tiny();
   const ConfigSpace both =
-      base.with_engines({automata::EngineKind::kCompiledDfa, automata::EngineKind::kBitap})
+      base.with_engines({automata::EngineKind::kCompiledDfa, automata::EngineKind::kBitapSimd})
           .with_schedules(
               {parallel::SchedulePolicy::kStatic, parallel::SchedulePolicy::kDynamic});
   EXPECT_EQ(both.size(), 4 * base.size());
   // Engine cycles within one schedule block; schedule flips between blocks.
   EXPECT_EQ(both.at(0).schedule, parallel::SchedulePolicy::kStatic);
   EXPECT_EQ(both.at(2 * base.size()).schedule, parallel::SchedulePolicy::kDynamic);
-  EXPECT_EQ(both.at(base.size()).engine, automata::EngineKind::kBitap);
+  EXPECT_EQ(both.at(base.size()).engine, automata::EngineKind::kBitapSimd);
   for (std::size_t i = 0; i < both.size(); ++i) {
     EXPECT_EQ(both.index_of(both.at(i)), i);
   }
@@ -294,8 +294,7 @@ TEST(ConfigSpaceTest, SingleValueScheduleAxisNeverJoinsTheMove) {
   // and at most one *other* parameter moves — the engine-era move shape, so
   // seeded engine-axis runs from before the schedule axis reproduce.
   const ConfigSpace wide = ConfigSpace::tiny().with_engines(
-      {automata::EngineKind::kCompiledDfa, automata::EngineKind::kAhoCorasick,
-       automata::EngineKind::kBitap});
+      {automata::EngineKind::kCompiledDfa, automata::EngineKind::kBitapSimd});
   util::Xoshiro256 rng(7);
   SystemConfig current = wide.at(5);
   for (int step = 0; step < 300; ++step) {
@@ -348,7 +347,7 @@ TEST(ConfigSpaceTest, DeviceCountAxisMultipliesAndRoundTrips) {
 TEST(ConfigSpaceTest, DeviceCountAxisStacksOutsideEveryOtherAxis) {
   const ConfigSpace base = ConfigSpace::tiny();
   const ConfigSpace all =
-      base.with_engines({automata::EngineKind::kCompiledDfa, automata::EngineKind::kBitap})
+      base.with_engines({automata::EngineKind::kCompiledDfa, automata::EngineKind::kBitapSimd})
           .with_schedules(
               {parallel::SchedulePolicy::kStatic, parallel::SchedulePolicy::kDynamic})
           .with_device_counts({1, 2});
@@ -409,7 +408,7 @@ TEST(ConfigSpaceTest, SingleValueDeviceAxisDrawsThePreFleetRngStream) {
   // — so Table II preset streams reproduce. Proven by lockstep comparison
   // against a space built without ever touching the fleet axis.
   const ConfigSpace pre = ConfigSpace::tiny().with_engines(
-      {automata::EngineKind::kCompiledDfa, automata::EngineKind::kBitap});
+      {automata::EngineKind::kCompiledDfa, automata::EngineKind::kBitapSimd});
   const ConfigSpace post = pre.with_device_counts({1});
   util::Xoshiro256 rng_pre(4242);
   util::Xoshiro256 rng_post(4242);
@@ -424,17 +423,15 @@ TEST(ConfigSpaceTest, SingleValueDeviceAxisDrawsThePreFleetRngStream) {
 }
 
 TEST(ConfigSpaceTest, EngineAxisStreamDependsOnLengthNotMembers) {
-  // The documented RNG-stream contract for the SIMD era: neighbor() draws
-  // depend only on each axis's *length*, never on which engines populate it.
-  // Swapping the three pre-SIMD kinds for three SIMD-era kinds must consume
-  // the RNG identically and make the same moves (by flat index), so seeded
-  // presets stay bit-identical as long as the axis length is unchanged.
+  // The documented RNG-stream contract: neighbor() draws depend only on
+  // each axis's *length*, never on which engines populate it. Reordering the
+  // axis must consume the RNG identically and make the same moves (by flat
+  // index), so seeded presets stay bit-identical as long as the axis length
+  // is unchanged.
   const ConfigSpace pre = ConfigSpace::tiny().with_engines(
-      {automata::EngineKind::kCompiledDfa, automata::EngineKind::kAhoCorasick,
-       automata::EngineKind::kBitap});
+      {automata::EngineKind::kCompiledDfa, automata::EngineKind::kBitapSimd});
   const ConfigSpace post = ConfigSpace::tiny().with_engines(
-      {automata::EngineKind::kCompiledDfa, automata::EngineKind::kBitapSimd,
-       automata::EngineKind::kPrefilterDfa});
+      {automata::EngineKind::kBitapSimd, automata::EngineKind::kCompiledDfa});
   ASSERT_EQ(pre.size(), post.size());
   util::Xoshiro256 rng_pre(4242);
   util::Xoshiro256 rng_post(4242);
@@ -449,8 +446,8 @@ TEST(ConfigSpaceTest, EngineAxisStreamDependsOnLengthNotMembers) {
 }
 
 TEST(ConfigSpaceTest, FullEngineAxisReachesEveryKindAndRoundTrips) {
-  // Widening the axis to all five kinds: the space multiplies by five,
-  // decode/index round-trips, and annealing reaches the SIMD-era kinds.
+  // Widening the axis to every kind: the space multiplies by the kind
+  // count, decode/index round-trips, and annealing reaches the SIMD kind.
   const ConfigSpace base = ConfigSpace::tiny();
   const ConfigSpace wide = base.with_engines(std::vector<automata::EngineKind>(
       automata::kAllEngineKinds.begin(), automata::kAllEngineKinds.end()));
@@ -461,15 +458,12 @@ TEST(ConfigSpaceTest, FullEngineAxisReachesEveryKindAndRoundTrips) {
   util::Xoshiro256 rng(99);
   SystemConfig current = wide.at(0);
   bool saw_simd = false;
-  bool saw_prefilter = false;
   for (int step = 0; step < 600; ++step) {
     current = wide.neighbor(current, rng);
     EXPECT_TRUE(wide.contains(current));
     saw_simd |= current.engine == automata::EngineKind::kBitapSimd;
-    saw_prefilter |= current.engine == automata::EngineKind::kPrefilterDfa;
   }
   EXPECT_TRUE(saw_simd);
-  EXPECT_TRUE(saw_prefilter);
 }
 
 TEST(ConfigTest, ToStringAppendsOnlyNonDefaultFleetSizes) {
@@ -490,8 +484,7 @@ TEST(ConfigTest, ToStringAppendsOnlyNonDefaultFleetSizes) {
 
 TEST(ConfigSpaceTest, NeighborMovesAcrossTheEngineAxis) {
   const ConfigSpace wide = ConfigSpace::tiny().with_engines(
-      {automata::EngineKind::kCompiledDfa, automata::EngineKind::kAhoCorasick,
-       automata::EngineKind::kBitap});
+      {automata::EngineKind::kCompiledDfa, automata::EngineKind::kBitapSimd});
   util::Xoshiro256 rng(99);
   SystemConfig current = wide.at(0);
   bool engine_moved = false;
