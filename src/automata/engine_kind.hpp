@@ -20,7 +20,7 @@ enum class EngineKind {
   kCompiledDfa = 0,
   /// Vectorized Shift-And (simd_engine.hpp): the bitap recurrence
   /// (bitap.hpp) run one chunk sub-stream per vector lane, with runtime ISA
-  /// dispatch (scalar/SSE2/AVX2 — see src/automata/simd/). IUPAC classes
+  /// dispatch (scalar/AVX2 — see src/automata/simd/). IUPAC classes
   /// allowed, no regex operators, summed pattern lengths <= 64.
   kBitapSimd = 1,
 };

@@ -11,15 +11,12 @@ namespace hetopt::automata::simd {
 
 namespace {
 
-constexpr util::IsaLevel kAllLevels[] = {util::IsaLevel::kScalar, util::IsaLevel::kSse2,
-                                         util::IsaLevel::kAvx2};
+constexpr util::IsaLevel kAllLevels[] = {util::IsaLevel::kScalar, util::IsaLevel::kAvx2};
 
 const BitapKernel* bitap_for(util::IsaLevel level) noexcept {
   switch (level) {
     case util::IsaLevel::kScalar:
       return &scalar_bitap_kernel();
-    case util::IsaLevel::kSse2:
-      return sse2_bitap_kernel();
     case util::IsaLevel::kAvx2:
       return avx2_bitap_kernel();
   }

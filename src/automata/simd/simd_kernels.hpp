@@ -4,8 +4,8 @@
 // hetopt_lint `raw-intrinsics` rule enforces it — and is reached only
 // through the kernel tables declared here. One binary compiles every
 // variant its toolchain can build (the AVX2 translation unit gets a
-// per-file -mavx2; SSE2 is the x86-64 baseline; non-x86 builds compile the
-// vector TUs to stubs), and resolve_isa() picks per *running* CPU:
+// per-file -mavx2; non-x86 builds compile it to a stub), and resolve_isa()
+// picks per *running* CPU:
 //
 //     requested ISA (engine ctor)  >  HETOPT_FORCE_ISA  >  widest available
 //
@@ -43,11 +43,10 @@ struct BitapKernel {
                                bool* bad);
 };
 
-// Per-ISA kernel tables. The scalar kernel always exists; a vector getter
+// Per-ISA kernel tables. The scalar kernel always exists; the AVX2 getter
 // returns nullptr when its TU was compiled without the ISA. Whether the
 // *CPU* can run a compiled-in variant is resolve_isa()'s job.
 [[nodiscard]] const BitapKernel& scalar_bitap_kernel() noexcept;
-[[nodiscard]] const BitapKernel* sse2_bitap_kernel() noexcept;
 [[nodiscard]] const BitapKernel* avx2_bitap_kernel() noexcept;
 
 /// ISA levels this binary can execute here and now (compiled in AND

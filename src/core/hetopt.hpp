@@ -9,7 +9,7 @@
 //
 // Layering (bottom to top):
 //   util      RNG, statistics, tables
-//   dna       sequences, synthetic genomes, FASTA
+//   dna       sequences, synthetic genomes, the out-of-core page cache
 //   automata  motif matching engines (the application kernel): NFA/DFA
 //             pipeline and the lane-parallel bitap, unified behind
 //             MatchEngine — a tuned axis of the configuration space

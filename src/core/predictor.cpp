@@ -3,24 +3,17 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <istream>
 #include <limits>
 #include <numeric>
 #include <optional>
-#include <ostream>
 #include <stdexcept>
-#include <string_view>
 #include <vector>
 
-#include "ml/serialize.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace hetopt::core {
 
 namespace {
-
-// The saved-model header's magic: the format version of the feature layout.
-constexpr std::string_view kMagic = "hetopt-predictor-v5";
 
 // A side that scans no bytes predicts 0 without a model walk. Sizes below
 // zero fall under the same rule: at host_percent 100, total - total*100/100
@@ -117,21 +110,18 @@ void dedupe(std::vector<FeatureRow>& rows, std::vector<std::size_t>& slots) {
 
 }  // namespace
 
-PredictorOptions PredictorOptions::defaults() {
-  PredictorOptions o;
-  o.host_params.rounds = 300;
-  o.host_params.learning_rate = 0.08;
-  o.host_params.tree.max_depth = 6;
-  o.host_params.tree.min_samples_leaf = 3;
-  o.host_params.tree.min_samples_split = 6;
-  o.device_params = o.host_params;
-  return o;
+ml::BoostedTreesParams PerformancePredictor::default_params() {
+  ml::BoostedTreesParams p;
+  p.rounds = 300;
+  p.learning_rate = 0.08;
+  p.tree.max_depth = 6;
+  p.tree.min_samples_leaf = 3;
+  p.tree.min_samples_split = 6;
+  return p;
 }
 
-PerformancePredictor::PerformancePredictor(PredictorOptions options)
-    : options_(options),
-      host_model_(options.host_params),
-      device_model_(options.device_params) {}
+PerformancePredictor::PerformancePredictor(ml::BoostedTreesParams params)
+    : host_model_(params), device_model_(params) {}
 
 void PerformancePredictor::train(const ml::Dataset& host_data,
                                  const ml::Dataset& device_data) {
@@ -142,26 +132,21 @@ void PerformancePredictor::train(const ml::Dataset& host_data,
       device_data.feature_count() != kFeatureCount) {
     throw std::invalid_argument("PerformancePredictor::train: unexpected feature layout");
   }
-  const auto prepare = [this](const ml::Dataset& data,
-                              const ml::Normalizer& norm) -> ml::Dataset {
-    const ml::Dataset base = options_.normalize ? norm.transform(data) : data;
-    if (!options_.log_target) return base;
-    ml::Dataset logged(base.feature_names());
-    for (std::size_t i = 0; i < base.size(); ++i) {
-      const double t = base.target(i);
+  const auto prepare = [](const ml::Dataset& data, const ml::Normalizer& norm) {
+    const ml::Dataset scaled = norm.transform(data);
+    ml::Dataset logged(scaled.feature_names());
+    for (std::size_t i = 0; i < scaled.size(); ++i) {
+      const double t = scaled.target(i);
       if (t <= 0.0) {
-        throw std::invalid_argument(
-            "PerformancePredictor: log_target requires positive times");
+        throw std::invalid_argument("PerformancePredictor: times must be positive");
       }
-      logged.add(base.row(i), std::log(t));
+      logged.add(scaled.row(i), std::log(t));
     }
     return logged;
   };
 
-  if (options_.normalize) {
-    host_norm_.fit(host_data);
-    device_norm_.fit(device_data);
-  }
+  host_norm_.fit(host_data);
+  device_norm_.fit(device_data);
   host_model_.fit(prepare(host_data, host_norm_));
   device_model_.fit(prepare(device_data, device_norm_));
   trained_ = true;
@@ -177,17 +162,10 @@ void PerformancePredictor::predict_rows(Side side, std::span<const FeatureRow> r
   const bool host = side == Side::kHost;
   const ml::Normalizer& norm = host ? host_norm_ : device_norm_;
   for (std::size_t i = 0; i < raw.size(); ++i) {
-    const std::span<double> row = scaled.subspan(i * kFeatureCount, kFeatureCount);
-    if (options_.normalize) {
-      norm.transform_row(raw[i], row);
-    } else {
-      std::copy(raw[i].begin(), raw[i].end(), row.begin());
-    }
+    norm.transform_row(raw[i], scaled.subspan(i * kFeatureCount, kFeatureCount));
   }
   (host ? host_model_ : device_model_).predict_rows(scaled, out);
-  // Times are positive; in log space exponentiate, otherwise clamp tiny
-  // negative ensemble outputs.
-  for (double& t : out) t = options_.log_target ? std::exp(t) : std::max(0.0, t);
+  for (double& t : out) t = std::exp(t);  // back from log space
 }
 
 double PerformancePredictor::predict_row(Side side, const FeatureRow& raw) const {
@@ -223,60 +201,6 @@ double PerformancePredictor::predict_device(double size_mb, int threads,
   write_device_features(raw, size_mb, threads, affinity, engine, schedule, pool_count,
                         pool_share_percent);
   return predict_row(Side::kDevice, raw);
-}
-
-void PerformancePredictor::save(std::ostream& os) const {
-  if (!trained_) throw std::runtime_error("PerformancePredictor::save: not trained");
-  // The header records the layout version and width so a file saved under
-  // another feature layout fails at load time with a clear message instead
-  // of throwing a row-size mismatch on every predict. v5 = the two-way
-  // engine one-hot (compiled-dfa, bitap-simd).
-  os << kMagic << ' ' << kFeatureCount << ' ' << (options_.normalize ? 1 : 0)
-     << ' ' << (options_.log_target ? 1 : 0) << '\n';
-  if (options_.normalize) {
-    ml::save(os, host_norm_);
-    ml::save(os, device_norm_);
-  }
-  ml::save(os, host_model_);
-  ml::save(os, device_model_);
-}
-
-PerformancePredictor PerformancePredictor::load(std::istream& is) {
-  std::string magic;
-  if (!(is >> magic)) {
-    throw std::runtime_error("PerformancePredictor::load: bad header");
-  }
-  // v1-v4 each used an older feature layout (the last, v4, a five-way
-  // engine one-hot); their models cannot read this build's rows.
-  if (magic != kMagic && magic.starts_with("hetopt-predictor-v")) {
-    throw std::runtime_error("PerformancePredictor::load: " + magic +
-                             " file uses an older feature layout; retrain and "
-                             "re-save the predictor");
-  }
-  std::size_t features = 0;
-  int normalize = 0;
-  int log_target = 0;
-  if (!(is >> features >> normalize >> log_target) || magic != kMagic) {
-    throw std::runtime_error("PerformancePredictor::load: bad header");
-  }
-  if (features != kFeatureCount) {
-    throw std::runtime_error(
-        "PerformancePredictor::load: file has " + std::to_string(features) +
-        " features, this build expects " + std::to_string(kFeatureCount) +
-        "; retrain and re-save the predictor");
-  }
-  PredictorOptions options = PredictorOptions::defaults();
-  options.normalize = normalize != 0;
-  options.log_target = log_target != 0;
-  PerformancePredictor p(options);
-  if (options.normalize) {
-    p.host_norm_ = ml::load_normalizer(is);
-    p.device_norm_ = ml::load_normalizer(is);
-  }
-  p.host_model_ = ml::load_boosted_trees(is);
-  p.device_model_ = ml::load_boosted_trees(is);
-  p.trained_ = true;
-  return p;
 }
 
 double PerformancePredictor::predict_combined(const opt::SystemConfig& config,

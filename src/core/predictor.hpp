@@ -2,6 +2,13 @@
 // Regression -> predict unseen configurations. One model per environment
 // (host, device); the combined estimate is Eq. 2, max of the two sides.
 //
+// Training min-max normalizes each side's features (Fig. 4's "Normalize
+// Data" stage) and fits in log-time space. Execution times span two orders
+// of magnitude (0.02 s .. 42 s); least-squares boosting on raw seconds
+// spends all its capacity on the slow corner, while log targets make
+// residuals relative, which is what the paper's percent-error metric
+// rewards.
+//
 // Prediction cost: a side prediction encodes, normalizes and walks its row
 // in fixed-size stack buffers and allocates nothing. A side's time depends
 // only on its own feature row, so the batch form of predict_combined
@@ -12,7 +19,6 @@
 // bits.
 #pragma once
 
-#include <iosfwd>
 #include <memory>
 #include <span>
 #include <vector>
@@ -29,22 +35,13 @@ class ThreadPool;
 
 namespace hetopt::core {
 
-struct PredictorOptions {
-  ml::BoostedTreesParams host_params;
-  ml::BoostedTreesParams device_params;
-  bool normalize = true;  // the Fig. 4 "Normalize Data" stage
-  /// Fit in log-time space. Execution times span two orders of magnitude
-  /// (0.02 s .. 42 s); least-squares boosting on raw seconds spends all its
-  /// capacity on the slow corner. Log targets make residuals relative, which
-  /// is what the paper's percent-error metric rewards.
-  bool log_target = true;
-
-  [[nodiscard]] static PredictorOptions defaults();
-};
-
 class PerformancePredictor {
  public:
-  explicit PerformancePredictor(PredictorOptions options = PredictorOptions::defaults());
+  /// Both environment models boost with `params`.
+  explicit PerformancePredictor(ml::BoostedTreesParams params = default_params());
+
+  /// 300 rounds at rate 0.08 of depth-6 trees (3-row leaves, 6-row splits).
+  [[nodiscard]] static ml::BoostedTreesParams default_params();
 
   /// Trains both environment models. Datasets must use the feature layout of
   /// core/features.hpp.
@@ -89,12 +86,6 @@ class PerformancePredictor {
     return device_model_;
   }
 
-  /// Persists a trained predictor (normalizers + both ensembles + options),
-  /// so the 7200-experiment sweep runs once per platform, ever. Throws
-  /// std::runtime_error on malformed input / untrained predictors.
-  void save(std::ostream& os) const;
-  [[nodiscard]] static PerformancePredictor load(std::istream& is);
-
  private:
   enum class Side { kHost, kDevice };
   /// One side's times for raw (unnormalized) feature rows: normalizes them
@@ -106,7 +97,6 @@ class PerformancePredictor {
   [[nodiscard]] double predict_row(Side side, const FeatureRow& raw) const;
   void require_trained() const;
 
-  PredictorOptions options_;
   ml::Normalizer host_norm_;
   ml::Normalizer device_norm_;
   ml::BoostedTreesRegressor host_model_;

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <filesystem>
-#include <fstream>
 #include <limits>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -18,7 +15,6 @@
 #include "sim/multi.hpp"
 #include "util/backoff.hpp"
 #include "util/fault.hpp"
-#include "util/rng.hpp"
 
 namespace hetopt::core {
 
@@ -187,52 +183,6 @@ RealWorkload::RealWorkload(const dna::GenomeCatalog& catalog, const Workload& lo
   // One slow scan per materialized workload (cached) is cheap.
   sequential_matches_ =
       automata::scan_count_naive(dfa(), sequence_.view(), dfa().start()).match_count;
-
-  if (options.out_of_core) {
-    // Materialize-to-disk fixture: the same bytes written raw to a temp
-    // file and re-served through the bounded page cache, so out-of-core
-    // measurements are checked against the in-memory oracle above. The path
-    // is keyed by workload identity plus this object's address — unique per
-    // live fixture without reaching for banned entropy sources.
-    const std::uint64_t tag = util::hash_combine(
-        util::hash_combine(util::hash_string(logical.name), sequence_.size()),
-        reinterpret_cast<std::uintptr_t>(this));
-    const std::filesystem::path path =
-        std::filesystem::temp_directory_path() /
-        ("hetopt_ooc_" + std::to_string(tag) + ".raw");
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      if (!out) {
-        throw std::runtime_error("RealWorkload: cannot create out-of-core fixture at " +
-                                 path.string());
-      }
-      const std::string_view view = sequence_.view();
-      out.write(view.data(), static_cast<std::streamsize>(view.size()));
-      if (!out) {
-        throw std::runtime_error("RealWorkload: short write to out-of-core fixture " +
-                                 path.string());
-      }
-    }
-    paged_path_ = path.string();
-    paged_ = std::make_unique<dna::PagedGenome>(
-        std::make_unique<dna::FilePageSource>(paged_path_), options.paged);
-  }
-}
-
-RealWorkload::~RealWorkload() {
-  if (!paged_path_.empty()) {
-    paged_.reset();  // drop the open file handle before removing the fixture
-    std::error_code ec;
-    std::filesystem::remove(paged_path_, ec);  // best-effort temp cleanup
-  }
-}
-
-dna::PagedGenome& RealWorkload::paged_genome() const {
-  if (paged_ == nullptr) {
-    throw std::logic_error(
-        "RealWorkload: paged_genome() requires RealWorkloadOptions::out_of_core");
-  }
-  return *paged_;
 }
 
 const automata::MatchEngine& RealWorkload::engine(automata::EngineKind kind) const {
@@ -331,9 +281,9 @@ RealMeasurement RealWorkloadEvaluator::measure(const opt::SystemConfig& config,
   // throws (a genuine executor error, or an injected measure-fail) burns one
   // unit of the retry budget and backs off with seeded jitter before the
   // next try. std::invalid_argument is not retried: the executor throws it
-  // for a configuration it rejects (say, a paged resident budget below the
-  // fleet's workers), which fails the same way on every attempt. With no
-  // armed fault plan this collects exactly `repeats` samples, as before.
+  // for a configuration it rejects, which fails the same way on every
+  // attempt. With no armed fault plan this collects exactly `repeats`
+  // samples, as before.
   RealMeasurement m;
   const util::FaultInjector* injector = util::FaultInjector::current();
   util::Backoff backoff(injector != nullptr ? injector->plan().seed : 0);
@@ -349,16 +299,7 @@ RealMeasurement RealWorkloadEvaluator::measure(const opt::SystemConfig& config,
       if (injector != nullptr && injector->measure_fails()) {
         throw util::FaultInjectedError("injected measure-fail");
       }
-      // Out-of-core mode streams the on-disk fixture through the paged
-      // fleet path; the default scans the in-memory copy, as always.
-      ExecutionReport report;
-      if (options_.out_of_core) {
-        PagedFleetOptions po;
-        po.schedule = config.schedule;
-        report = executor.run_fleet_paged(rw->paged_genome(), shares, po);
-      } else {
-        report = executor.run_fleet(rw->text(), config.schedule);
-      }
+      ExecutionReport report = executor.run_fleet(rw->text(), config.schedule);
       double seconds = report.total_seconds;
       if (injector != nullptr) {
         seconds *= injector->measure_noise(samples.size());

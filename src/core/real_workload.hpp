@@ -46,7 +46,6 @@
 #include "core/executor.hpp"
 #include "core/workload.hpp"
 #include "dna/catalog.hpp"
-#include "dna/paged_genome.hpp"
 #include "dna/sequence.hpp"
 #include "opt/config.hpp"
 #include "util/annotations.hpp"
@@ -70,20 +69,6 @@ struct RealWorkloadOptions {
   std::size_t repeats = 1;
   /// Replace wall-clock with the deterministic work model (tests, CI).
   bool deterministic_timing = false;
-  /// Opt-in out-of-core mode: the materialized genome is additionally
-  /// written to a temporary raw file and every measurement streams it
-  /// through a bounded page cache (dna::PagedGenome + the executor's paged
-  /// fleet mode) instead of scanning the in-memory copy. Match counts stay
-  /// checked against the same in-memory sequential oracle. The `paged`
-  /// resident budget must cover the largest fleet a measured configuration
-  /// builds (total workers across pools), or measure() throws
-  /// std::invalid_argument for that configuration. The default (false)
-  /// leaves every path byte-identical to before.
-  bool out_of_core = false;
-  /// Page geometry/budget of the out-of-core cache. The halo default (63)
-  /// covers any motif shorter than 64 bases; longer motif sets need a
-  /// larger halo (>= synchronization bound - 1).
-  dna::PagedGenomeOptions paged{};
 };
 
 /// A logical workload made physical: the scaled synthetic genome plus every
@@ -96,12 +81,6 @@ class RealWorkload {
  public:
   RealWorkload(const dna::GenomeCatalog& catalog, const Workload& logical,
                const RealWorkloadOptions& options);
-
-  // The out-of-core fixture owns a temp file; neither it nor the engines
-  // are copyable.
-  RealWorkload(const RealWorkload&) = delete;
-  RealWorkload& operator=(const RealWorkload&) = delete;
-  ~RealWorkload();
 
   [[nodiscard]] const Workload& logical() const noexcept { return logical_; }
   [[nodiscard]] std::string_view text() const noexcept { return sequence_.view(); }
@@ -123,19 +102,6 @@ class RealWorkload {
   [[nodiscard]] std::uint64_t sequential_matches() const noexcept {
     return sequential_matches_;
   }
-
-  // --- Out-of-core fixture ---------------------------------------------------
-  /// True when this workload was materialized with
-  /// RealWorkloadOptions::out_of_core: the genome also lives in a temp raw
-  /// file behind a bounded page cache, and measurements stream it.
-  [[nodiscard]] bool out_of_core() const noexcept { return paged_ != nullptr; }
-  /// The paged view of the materialized genome (same bytes as text(), served
-  /// from disk through the bounded cache — the parity tests check both the
-  /// content and the match counts against the in-memory copy). Thread-safe
-  /// like any PagedGenome; throws std::logic_error when not out-of-core.
-  [[nodiscard]] dna::PagedGenome& paged_genome() const;
-  /// Path of the on-disk raw fixture ("" when not out-of-core).
-  [[nodiscard]] const std::string& paged_path() const noexcept { return paged_path_; }
 
   // --- Engine selection ------------------------------------------------------
   /// The engine of `kind`, or nullptr when the motif set does not qualify.
@@ -162,10 +128,6 @@ class RealWorkload {
   std::array<std::string, automata::kEngineKindCount> engine_gaps_;
   dna::Sequence sequence_;
   std::uint64_t sequential_matches_ = 0;
-  // Out-of-core fixture: the on-disk raw copy of sequence_ plus its paged
-  // view (null when the mode is off). The file is removed in the dtor.
-  std::string paged_path_;
-  std::unique_ptr<dna::PagedGenome> paged_;
 };
 
 /// One measurement of a configuration: what the evaluator adds, plus the

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "util/rng.hpp"
 #include "util/timer.hpp"
 
 namespace hetopt::dna {
@@ -43,68 +42,6 @@ void FilePageSource::read(std::size_t offset, char* out, std::size_t n) const {
   if (static_cast<std::size_t>(file_.gcount()) != n) {
     throw std::runtime_error("FilePageSource: short read from '" + path_ + "'");
   }
-}
-
-// --- GeneratorPageSource ----------------------------------------------------
-
-GeneratorPageSource::GeneratorPageSource(std::size_t size, std::uint64_t seed,
-                                         MarkovParams params,
-                                         std::vector<std::string> motifs,
-                                         std::size_t copies_per_block)
-    : generator_(params), size_(size), seed_(seed), motifs_(std::move(motifs)),
-      copies_per_block_(copies_per_block), cached_index_(kNoBlock) {
-  for (const std::string& m : motifs_) {
-    if (m.empty()) throw std::invalid_argument("GeneratorPageSource: empty motif");
-  }
-}
-
-std::string GeneratorPageSource::make_block(std::size_t index) const {
-  const std::size_t begin = index * kBlockBytes;
-  const std::size_t len = std::min(kBlockBytes, size_ - begin);
-  std::string block = generator_.generate(len, util::hash_combine(seed_, index));
-  if (!motifs_.empty() && copies_per_block_ > 0) {
-    util::Xoshiro256 rng(
-        util::hash_combine(util::hash_combine(seed_, 0x70616765ULL), index));
-    std::vector<std::pair<std::size_t, std::size_t>> used;
-    for (const std::string& m : motifs_) {
-      if (m.size() > len) continue;
-      for (std::size_t c = 0; c < copies_per_block_; ++c) {
-        for (std::size_t attempt = 0; attempt < 16; ++attempt) {
-          const std::size_t pos = rng.bounded(len - m.size() + 1);
-          const bool overlaps =
-              std::any_of(used.begin(), used.end(), [&](const auto& r) {
-                return pos < r.second && r.first < pos + m.size();
-              });
-          if (overlaps) continue;
-          block.replace(pos, m.size(), m);
-          used.emplace_back(pos, pos + m.size());
-          break;
-        }
-      }
-    }
-  }
-  return block;
-}
-
-void GeneratorPageSource::read(std::size_t offset, char* out, std::size_t n) const {
-  const util::MutexLock lock(mutex_);
-  std::size_t done = 0;
-  while (done < n) {
-    const std::size_t pos = offset + done;
-    const std::size_t block_index = pos / kBlockBytes;
-    if (cached_index_ != block_index) {
-      cached_block_ = make_block(block_index);
-      cached_index_ = block_index;
-    }
-    const std::size_t in_block = pos - block_index * kBlockBytes;
-    const std::size_t take = std::min(n - done, cached_block_.size() - in_block);
-    std::memcpy(out + done, cached_block_.data() + in_block, take);
-    done += take;
-  }
-}
-
-std::string GeneratorPageSource::describe() const {
-  return "generator:seed=" + std::to_string(seed_) + ",bytes=" + std::to_string(size_);
 }
 
 // --- PagedGenome ------------------------------------------------------------

@@ -5,9 +5,8 @@
 // A PagedGenome cuts a corpus of `size()` bytes into fixed-size pages and
 // serves them from a bounded cache of util::AlignedBuffers:
 //
-//   - pages are filled on demand from a PageSource (an on-disk raw file, an
-//     in-memory buffer, or the deterministic generator producing bytes on
-//     the fly — corpora that never exist in full anywhere);
+//   - pages are filled on demand from a PageSource (an on-disk raw file or
+//     an in-memory buffer);
 //   - acquire(page) pins a page and returns a RAII PageRef; pinned pages
 //     cannot be evicted, unpinned pages are recycled LRU-first when the
 //     resident budget is hit;
@@ -43,7 +42,6 @@
 #include <string_view>
 #include <vector>
 
-#include "dna/generator.hpp"
 #include "util/aligned_buffer.hpp"
 #include "util/annotations.hpp"
 #include "util/sync.hpp"
@@ -62,7 +60,7 @@ class PageSource {
   /// Fills out[0..n) with corpus bytes [offset, offset + n); the caller
   /// guarantees offset + n <= size().
   virtual void read(std::size_t offset, char* out, std::size_t n) const = 0;
-  /// Human-readable provenance ("file:/path", "generator:seed=42", ...).
+  /// Human-readable provenance ("file:/path", "buffer:4096B").
   [[nodiscard]] virtual std::string describe() const = 0;
 };
 
@@ -80,11 +78,10 @@ class BufferPageSource final : public PageSource {
   std::string bytes_;
 };
 
-/// A raw on-disk corpus (one byte per base, no records). FASTA inputs are
-/// materialized to this shape first — see materialize_fasta_to_raw in
-/// dna/fasta.hpp. Reads are served through one seekable stream under a
-/// mutex: cold loads serialize on the device anyway, and the single-stream
-/// shape keeps the source trivially thread-safe.
+/// A raw on-disk corpus (one byte per base, no records). Reads are served
+/// through one seekable stream under a mutex: cold loads serialize on the
+/// device anyway, and the single-stream shape keeps the source trivially
+/// thread-safe.
 class FilePageSource final : public PageSource {
  public:
   /// Opens `path`; throws std::runtime_error when the file cannot be opened.
@@ -99,46 +96,6 @@ class FilePageSource final : public PageSource {
   std::size_t size_ = 0;
   mutable util::Mutex mutex_;
   mutable std::ifstream file_ HETOPT_GUARDED_BY(mutex_);
-};
-
-/// The deterministic generator as a page source: a corpus that never exists
-/// in full anywhere. Content is produced in fixed 64 KiB blocks, each seeded
-/// independently from (seed, block index), so reading any byte range costs
-/// O(range) regardless of position — the out-of-core contract. The price is
-/// Markov-chain continuity across block boundaries (irrelevant for matching:
-/// the transition structure restarts, the alphabet does not). Motifs are
-/// planted at deterministic non-overlapping positions inside each block.
-/// Deterministic in (params, seed, motifs, copies_per_block).
-class GeneratorPageSource final : public PageSource {
- public:
-  static constexpr std::size_t kBlockBytes = std::size_t{64} << 10;
-  static constexpr std::size_t kNoBlock = static_cast<std::size_t>(-1);
-
-  GeneratorPageSource(std::size_t size, std::uint64_t seed, MarkovParams params = {},
-                      std::vector<std::string> motifs = {},
-                      std::size_t copies_per_block = 0);
-
-  [[nodiscard]] std::size_t size() const noexcept override { return size_; }
-  void read(std::size_t offset, char* out, std::size_t n) const override;
-  [[nodiscard]] std::string describe() const override;
-
- private:
-  /// Generates block `index` in full (content of bytes
-  /// [index * kBlockBytes, ...)), motifs planted.
-  [[nodiscard]] std::string make_block(std::size_t index) const;
-
-  GenomeGenerator generator_;
-  std::size_t size_;
-  std::uint64_t seed_;
-  std::vector<std::string> motifs_;
-  std::size_t copies_per_block_;
-  // One-block cache: halo loads re-read the tail of the previous block, and
-  // sequential paging revisits each block twice (payload, then the next
-  // page's halo); caching the last materialized block makes those re-reads
-  // a memcpy. Guarded — read() is called from workers and the prefetcher.
-  mutable util::Mutex mutex_;
-  mutable std::size_t cached_index_ HETOPT_GUARDED_BY(mutex_);
-  mutable std::string cached_block_ HETOPT_GUARDED_BY(mutex_);
 };
 
 struct PagedGenomeOptions {

@@ -77,16 +77,6 @@ std::vector<double> BoostedTreesRegressor::feature_importance(
   return importance;
 }
 
-BoostedTreesRegressor BoostedTreesRegressor::from_parts(BoostedTreesParams params,
-                                                        double base_prediction,
-                                                        std::vector<RegressionTree> trees) {
-  BoostedTreesRegressor model(params);
-  model.base_prediction_ = base_prediction;
-  model.trees_ = std::move(trees);
-  model.fitted_ = true;
-  return model;
-}
-
 double BoostedTreesRegressor::predict(std::span<const double> features) const {
   return predict_staged(features, static_cast<int>(trees_.size()));
 }

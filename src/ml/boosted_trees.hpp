@@ -43,19 +43,10 @@ class BoostedTreesRegressor final : public Regressor {
   void predict_rows(std::span<const double> rows, std::span<double> out) const;
 
   [[nodiscard]] int trained_rounds() const noexcept { return static_cast<int>(trees_.size()); }
-  [[nodiscard]] const BoostedTreesParams& params() const noexcept { return params_; }
 
   /// Split-frequency feature importance over the whole ensemble, normalized
   /// to sum to 1 (all-zero if the ensemble never split).
   [[nodiscard]] std::vector<double> feature_importance(std::size_t feature_count) const;
-
-  // --- (de)serialization support (ml/serialize.hpp) -------------------------
-  [[nodiscard]] double base_prediction() const noexcept { return base_prediction_; }
-  [[nodiscard]] const std::vector<RegressionTree>& trees() const noexcept { return trees_; }
-  /// Rebuilds a fitted ensemble from its parts.
-  [[nodiscard]] static BoostedTreesRegressor from_parts(BoostedTreesParams params,
-                                                        double base_prediction,
-                                                        std::vector<RegressionTree> trees);
 
  private:
   BoostedTreesParams params_;

@@ -61,9 +61,6 @@ class Normalizer {
   /// Normalizes a single query row into `out` (sizes must match fit).
   void transform_row(std::span<const double> in, std::span<double> out) const;
 
-  [[nodiscard]] const std::vector<double>& mins() const noexcept { return mins_; }
-  [[nodiscard]] const std::vector<double>& maxs() const noexcept { return maxs_; }
-
  private:
   std::vector<double> mins_;
   std::vector<double> maxs_;

@@ -211,37 +211,6 @@ std::vector<RegressionTree::ExportedNode> RegressionTree::export_nodes() const {
   return out;
 }
 
-RegressionTree RegressionTree::from_nodes(TreeParams params,
-                                          std::vector<ExportedNode> nodes,
-                                          std::size_t feature_count) {
-  if (nodes.empty()) throw std::invalid_argument("RegressionTree::from_nodes: no nodes");
-  RegressionTree tree(params);
-  tree.feature_count_ = feature_count;
-  tree.nodes_.reserve(nodes.size());
-  const auto n = static_cast<std::int32_t>(nodes.size());
-  for (std::int32_t i = 0; i < n; ++i) {
-    const ExportedNode& e = nodes[static_cast<std::size_t>(i)];
-    const bool is_leaf = e.left < 0;
-    if (is_leaf != (e.right < 0)) {
-      throw std::invalid_argument("RegressionTree::from_nodes: half-leaf node");
-    }
-    if (!is_leaf) {
-      if (e.left >= n || e.right >= n) {
-        throw std::invalid_argument("RegressionTree::from_nodes: child out of range");
-      }
-      // Children follow their node, so predict() and depth() always end.
-      if (e.left <= i || e.right <= i) {
-        throw std::invalid_argument("RegressionTree::from_nodes: child before its node");
-      }
-      if (e.feature < 0 || static_cast<std::size_t>(e.feature) >= feature_count) {
-        throw std::invalid_argument("RegressionTree::from_nodes: feature out of range");
-      }
-    }
-    tree.nodes_.push_back(Node{e.feature, e.threshold, e.left, e.right, e.value});
-  }
-  return tree;
-}
-
 int RegressionTree::depth() const noexcept {
   if (nodes_.empty()) return 0;
   // Iterative depth computation over the implicit tree structure.

@@ -69,7 +69,7 @@ class RegressionTree final : public Regressor {
   [[nodiscard]] std::string name() const override { return "RegressionTree"; }
 
   [[nodiscard]] std::size_t node_count() const noexcept { return nodes_.size(); }
-  /// Width of feature rows this tree was fitted/rebuilt with.
+  /// Width of feature rows this tree was fitted with.
   [[nodiscard]] std::size_t feature_count() const noexcept { return feature_count_; }
   [[nodiscard]] std::size_t leaf_count() const noexcept;
   [[nodiscard]] int depth() const noexcept;
@@ -78,7 +78,7 @@ class RegressionTree final : public Regressor {
   /// Used for ensemble feature importance.
   void accumulate_split_counts(std::span<std::size_t> counts) const;
 
-  /// Flat node record for (de)serialization.
+  /// Flat node record; the split-search parity tests compare trees by it.
   struct ExportedNode {
     std::int32_t feature = -1;
     double threshold = 0.0;
@@ -88,12 +88,6 @@ class RegressionTree final : public Regressor {
     friend bool operator==(const ExportedNode&, const ExportedNode&) = default;
   };
   [[nodiscard]] std::vector<ExportedNode> export_nodes() const;
-  /// Rebuilds a tree from exported nodes. Validates indices: every child
-  /// must come after its node (fit() writes nodes in preorder), so no
-  /// rebuilt tree can loop.
-  [[nodiscard]] static RegressionTree from_nodes(TreeParams params,
-                                                 std::vector<ExportedNode> nodes,
-                                                 std::size_t feature_count);
 
  private:
   struct Node {

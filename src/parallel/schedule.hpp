@@ -17,18 +17,21 @@
 //     adaptive  same as dynamic (adaptivity across *pools* lives in the
 //               executor; a single pool has nothing to steal from)
 //
-//   core::HeterogeneousExecutor (host pool + device pool, one input)
-//     static    split by the configured fraction, each side scans its share
-//               and joins (the seed behavior)
-//     dynamic   one shared chunk queue, both pools pull from the front —
+//   core::HeterogeneousExecutor (a fleet of N pools, one input; pool 0 is
+//   the host, pools 1..N-1 the devices)
+//     static    the configured shares cut the input into one segment per
+//               pool; each pool claims its own segment's chunks in
+//               ascending order and joins (the seed behavior). Only a
+//               failed pool's unclaimed remainder is taken over.
+//     dynamic   one shared chunk queue, every pool pulls from its front —
 //               fully demand-driven, the realized split emerges at runtime
 //     guided    shared queue with guided (decreasing) chunk sizes
-//     adaptive  the shared pool is seeded by the configured fraction: the
-//               host drains its own region from the front, the device drains
-//               its region from the back, and whichever side finishes first
-//               *steals* the other side's remaining chunks — the realized
-//               fraction starts at the configured one and drifts to match
-//               the hardware (ExecutionReport records fractions + steals)
+//     adaptive  segments as under static, but a pool that has drained its
+//               own segment *steals* from the back of the nearest
+//               unfinished segment, so owner and thief meet from opposite
+//               ends — the realized shares start at the configured ones and
+//               drift to match the hardware (ExecutionReport records
+//               realized shares and steals)
 #pragma once
 
 #include <array>

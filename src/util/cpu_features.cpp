@@ -39,8 +39,6 @@ CpuFeatures probe() {
   CpuFeatures f;
   unsigned int eax = 0, ebx = 0, ecx = 0, edx = 0;
   if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) != 0) {
-    f.sse2 = (edx & (1u << 26)) != 0;
-    f.ssse3 = (ecx & (1u << 9)) != 0;
     f.avx = (ecx & (1u << 28)) != 0;
   }
   // AVX2 lives in leaf 7 subleaf 0, EBX bit 5. AVX must also be OS-enabled;
@@ -67,14 +65,11 @@ const CpuFeatures& cpu_features() {
 
 IsaLevel detected_isa() {
   const CpuFeatures& f = cpu_features();
-  if (f.avx2) return IsaLevel::kAvx2;
-  if (f.sse2) return IsaLevel::kSse2;
-  return IsaLevel::kScalar;
+  return f.avx2 ? IsaLevel::kAvx2 : IsaLevel::kScalar;
 }
 
 std::optional<IsaLevel> isa_from_string(const std::string& name) noexcept {
-  for (const IsaLevel level :
-       {IsaLevel::kScalar, IsaLevel::kSse2, IsaLevel::kAvx2}) {
+  for (const IsaLevel level : {IsaLevel::kScalar, IsaLevel::kAvx2}) {
     if (name == to_string(level)) return level;
   }
   return std::nullopt;
@@ -86,7 +81,7 @@ std::optional<IsaLevel> forced_isa() {
   const auto level = isa_from_string(raw);
   if (!level.has_value()) {
     throw std::runtime_error(std::string("HETOPT_FORCE_ISA: unknown ISA '") + raw +
-                             "' (expected scalar, sse2, or avx2)");
+                             "' (expected scalar or avx2)");
   }
   return level;
 }
@@ -95,8 +90,6 @@ bool cpu_supports(IsaLevel level) {
   switch (level) {
     case IsaLevel::kScalar:
       return true;
-    case IsaLevel::kSse2:
-      return cpu_features().sse2;
     case IsaLevel::kAvx2:
       return cpu_features().avx2;
   }

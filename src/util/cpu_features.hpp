@@ -2,8 +2,8 @@
 
 // Runtime CPU capability probe for the SIMD engine tier.
 //
-// One binary carries every compiled vector kernel (scalar always, SSE2/AVX2
-// when the toolchain can build them); the dispatch layer in
+// One binary carries every compiled vector kernel (scalar always, AVX2 when
+// the toolchain can build it); the dispatch layer in
 // src/automata/simd/ picks the widest variant the *running* CPU supports.
 // `HETOPT_FORCE_ISA` overrides the pick so every code path is testable on any
 // host: forcing a level the machine cannot run is a hard error, never a
@@ -21,31 +21,24 @@ namespace hetopt::util {
 /// numeric order is meaningful: dispatch picks the largest supported value.
 enum class IsaLevel : int {
   kScalar = 0,  ///< portable C++, bit-identical reference for every kernel
-  kSse2 = 1,    ///< 128-bit vectors (x86-64 baseline)
-  kAvx2 = 2,    ///< 256-bit vectors
+  kAvx2 = 1,    ///< 256-bit vectors
 };
-
-inline constexpr int kIsaLevelCount = 3;
 
 [[nodiscard]] constexpr const char* to_string(IsaLevel level) noexcept {
   switch (level) {
     case IsaLevel::kScalar:
       return "scalar";
-    case IsaLevel::kSse2:
-      return "sse2";
     case IsaLevel::kAvx2:
       return "avx2";
   }
   return "unknown";
 }
 
-/// Parses "scalar" / "sse2" / "avx2"; nullopt on anything else.
+/// Parses "scalar" / "avx2"; nullopt on anything else.
 [[nodiscard]] std::optional<IsaLevel> isa_from_string(const std::string& name) noexcept;
 
 /// What the running CPU can execute (independent of what was compiled).
 struct CpuFeatures {
-  bool sse2 = false;
-  bool ssse3 = false;
   bool avx = false;
   bool avx2 = false;
   /// Brand string from CPUID leaves 0x80000002-4 ("unknown" off x86 or when

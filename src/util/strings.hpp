@@ -1,4 +1,5 @@
-// Small string helpers shared by the table renderer, CLI parser and FASTA IO.
+// Small string helpers: splitting, trimming, and number formatting and
+// parsing.
 #pragma once
 
 #include <string>

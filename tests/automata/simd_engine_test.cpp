@@ -222,9 +222,6 @@ TEST(SimdEngine, LaneCountMatchesTheIsa) {
       case util::IsaLevel::kScalar:
         EXPECT_EQ(engine.lanes(), 1u);
         break;
-      case util::IsaLevel::kSse2:
-        EXPECT_EQ(engine.lanes(), 2u);
-        break;
       case util::IsaLevel::kAvx2:
         EXPECT_EQ(engine.lanes(), 4u);
         break;
@@ -275,8 +272,7 @@ TEST(SimdDispatch, UnknownOrUnavailableForcedIsaIsAHardError) {
   // A level the host cannot run (or that was not compiled in) must throw,
   // never silently fall back. Only checkable when some level is unavailable.
   bool all_available = true;
-  for (const util::IsaLevel level :
-       {util::IsaLevel::kScalar, util::IsaLevel::kSse2, util::IsaLevel::kAvx2}) {
+  for (const util::IsaLevel level : {util::IsaLevel::kScalar, util::IsaLevel::kAvx2}) {
     bool found = false;
     for (const util::IsaLevel a : simd::available_isas()) found |= a == level;
     if (!found) {

@@ -117,10 +117,9 @@ class PredictionBatchFixture : public ::testing::Test {
         }
       }
     }
-    PredictorOptions options = PredictorOptions::defaults();
-    options.host_params.rounds = 50;
-    options.device_params.rounds = 50;
-    predictor_ = new PerformancePredictor(options);
+    ml::BoostedTreesParams params = PerformancePredictor::default_params();
+    params.rounds = 50;
+    predictor_ = new PerformancePredictor(params);
     predictor_->train(host, device);
   }
   static void TearDownTestSuite() {

@@ -1,19 +1,16 @@
 // Out-of-core fleet execution: run_fleet_paged must reproduce the in-memory
 // fleet (and the sequential oracle) byte for byte while streaming the corpus
-// through the bounded page cache, and RealWorkload's out_of_core mode must
-// materialize, measure and clean up its on-disk fixture transparently.
+// through the bounded page cache.
 #include "core/executor.hpp"
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "automata/aho_corasick.hpp"
 #include "automata/scanner.hpp"
-#include "core/real_workload.hpp"
 #include "dna/generator.hpp"
 #include "dna/paged_genome.hpp"
 
@@ -116,117 +113,6 @@ TEST(PagedFleet, ThrowsWhenTheBudgetCannotCoverTheFleet) {
   // deadlock, so the paged fleet must refuse up front.
   dna::PagedGenome genome = paged_of(text, 4096, 3);
   EXPECT_THROW((void)exec.run_fleet_paged(genome), std::invalid_argument);
-}
-
-// --- RealWorkload out-of-core mode -----------------------------------------
-
-RealWorkloadOptions out_of_core_options() {
-  RealWorkloadOptions options;
-  options.bytes_per_logical_mb = 54.0;  // cat (2430 logical MB) -> ~128 KB
-  options.min_physical_bytes = 64 * 1024;
-  options.deterministic_timing = true;
-  options.out_of_core = true;
-  options.paged.page_bytes = 16 * 1024;  // ~8 pages: genuinely paged
-  options.paged.resident_pages = 16;     // covers every fleet the tests build
-  return options;
-}
-
-Workload cat() { return Workload("cat", 2430.0); }
-
-/// Bytes the pools of a measurement's reported run scanned, summed.
-std::size_t scanned_bytes(const RealMeasurement& m) {
-  std::size_t bytes = 0;
-  for (const PoolReport& pool : m.report.pools) bytes += pool.bytes;
-  return bytes;
-}
-
-TEST(RealWorkloadOutOfCore, FixtureFileIsMaterializedAndRemoved) {
-  const dna::GenomeCatalog catalog;
-  std::string path;
-  {
-    const RealWorkload rw(catalog, cat(), out_of_core_options());
-    ASSERT_TRUE(rw.out_of_core());
-    path = rw.paged_path();
-    ASSERT_FALSE(path.empty());
-    EXPECT_TRUE(std::filesystem::exists(path));
-    // The paged view serves exactly the in-memory bytes.
-    dna::PagedGenome& genome = rw.paged_genome();
-    EXPECT_EQ(genome.size(), rw.physical_bytes());
-    std::string reassembled;
-    for (std::size_t p = 0; p < genome.page_count(); ++p) {
-      reassembled.append(rw.paged_genome().acquire(p).payload());
-    }
-    EXPECT_EQ(reassembled, rw.text());
-  }
-  EXPECT_FALSE(std::filesystem::exists(path));  // dtor cleans up
-}
-
-TEST(RealWorkloadOutOfCore, DefaultModeHasNoFixture) {
-  const dna::GenomeCatalog catalog;
-  RealWorkloadOptions options = out_of_core_options();
-  options.out_of_core = false;
-  const RealWorkload rw(catalog, cat(), options);
-  EXPECT_FALSE(rw.out_of_core());
-  EXPECT_TRUE(rw.paged_path().empty());
-  EXPECT_THROW((void)rw.paged_genome(), std::logic_error);
-}
-
-TEST(RealWorkloadOutOfCore, MeasurementsStreamWithExactMatchCounts) {
-  const dna::GenomeCatalog catalog;
-  const RealWorkloadEvaluator evaluator(catalog, out_of_core_options());
-  const std::uint64_t expected = evaluator.real(cat()).sequential_matches();
-  ASSERT_GT(expected, 0u);
-  for (const int host_threads : {1, 4}) {
-    for (const double fraction : {0.0, 40.0, 100.0}) {
-      opt::SystemConfig c;
-      c.host_threads = host_threads;
-      c.device_threads = 2;
-      c.host_percent = fraction;
-      const RealMeasurement m = evaluator.measure(c, cat());
-      EXPECT_TRUE(m.valid);
-      EXPECT_EQ(m.matches, expected)
-          << "host_threads=" << host_threads << " fraction=" << fraction;
-      EXPECT_EQ(scanned_bytes(m), evaluator.real(cat()).physical_bytes());
-    }
-  }
-}
-
-TEST(RealWorkloadOutOfCore, AResidentBudgetBelowTheFleetIsAConfigurationError) {
-  // A 2+2-worker fleet against a 2-page budget fails the same way on every
-  // attempt, so measure() throws instead of retrying and pricing the
-  // candidate out as an invalid measurement.
-  const dna::GenomeCatalog catalog;
-  RealWorkloadOptions options = out_of_core_options();
-  options.paged.resident_pages = 2;
-  const RealWorkloadEvaluator evaluator(catalog, options);
-  opt::SystemConfig c;
-  c.host_threads = 2;
-  c.device_threads = 2;
-  c.host_percent = 50.0;
-  try {
-    (void)evaluator.measure(c, cat());
-    ADD_FAILURE() << "measure() accepted a resident budget below the fleet's workers";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("resident budget"), std::string::npos)
-        << e.what();
-  }
-  EXPECT_EQ(evaluator.invalid_measurements(), 0u);
-}
-
-TEST(RealWorkloadOutOfCore, PagedAndInMemoryMeasurementsAgree) {
-  const dna::GenomeCatalog catalog;
-  RealWorkloadOptions in_memory = out_of_core_options();
-  in_memory.out_of_core = false;
-  const RealWorkloadEvaluator paged_eval(catalog, out_of_core_options());
-  const RealWorkloadEvaluator memory_eval(catalog, in_memory);
-  opt::SystemConfig c;
-  c.host_threads = 2;
-  c.device_threads = 2;
-  c.host_percent = 50.0;
-  const RealMeasurement paged = paged_eval.measure(c, cat());
-  const RealMeasurement memory = memory_eval.measure(c, cat());
-  EXPECT_EQ(paged.matches, memory.matches);
-  EXPECT_EQ(scanned_bytes(paged), scanned_bytes(memory));
 }
 
 }  // namespace

@@ -4,8 +4,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <sstream>
-#include <string>
 #include <vector>
 
 #include "core/training.hpp"
@@ -151,60 +149,6 @@ TEST(PredictorUsage, RejectsWrongFeatureLayout) {
   ml::Dataset bad({"a", "b"});
   bad.add(std::vector<double>{1.0, 2.0}, 1.0);
   EXPECT_THROW(p.train(bad, bad), std::invalid_argument);
-}
-
-TEST(PredictorUsage, SaveLoadRoundTripPredictsIdentically) {
-  const sim::Machine machine = sim::emil_machine();
-  const dna::GenomeCatalog catalog;
-  const TrainingData data =
-      generate_training_data(machine, catalog, TrainingSweepOptions::tiny());
-  PerformancePredictor original;
-  original.train(data.host, data.device);
-
-  std::stringstream ss;
-  original.save(ss);
-  const PerformancePredictor loaded = PerformancePredictor::load(ss);
-  EXPECT_TRUE(loaded.trained());
-  for (double mb : {100.0, 999.0, 3170.0}) {
-    for (int threads : {2, 24, 48}) {
-      EXPECT_DOUBLE_EQ(
-          loaded.predict_host(mb, threads, parallel::HostAffinity::kScatter),
-          original.predict_host(mb, threads, parallel::HostAffinity::kScatter));
-    }
-    EXPECT_DOUBLE_EQ(
-        loaded.predict_device(mb, 120, parallel::DeviceAffinity::kBalanced),
-        original.predict_device(mb, 120, parallel::DeviceAffinity::kBalanced));
-  }
-}
-
-TEST(PredictorUsage, SaveLoadErrors) {
-  PerformancePredictor untrained;
-  std::stringstream ss;
-  EXPECT_THROW(untrained.save(ss), std::runtime_error);
-  const auto load_error = [](const std::string& file) -> std::string {
-    std::stringstream is(file);
-    try {
-      (void)PerformancePredictor::load(is);
-    } catch (const std::runtime_error& e) {
-      return e.what();
-    }
-    return "";
-  };
-  EXPECT_NE(load_error("not-a-predictor 1 1").find("bad header"), std::string::npos);
-  // Every older version fails cleanly at load time with the retrain message
-  // (not with a row-size mismatch at predict time), whatever width its
-  // header records; v4 16 is the last five-engine layout's real header.
-  for (const char* header :
-       {"hetopt-predictor-v1 1 1", "hetopt-predictor-v2 8 1 1", "hetopt-predictor-v3 14 1 1",
-        "hetopt-predictor-v4 14 1 1", "hetopt-predictor-v4 16 1 1"}) {
-    EXPECT_NE(load_error(header).find("older feature layout; retrain and re-save"),
-              std::string::npos)
-        << header;
-  }
-  // A current header with a stale feature width is rejected with the
-  // width in the message.
-  EXPECT_NE(load_error("hetopt-predictor-v5 16 1 1").find("file has 16 features"),
-            std::string::npos);
 }
 
 TEST(PredictorUsage, FleetDefaultsReproducePairPredictions) {

@@ -15,9 +15,7 @@
 #include <thread>
 #include <vector>
 
-#include "dna/generator.hpp"
 #include "dna/prefetch_reader.hpp"
-#include "util/rng.hpp"
 
 namespace hetopt::dna {
 namespace {
@@ -161,33 +159,6 @@ TEST(PagedGenome, PageRefMoveTransfersThePin) {
   (void)genome.acquire(1);
   (void)genome.acquire(2);
   ASSERT_NO_THROW((void)genome.acquire(3));
-}
-
-TEST(PagedGenome, GeneratorSourceIsDeterministicAcrossAccessOrder) {
-  MarkovParams params;
-  auto make = [&] {
-    PagedGenomeOptions options;
-    options.page_bytes = 4096;
-    options.resident_pages = 3;
-    return PagedGenome(std::make_unique<GeneratorPageSource>(
-                           std::size_t{64} * 1024, /*seed=*/42u, params,
-                           std::vector<std::string>{"TATAAA"}, /*copies_per_block=*/2),
-                       options);
-  };
-  PagedGenome forward = make();
-  PagedGenome backward = make();
-  std::string a;
-  std::string b;
-  for (std::size_t p = 0; p < forward.page_count(); ++p) {
-    a.append(forward.acquire(p).payload());
-  }
-  for (std::size_t p = backward.page_count(); p-- > 0;) {
-    const auto ref = backward.acquire(p);
-    b.insert(0, std::string(ref.payload()));
-  }
-  EXPECT_EQ(a, b);
-  // The planted motif actually appears.
-  EXPECT_NE(a.find("TATAAA"), std::string::npos);
 }
 
 TEST(PagedGenome, FileSourceServesExactBytes) {

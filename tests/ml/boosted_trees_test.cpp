@@ -203,5 +203,36 @@ TEST_P(LearningRateSweep, ConvergesForReasonableRates) {
 
 INSTANTIATE_TEST_SUITE_P(Rates, LearningRateSweep, ::testing::Values(0.05, 0.1, 0.3));
 
+TEST(FeatureImportance, IdentifiesInformativeFeature) {
+  // Feature 1 carries all signal; importance must concentrate there.
+  Dataset d({"noise", "signal"});
+  util::Xoshiro256 rng(5);
+  for (int i = 0; i < 300; ++i) {
+    const double noise = rng.uniform(0, 1);
+    const double signal = rng.uniform(0, 10);
+    d.add(std::vector<double>{noise, signal}, signal * signal);
+  }
+  BoostedTreesParams params;
+  params.rounds = 40;
+  BoostedTreesRegressor model(params);
+  model.fit(d);
+  const auto importance = model.feature_importance(2);
+  ASSERT_EQ(importance.size(), 2u);
+  EXPECT_NEAR(importance[0] + importance[1], 1.0, 1e-12);
+  EXPECT_GT(importance[1], 0.8);
+}
+
+TEST(FeatureImportance, AllZeroWhenNoSplits) {
+  Dataset d({"x"});
+  d.add(std::vector<double>{1.0}, 5.0);
+  d.add(std::vector<double>{1.0}, 5.0);
+  BoostedTreesParams params;
+  params.rounds = 5;
+  BoostedTreesRegressor model(params);
+  model.fit(d);  // constant target & feature: no splits possible
+  const auto importance = model.feature_importance(1);
+  EXPECT_DOUBLE_EQ(importance[0], 0.0);
+}
+
 }  // namespace
 }  // namespace hetopt::ml

@@ -294,7 +294,7 @@ void expect_sweep_parity(const Dataset& raw) {
   for (std::size_t i = 0; i < normalized.size(); ++i) {
     data.add(normalized.row(i), std::log(normalized.target(i)));
   }
-  BoostedTreesParams params;  // PredictorOptions::defaults()
+  BoostedTreesParams params;  // PerformancePredictor::default_params()
   params.rounds = 300;
   params.learning_rate = 0.08;
   params.tree = TreeParams{6, 3, 6};

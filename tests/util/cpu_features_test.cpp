@@ -39,14 +39,15 @@ class ForceIsaGuard {
 };
 
 TEST(CpuFeatures, IsaLevelStringsRoundTrip) {
-  for (const IsaLevel level : {IsaLevel::kScalar, IsaLevel::kSse2, IsaLevel::kAvx2}) {
+  for (const IsaLevel level : {IsaLevel::kScalar, IsaLevel::kAvx2}) {
     const auto parsed = isa_from_string(to_string(level));
     ASSERT_TRUE(parsed.has_value()) << to_string(level);
     EXPECT_EQ(*parsed, level);
   }
   EXPECT_FALSE(isa_from_string("").has_value());
   EXPECT_FALSE(isa_from_string("avx512").has_value());
-  EXPECT_FALSE(isa_from_string("SSE2").has_value());  // exact, lowercase names
+  EXPECT_FALSE(isa_from_string("AVX2").has_value());  // exact, lowercase names
+  EXPECT_FALSE(isa_from_string("sse2").has_value());  // no 2-lane tier
 }
 
 TEST(CpuFeatures, ProbeIsCachedAndInternallyConsistent) {
@@ -54,29 +55,20 @@ TEST(CpuFeatures, ProbeIsCachedAndInternallyConsistent) {
   const CpuFeatures& b = cpu_features();
   EXPECT_EQ(&a, &b);  // one probe per process
   EXPECT_FALSE(a.model_name.empty());
-  // Feature implications on real silicon (and on the all-false non-x86
-  // probe): AVX2 implies AVX, AVX implies SSE2.
+  // Feature implication on real silicon (and on the all-false non-x86
+  // probe): AVX2 implies AVX.
   if (a.avx2) EXPECT_TRUE(a.avx);
-  if (a.avx) EXPECT_TRUE(a.sse2);
 }
 
 TEST(CpuFeatures, DetectedIsaMatchesTheFeatureFlags) {
-  const CpuFeatures& f = cpu_features();
-  const IsaLevel detected = detected_isa();
-  if (f.avx2) {
-    EXPECT_EQ(detected, IsaLevel::kAvx2);
-  } else if (f.sse2) {
-    EXPECT_EQ(detected, IsaLevel::kSse2);
-  } else {
-    EXPECT_EQ(detected, IsaLevel::kScalar);
-  }
+  EXPECT_EQ(detected_isa(), cpu_features().avx2 ? IsaLevel::kAvx2 : IsaLevel::kScalar);
 }
 
 TEST(CpuFeatures, SupportIsMonotoneDownward) {
   // Everything at or below the detected level runs; scalar always runs.
   EXPECT_TRUE(cpu_supports(IsaLevel::kScalar));
   const IsaLevel detected = detected_isa();
-  for (const IsaLevel level : {IsaLevel::kScalar, IsaLevel::kSse2, IsaLevel::kAvx2}) {
+  for (const IsaLevel level : {IsaLevel::kScalar, IsaLevel::kAvx2}) {
     if (static_cast<int>(level) <= static_cast<int>(detected)) {
       EXPECT_TRUE(cpu_supports(level)) << to_string(level);
     }
@@ -96,6 +88,19 @@ TEST(CpuFeatures, ForcedIsaReadsTheEnvironmentPerCall) {
   EXPECT_EQ(*forced_isa(), IsaLevel::kAvx2);  // re-read, not cached
   ::setenv("HETOPT_FORCE_ISA", "turbo", 1);
   EXPECT_THROW((void)forced_isa(), std::runtime_error);  // typos are hard errors
+}
+
+TEST(CpuFeatures, ForcingSse2IsAnUnknownIsaNamingTheLevelsLeft) {
+  // x86 hosts without AVX2 run the scalar kernel; there is no 2-lane level
+  // to force, and the error lists the two that exist.
+  const ForceIsaGuard guard;
+  ::setenv("HETOPT_FORCE_ISA", "sse2", 1);
+  try {
+    (void)forced_isa();
+    ADD_FAILURE() << "HETOPT_FORCE_ISA=sse2 was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "HETOPT_FORCE_ISA: unknown ISA 'sse2' (expected scalar or avx2)");
+  }
 }
 
 TEST(AlignedBuffer, StorageStartsOnACacheLine) {

@@ -1,11 +1,19 @@
 // util::FaultPlan / util::FaultInjector: plan-grammar parsing (valid specs,
-// every malformed shape), scoped arming/disarming with the single-injector
-// invariant, and the per-kind injection-point queries the runtime consults.
+// every malformed shape, seeded mutations of valid plans and random bytes),
+// scoped arming/disarming with the single-injector invariant, and the
+// per-kind injection-point queries the runtime consults.
 #include "util/fault.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
+#include <exception>
 #include <stdexcept>
+#include <string>
+#include <string_view>
+
+#include "util/rng.hpp"
 
 namespace hetopt::util {
 namespace {
@@ -90,6 +98,82 @@ TEST(FaultPlanTest, ToStringRoundTripsThroughParse) {
     EXPECT_EQ(again.faults[i].chunk, plan.faults[i].chunk) << i;
     EXPECT_EQ(again.faults[i].times, plan.faults[i].times) << i;
     EXPECT_DOUBLE_EQ(again.faults[i].factor, plan.faults[i].factor) << i;
+  }
+}
+
+// --- Plan parsing under seeded fuzzing -------------------------------------
+
+/// Parses `spec` and reports how it ended: "" when it parsed into a plan
+/// whose every factor is finite and positive, "invalid_argument" when it
+/// threw that, and the exception or broken invariant otherwise.
+std::string parse_outcome(const std::string& spec) {
+  try {
+    const FaultPlan plan = FaultPlan::parse(spec);
+    for (const Fault& fault : plan.faults) {
+      if (!(fault.factor > 0.0 && std::isfinite(fault.factor))) return "factor out of range";
+    }
+    return "";
+  } catch (const std::invalid_argument&) {
+    return "invalid_argument";
+  } catch (const std::exception& e) {
+    return std::string("other exception: ") + e.what();
+  }
+}
+
+constexpr std::array<std::string_view, 6> kValidPlans = {
+    "pool-death:pool=2; pool-stall:pool=1",
+    "chunk-throw:chunk=5,times=3; chunk-slow:chunk=7,factor=4.5",
+    "worker-throw:after=10,times=2; measure-fail:after=1,times=4",
+    "measure-noise:repeat=2,factor=100; probe",
+    "  pool-death : pool = 3  ; ; chunk-slow: chunk=1 , factor=2 ;",
+    "chunk-slow:chunk=18446744073709551615,factor=1e308",
+};
+
+/// Bytes the mutator favours: the grammar's separators, digits, the
+/// letters of its kinds and keys, number syntax and whitespace.
+constexpr std::string_view kPlanBytes = ":;,= -.+e0123456789pooldeathchunkslwrfimsuve\t\n";
+
+TEST(FaultPlanTest, MutatedPlansParseOrThrowInvalidArgument) {
+  Xoshiro256 rng(0xFA017ULL);
+  for (int i = 0; i < 20000; ++i) {
+    std::string spec(kValidPlans[rng.bounded(kValidPlans.size())]);
+    const auto edits = 1 + rng.bounded(4);
+    for (std::uint64_t e = 0; e < edits; ++e) {
+      const std::size_t at = rng.bounded(spec.size() + 1);
+      const char byte = rng.bernoulli(0.8) ? kPlanBytes[rng.bounded(kPlanBytes.size())]
+                                           : static_cast<char>(rng.bounded(256));
+      switch (rng.bounded(4)) {
+        case 0:  // insert
+          spec.insert(at, 1, byte);
+          break;
+        case 1:  // delete
+          if (at < spec.size()) spec.erase(at, 1);
+          break;
+        case 2:  // overwrite
+          if (at < spec.size()) spec[at] = byte;
+          break;
+        default:  // duplicate a slice
+          spec.insert(at, spec.substr(rng.bounded(spec.size() + 1), rng.bounded(12)));
+          break;
+      }
+    }
+    const std::string outcome = parse_outcome(spec);
+    ASSERT_TRUE(outcome.empty() || outcome == "invalid_argument")
+        << outcome << " for '" << spec << "'";
+  }
+}
+
+TEST(FaultPlanTest, RandomBytesParseOrThrowInvalidArgument) {
+  Xoshiro256 rng(0xB17E5ULL);
+  for (int i = 0; i < 20000; ++i) {
+    std::string spec(rng.bounded(48), '\0');
+    for (char& c : spec) {
+      c = rng.bernoulli(0.5) ? kPlanBytes[rng.bounded(kPlanBytes.size())]
+                             : static_cast<char>(rng.bounded(256));
+    }
+    const std::string outcome = parse_outcome(spec);
+    ASSERT_TRUE(outcome.empty() || outcome == "invalid_argument")
+        << outcome << " for '" << spec << "'";
   }
 }
 

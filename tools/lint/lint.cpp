@@ -49,9 +49,8 @@ const Layer* find_layer(std::string_view name) {
 // Scan-kernel translation units for the kernel-throw rule (basenames within
 // the automata layer). The SIMD kernel TUs inherit the same discipline: the
 // vector loops report invalid input through a flag, never a throw.
-constexpr std::array<std::string_view, 5> kKernelFiles = {
-    "compiled_dfa.cpp", "bitap.cpp", "simd_scalar.cpp", "simd_sse2.cpp",
-    "simd_avx2.cpp"};
+constexpr std::array<std::string_view, 4> kKernelFiles = {
+    "compiled_dfa.cpp", "bitap.cpp", "simd_scalar.cpp", "simd_avx2.cpp"};
 
 [[nodiscard]] bool is_ident_char(char c) noexcept {
   return (std::isalnum(static_cast<unsigned char>(c)) != 0) || c == '_';
