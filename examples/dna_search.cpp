@@ -10,9 +10,11 @@
 #include <algorithm>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "automata/regex.hpp"
 #include "core/hetopt.hpp"
 #include "util/cli.hpp"
 #include "util/timer.hpp"
@@ -32,6 +34,12 @@ int main(int argc, char** argv) {
       args.get("motif", std::string("TATAWAW")),   // TATA box (IUPAC W = A/T)
       args.get("motif2", std::string("GGGCGG")),   // GC box (Sp1 site)
   };
+  try {
+    (void)automata::compile_motifs(motifs);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "dna_search: " << e.what() << '\n';
+    return 2;
+  }
 
   const dna::GenomeCatalog catalog;
   const dna::GenomeInfo& info = catalog.get(genome);

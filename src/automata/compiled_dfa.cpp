@@ -225,18 +225,6 @@ ScanResult CompiledDfa::count_paired(std::string_view text, StateId state) const
   return ScanResult{s, count};
 }
 
-void CompiledDfa::count_multi(const std::string_view* texts, const StateId* entries,
-                              ScanResult* results, std::size_t n) const {
-  for (std::size_t k = 0; k < n; ++k) check_entry(entries[k]);
-  for (std::size_t first = 0; first < n; first += kMaxStreams) {
-    const std::size_t m = std::min(kMaxStreams, n - first);
-    count_multi_batch(texts + first, entries + first, results + first, m);
-    for (std::size_t k = first; k < first + m; ++k) {
-      if (results[k].final_state == sink()) throw_invalid(texts[k]);
-    }
-  }
-}
-
 void CompiledDfa::count_multi_batch(const std::string_view* texts,
                                     const StateId* entries, ScanResult* results,
                                     std::size_t n) const noexcept {

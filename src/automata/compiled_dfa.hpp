@@ -21,21 +21,18 @@
 //                stay exact. Input bytes are translated to 2-bit codes block
 //                by block (validating each block up front).
 //
-//  multi-stream  count_multi() interleaves up to kMaxStreams independent
-//                scans in one loop. Each stream's next-state load depends
-//                only on its own chain, so K streams hide the L1/L2 load
-//                latency a single chain must eat serially — this is how one
-//                worker scans K chunks at far more than 1x speed.
-//
-//  split count   count() applies the same interleave *inside* one long input:
-//                on a bounded automaton (synchronization_bound() > 0) it cuts
-//                the text into up to kMaxStreams contiguous sub-streams and
-//                scans them through the multi-stream loop. Sub-stream 0 enters
-//                at the caller's state; every later one warms up from start()
-//                over the bound - 1 bytes before its cut (the PaREM warm-up,
-//                exact because those bytes lie inside the text). So a caller
+//  split count   on a bounded automaton (synchronization_bound() > 0)
+//                count() cuts one long input into up to kMaxStreams
+//                contiguous sub-streams and scans them interleaved in one
+//                loop. Each sub-stream's next-state load depends only on its
+//                own chain, so K streams hide the L1/L2 load latency a single
+//                chain must eat serially. Sub-stream 0 enters at the caller's
+//                state; every later one warms up from start() over the
+//                bound - 1 bytes before its cut (the PaREM warm-up, exact
+//                because those bytes lie inside the text). So a caller
 //                handing count() one big chunk per worker still gets K load
-//                chains in flight, with no stream bookkeeping of its own.
+//                chains in flight, with no stream bookkeeping of its own. An
+//                automaton whose bound is not set is scanned sequentially.
 //
 // Accept metadata lives in flat arrays indexed without bounds checks; the
 // constructor validates the automaton once (and throws std::invalid_argument
@@ -58,8 +55,7 @@ namespace hetopt::automata {
 
 class CompiledDfa {
  public:
-  /// Streams one interleaved count_multi() loop carries at once; callers may
-  /// pass any stream count, which is processed in batches of this width.
+  /// Most sub-streams count() interleaves in one loop.
   static constexpr std::size_t kMaxStreams = 8;
 
   /// An empty, unusable kernel (every scan throws); exists so owners can
@@ -93,9 +89,10 @@ class CompiledDfa {
   [[nodiscard]] ScanResult count(std::string_view text, StateId state) const;
 
   /// Sub-streams count() scans an input of `bytes` bytes as: 1 (no split)
-  /// for unbounded automata and short inputs, else bytes / kSplitMinBytes
-  /// capped at kMaxStreams (sub-streams are also at least 8x the warm-up
-  /// lead, so long motifs never spend most of a sub-stream warming up).
+  /// for an automaton whose bound is not set and for short inputs, else
+  /// bytes / kSplitMinBytes capped at kMaxStreams (sub-streams are also at
+  /// least 8x the warm-up lead, so long motifs never spend most of a
+  /// sub-stream warming up).
   [[nodiscard]] std::size_t split_streams(std::size_t bytes) const noexcept;
 
   /// Smallest sub-stream count() cuts (4 KiB, so any input of at least
@@ -110,14 +107,6 @@ class CompiledDfa {
   /// The 2-bases-per-step paired kernel. Exposed for benchmarks and tests.
   [[nodiscard]] ScanResult count_paired(std::string_view text, StateId state) const;
 
-  /// Scans `n` independent (texts[i], entries[i]) streams, interleaving up to
-  /// kMaxStreams of them per loop to hide load latency; results[i] receives
-  /// what count() would return for stream i. Invalid input is reported per
-  /// batch of kMaxStreams: the lowest-index failing stream of the batch
-  /// throws (its first bad byte) and the remaining results are discarded.
-  void count_multi(const std::string_view* texts, const StateId* entries,
-                   ScanResult* results, std::size_t n) const;
-
   /// Fused match collection: same events as scan_collect_naive (end offsets
   /// shifted by `base_offset`), appended to `out`.
   [[nodiscard]] ScanResult collect(std::string_view text, StateId state,
@@ -126,9 +115,10 @@ class CompiledDfa {
 
  private:
   void check_entry(StateId state) const;
-  /// The interleave loop for n <= kMaxStreams streams. Unchecked and
-  /// throw-free: entries may be any state including the sink, and a stream
-  /// over invalid input simply ends in the sink.
+  /// The interleave loop for n <= kMaxStreams independent (texts[i],
+  /// entries[i]) streams; results[i] receives stream i's final state and
+  /// count. Unchecked and throw-free: entries may be any state including the
+  /// sink, and a stream over invalid input simply ends in the sink.
   void count_multi_batch(const std::string_view* texts, const StateId* entries,
                          ScanResult* results, std::size_t n) const noexcept;
   /// count()'s split path over `streams` >= 2 sub-streams.

@@ -51,11 +51,11 @@ class DenseDfa {
     return accept_count_[s];
   }
 
-  /// Longest motif this automaton matches (0 = unknown, e.g. for automata
-  /// with unbounded patterns). A scan warmed up from start() over the
-  /// previous `synchronization_bound() - 1` input bytes counts every later
-  /// position exactly — the PaREM warm-up every chunked path uses (see
-  /// match_engine.hpp).
+  /// Longest motif this automaton matches; 0 means "not set". A scan warmed
+  /// up from start() over the previous `synchronization_bound() - 1` input
+  /// bytes counts every later position exactly — the PaREM warm-up every
+  /// chunked path uses (see match_engine.hpp). The match engines reject an
+  /// automaton whose bound is not set; CompiledDfa scans it sequentially.
   void set_synchronization_bound(std::size_t n) noexcept { sync_bound_ = n; }
   [[nodiscard]] std::size_t synchronization_bound() const noexcept { return sync_bound_; }
 

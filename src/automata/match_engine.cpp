@@ -13,14 +13,17 @@ namespace hetopt::automata {
 
 // --- DenseDfaEngine ---------------------------------------------------------
 
-DenseDfaEngine::DenseDfaEngine(DenseDfa dfa) : dfa_(std::move(dfa)), kernel_(dfa_) {}
+DenseDfaEngine::DenseDfaEngine(DenseDfa dfa) : dfa_(std::move(dfa)) {
+  if (dfa_.synchronization_bound() == 0) {
+    throw std::invalid_argument(
+        "DenseDfaEngine: the automaton's synchronization bound is not set; "
+        "chunked scans warm up over it");
+  }
+  kernel_ = CompiledDfa(dfa_);
+}
 
 StateId DenseDfaEngine::entry_state(std::string_view text, std::size_t begin) const {
-  if (begin == 0) return kernel_.start();
-  // Bounded automata synchronize within bound-1 bytes; unbounded ones must
-  // replay the whole prefix (begin bytes) to derive the true entry state.
-  const std::size_t bound = dfa_.synchronization_bound();
-  const std::size_t lead = bound > 0 ? std::min(bound - 1, begin) : begin;
+  const std::size_t lead = std::min(dfa_.synchronization_bound() - 1, begin);
   if (lead == 0) return kernel_.start();
   return kernel_.count(text.substr(begin - lead, lead), kernel_.start()).final_state;
 }

@@ -12,10 +12,10 @@
 // occurrences whose end positions lie in (begin, end], and the engine may
 // read up to synchronization_bound()-1 bytes *before* begin to warm up —
 // exactly the PaREM warm-up protocol, so chunked scans stay exact for motifs
-// spanning chunk boundaries. Engines without a DFA behind them must declare a
-// positive synchronization bound; DFA-backed engines additionally expose the
-// automaton + lowered kernel, which ParallelMatcher's speculative waves scan
-// on when the automaton has no bound.
+// spanning chunk boundaries. The warm-up is the only way any scan enters a
+// chunk, so every engine has a positive bound: DenseDfaEngine rejects an
+// automaton whose bound is not set, and ParallelMatcher and
+// HeterogeneousExecutor reject any other engine without one.
 //
 // lower()/try_lower() build the right engine for a motif set; engine_gap()
 // reports applicability (bitap-simd needs <= 64 summed pattern bits and no
@@ -41,9 +41,8 @@ class MatchEngine {
   [[nodiscard]] virtual EngineKind kind() const noexcept = 0;
   [[nodiscard]] std::string_view name() const noexcept { return to_string(kind()); }
 
-  /// Longest motif the engine matches: any scan state is fully determined by
-  /// the previous synchronization_bound()-1 input bytes. 0 = unknown
-  /// (unbounded patterns), allowed only for DFA-backed engines.
+  /// Longest motif the engine matches, at least 1: any scan state is fully
+  /// determined by the previous synchronization_bound()-1 input bytes.
   [[nodiscard]] virtual std::size_t synchronization_bound() const noexcept = 0;
   [[nodiscard]] virtual std::size_t pattern_count() const noexcept = 0;
 
@@ -69,10 +68,10 @@ class MatchEngine {
     return collect_chunk(text, 0, text.size(), out);
   }
 
-  /// DFA-backed engines expose their automaton and lowered kernel (the
-  /// chunk-parallel matcher's speculative waves scan on it when the
-  /// automaton has no bound); generic engines return nullptr. Every chunked
-  /// scan of a bounded engine goes through the chunk-aware interface above.
+  /// DFA-backed engines expose their automaton (the executor's degraded
+  /// rescans run the naive scanner on it) and lowered kernel; generic
+  /// engines return nullptr. Every chunked scan goes through the chunk-aware
+  /// interface above.
   [[nodiscard]] virtual const DenseDfa* dfa() const noexcept { return nullptr; }
   [[nodiscard]] virtual const CompiledDfa* kernel() const noexcept { return nullptr; }
 };
@@ -81,7 +80,8 @@ class MatchEngine {
 /// at construction.
 class DenseDfaEngine final : public MatchEngine {
  public:
-  /// Takes ownership of `dfa`; validates and lowers once.
+  /// Takes ownership of `dfa`; validates and lowers once. Throws
+  /// std::invalid_argument when it is corrupt or its bound is not set.
   explicit DenseDfaEngine(DenseDfa dfa);
 
   [[nodiscard]] EngineKind kind() const noexcept override {
@@ -104,7 +104,8 @@ class DenseDfaEngine final : public MatchEngine {
   [[nodiscard]] const CompiledDfa* kernel() const noexcept override { return &kernel_; }
 
  private:
-  /// The entry state for a chunk starting at `begin` (warm-up scan).
+  /// The entry state for a chunk starting at `begin`: a scan from start()
+  /// over the bound - 1 bytes before it.
   [[nodiscard]] StateId entry_state(std::string_view text, std::size_t begin) const;
 
   DenseDfa dfa_;

@@ -2,30 +2,22 @@
 // automata::MatchEngine. The input is cut into chunks; the difficulty is that
 // a chunk's correct entry state depends on all preceding text.
 //
-// On an engine with a synchronization bound L (the longest motif) the scan
+// Every engine has a synchronization bound L (the longest motif): the scan
 // state at any position is fully determined by the previous L-1 bytes, so
 // count_chunk/collect_chunk warm up over the bytes before a chunk and count
-// only inside it: the PaREM warm-up protocol. Every chunk is independent, and
-// one ticket loop scans them all, counting and collecting, under every
-// schedule. Only the ticket order varies: static hands each worker a
-// contiguous group of tickets, the demand-driven schedules pull them from a
-// ChunkQueue. Interleaving load chains is the kernel's job:
-// CompiledDfa::count() splits every long chunk into warmed sub-streams.
-//
-// An engine with no bound (regex '*'/'+') cannot warm up, so the matcher runs
-// speculative waves on its compiled DFA instead, statically. Phase 1 scans
-// every chunk from the start state in parallel (a guess) and records exit
-// states. Phase 2 propagates true entry states and re-scans mispredicted
-// chunks in parallel waves until the propagation settles; motif automata
-// synchronize quickly, so the first wave is usually empty. Counting
-// interleaves the chunks one worker would scan serially through count_multi.
-// The automaton chooses between the two paths; there is no option.
+// only inside it: the PaREM warm-up protocol, and the only way a scan enters
+// a chunk. Every chunk is independent, and one ticket loop scans them all,
+// counting and collecting, under every schedule. Only the ticket order
+// varies: static hands each worker a contiguous group of tickets, the
+// demand-driven schedules pull them from a ChunkQueue. Interleaving load
+// chains is the kernel's job: CompiledDfa::count() splits every long chunk
+// into warmed sub-streams.
 //
 // The matcher scans one in-memory text on one pool. Fleet scans — several
 // pools, and every paged (out-of-core) scan — run in
 // core::HeterogeneousExecutor's chunk-ticket loop instead.
 //
-// Both paths are byte-identical to a sequential scan (property-tested). A
+// Every scan is byte-identical to a sequential scan (property-tested). A
 // matcher reuses per-chunk scratch buffers across runs and must therefore
 // not be used from two threads concurrently (distinct matchers sharing a
 // pool are fine).
@@ -39,7 +31,6 @@
 
 #include "automata/dense_dfa.hpp"
 #include "automata/match_engine.hpp"
-#include "automata/scanner.hpp"
 #include "parallel/partitioner.hpp"
 #include "parallel/schedule.hpp"
 #include "parallel/thread_pool.hpp"
@@ -50,19 +41,17 @@ namespace hetopt::automata {
 struct ParallelScanStats {
   std::uint64_t match_count = 0;
   std::size_t chunks = 0;
-  std::size_t rescanned_chunks = 0;  // speculative only (rescans summed over waves)
 };
 
 class ParallelMatcher {
  public:
-  /// Validates the automaton (throws std::invalid_argument otherwise) and
-  /// scans through an owned DenseDfaEngine copy of it. The pool must outlive
-  /// the matcher.
+  /// Validates the automaton (throws std::invalid_argument when it is
+  /// corrupt or its synchronization bound is not set) and scans through an
+  /// owned DenseDfaEngine copy of it. The pool must outlive the matcher.
   ParallelMatcher(const DenseDfa& dfa, parallel::ThreadPool& pool);
 
-  /// Borrows the engine and pool; both must outlive the matcher. An engine
-  /// without a synchronization bound needs a compiled DFA for the
-  /// speculative waves (throws std::invalid_argument otherwise).
+  /// Borrows the engine and pool; both must outlive the matcher. Throws
+  /// std::invalid_argument when the engine has no synchronization bound.
   ParallelMatcher(const MatchEngine& engine, parallel::ThreadPool& pool);
 
   ParallelMatcher(const ParallelMatcher&) = delete;
@@ -70,9 +59,8 @@ class ParallelMatcher {
 
   /// Counts occurrences in `text` using `chunks` parallel chunks, dealt to
   /// the workers by `schedule` (parallel/schedule.hpp; kGuided reads
-  /// `chunks` as the tail-granularity hint). An unbounded engine scans
-  /// statically whatever the schedule. A single chunk is scanned on the
-  /// calling thread unless the pool's workers are pinned.
+  /// `chunks` as the tail-granularity hint). A single chunk is scanned on
+  /// the calling thread unless the pool's workers are pinned.
   [[nodiscard]] ParallelScanStats count(
       std::string_view text, std::size_t chunks,
       parallel::SchedulePolicy schedule = parallel::SchedulePolicy::kStatic) const;
@@ -84,7 +72,7 @@ class ParallelMatcher {
 
  private:
   struct ChunkResult {
-    ScanResult scan;
+    std::uint64_t match_count = 0;
     std::vector<Match> matches;
   };
   /// One chunk scan: ticket `i`.
@@ -93,11 +81,6 @@ class ParallelMatcher {
   [[nodiscard]] ParallelScanStats run(std::string_view text, std::size_t chunks,
                                       parallel::SchedulePolicy schedule,
                                       std::vector<Match>* out) const;
-  /// The phase 1/phase 2 waves for engines without a synchronization bound;
-  /// returns the rescans summed over waves.
-  [[nodiscard]] std::size_t run_speculative(std::string_view text,
-                                            const std::vector<parallel::Chunk>& ranges,
-                                            bool collect) const;
   /// The ticket loop: runs scan(i) for every ticket i in [0, n).
   /// kStatic hands each worker a contiguous group of tickets, every other
   /// schedule pulls them from a ChunkQueue. A lone ticket runs on the

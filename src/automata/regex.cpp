@@ -2,24 +2,21 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string_view>
 
 namespace hetopt::automata {
 
 namespace {
 
 /// An NFA fragment under construction: entry state and a single exit state
-/// (Thompson construction keeps one of each by inserting epsilons).
+/// (Thompson construction keeps one of each by inserting epsilons), plus the
+/// shortest and longest match it spans.
 struct Fragment {
   StateId entry = kInvalidState;
   StateId exit = kInvalidState;
-  LengthRange len;
+  std::size_t min_len = 0;
+  std::size_t max_len = 0;
 };
-
-constexpr std::size_t kUnb = LengthRange::kUnbounded;
-
-[[nodiscard]] std::size_t add_len(std::size_t a, std::size_t b) noexcept {
-  return (a == kUnb || b == kUnb) ? kUnb : a + b;
-}
 
 class Parser {
  public:
@@ -45,22 +42,18 @@ class Parser {
     Fragment first = parse_term();
     if (eof() || peek() != '|') return first;
     // Alternation: fresh entry/exit with epsilons to/from each branch.
-    const StateId entry = nfa_.add_state();
-    const StateId exit = nfa_.add_state();
-    nfa_.add_epsilon(entry, first.entry);
-    nfa_.add_epsilon(first.exit, exit);
-    LengthRange len = first.len;
+    Fragment alt{nfa_.add_state(), nfa_.add_state(), first.min_len, first.max_len};
+    nfa_.add_epsilon(alt.entry, first.entry);
+    nfa_.add_epsilon(first.exit, alt.exit);
     while (!eof() && peek() == '|') {
       ++pos_;
-      Fragment branch = parse_term();
-      nfa_.add_epsilon(entry, branch.entry);
-      nfa_.add_epsilon(branch.exit, exit);
-      len.min_len = std::min(len.min_len, branch.len.min_len);
-      len.max_len = (len.max_len == kUnb || branch.len.max_len == kUnb)
-                        ? kUnb
-                        : std::max(len.max_len, branch.len.max_len);
+      const Fragment branch = parse_term();
+      nfa_.add_epsilon(alt.entry, branch.entry);
+      nfa_.add_epsilon(branch.exit, alt.exit);
+      alt.min_len = std::min(alt.min_len, branch.min_len);
+      alt.max_len = std::max(alt.max_len, branch.max_len);
     }
-    return Fragment{entry, exit, len};
+    return alt;
   }
 
   Fragment parse_term() {
@@ -68,13 +61,12 @@ class Parser {
     Fragment acc;
     acc.entry = nfa_.add_state();
     acc.exit = acc.entry;
-    acc.len = LengthRange{0, 0};
     while (!eof() && peek() != '|' && peek() != ')') {
-      Fragment f = parse_factor();
+      const Fragment f = parse_factor();
       nfa_.add_epsilon(acc.exit, f.entry);
       acc.exit = f.exit;
-      acc.len.min_len = add_len(acc.len.min_len, f.len.min_len);
-      acc.len.max_len = add_len(acc.len.max_len, f.len.max_len);
+      acc.min_len += f.min_len;
+      acc.max_len += f.max_len;
     }
     return acc;
   }
@@ -82,48 +74,48 @@ class Parser {
   Fragment parse_factor() {
     Fragment atom = parse_atom();
     if (eof()) return atom;
-    const char op = peek();
-    if (op != '?' && op != '*' && op != '+') return atom;
+    if (peek() == '*' || peek() == '+') {
+      fail(std::string("unbounded repetition '") + peek() + "' is not supported");
+    }
+    if (peek() != '?') return atom;
     ++pos_;
-    const StateId entry = nfa_.add_state();
-    const StateId exit = nfa_.add_state();
-    nfa_.add_epsilon(entry, atom.entry);
-    nfa_.add_epsilon(atom.exit, exit);
-    LengthRange len = atom.len;
-    if (op == '?' || op == '*') {
-      nfa_.add_epsilon(entry, exit);
-      len.min_len = 0;
-    }
-    if (op == '*' || op == '+') {
-      nfa_.add_epsilon(atom.exit, atom.entry);
-      len.max_len = (atom.len.max_len == 0) ? 0 : kUnb;
-    }
-    return Fragment{entry, exit, len};
+    const Fragment opt{nfa_.add_state(), nfa_.add_state(), 0, atom.max_len};
+    nfa_.add_epsilon(opt.entry, atom.entry);
+    nfa_.add_epsilon(atom.exit, opt.exit);
+    nfa_.add_epsilon(opt.entry, opt.exit);
+    return opt;
   }
 
   Fragment parse_atom() {
     if (eof()) fail("expected atom");
     const char c = peek();
     if (c == '(') {
+      if (depth_ == kMaxMotifNesting) {
+        fail("groups nested deeper than " + std::to_string(kMaxMotifNesting));
+      }
       ++pos_;
+      ++depth_;
       Fragment inner = parse_expr();
       if (eof() || peek() != ')') fail("missing ')'");
       ++pos_;
+      --depth_;
       return inner;
     }
-    if (c == ')' || c == '|' || c == '?' || c == '*' || c == '+') fail("unexpected operator");
+    if (c == ')' || c == '|' || c == '?' || c == '*' || c == '+') {
+      fail(std::string("unexpected operator '") + c + "'");
+    }
     const auto cls = dna::iupac_from_char(c);
     if (!cls) fail("invalid IUPAC character '" + std::string(1, c) + "'");
     ++pos_;
-    const StateId entry = nfa_.add_state();
-    const StateId exit = nfa_.add_state();
-    nfa_.add_transition(entry, *cls, exit);
-    return Fragment{entry, exit, LengthRange{1, 1}};
+    const Fragment f{nfa_.add_state(), nfa_.add_state(), 1, 1};
+    nfa_.add_transition(f.entry, *cls, f.exit);
+    return f;
   }
 
   std::string_view pattern_;
   Nfa& nfa_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // open groups around pos_
 };
 
 }  // namespace
@@ -142,26 +134,18 @@ CompiledMotifs compile_motifs(const std::vector<std::string>& patterns) {
   nfa.set_start(start);
   nfa.add_transition(start, dna::BaseSet::all(), start);
 
-  std::size_t sync = 0;
-  bool bounded = true;
   for (std::size_t i = 0; i < patterns.size(); ++i) {
     Parser parser(patterns[i], nfa);
     const Fragment frag = parser.parse();
-    if (frag.len.min_len == 0) {
+    if (frag.min_len == 0) {
       throw std::invalid_argument("motif '" + patterns[i] +
                                   "': may match the empty string, which is not a "
                                   "meaningful motif");
     }
     nfa.add_epsilon(start, frag.entry);
     nfa.set_accepting(frag.exit, i);
-    out.lengths.push_back(frag.len);
-    if (frag.len.max_len == LengthRange::kUnbounded) {
-      bounded = false;
-    } else {
-      sync = std::max(sync, frag.len.max_len);
-    }
+    out.synchronization_bound = std::max(out.synchronization_bound, frag.max_len);
   }
-  out.synchronization_bound = bounded ? sync : 0;
   return out;
 }
 

@@ -1,33 +1,31 @@
 // Compiler from a motif expression language to a Thompson NFA.
 //
 // The language is a regex subset over IUPAC nucleotide classes, sufficient
-// for the motif searches the paper's DNA application performs (PaREM is a
-// "parallel regular expression matching" engine):
+// for the fixed-length motif searches the paper's DNA application performs
+// (PaREM is a "parallel regular expression matching" engine):
 //
 //   expr    := term ('|' term)*
 //   term    := factor*
-//   factor  := atom ('?' | '*' | '+')?
+//   factor  := atom '?'?
 //   atom    := IUPAC-char | '(' expr ')'
 //
-// Examples: "TATAWAW", "GGG(ACG)?TTT", "GC(N)*GC", "CCWGG|GGWCC".
+// Examples: "TATAWAW", "GGG(ACG)?TTT", "GC(N|NN)GC", "CCWGG|GGWCC".
+//
+// There is no '*' or '+': every pattern has a longest match, so every motif
+// set has a positive synchronization bound.
 #pragma once
 
 #include <cstddef>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "automata/nfa.hpp"
 
 namespace hetopt::automata {
 
-/// Length metadata of a compiled expression: [min_len, max_len]; max_len of
-/// SIZE_MAX means unbounded ('*' or '+' present).
-struct LengthRange {
-  std::size_t min_len = 0;
-  std::size_t max_len = 0;
-  static constexpr std::size_t kUnbounded = static_cast<std::size_t>(-1);
-};
+/// Deepest group nesting a motif may use. Real motifs nest a few levels;
+/// the cap keeps the recursive-descent parser's stack bounded.
+inline constexpr std::size_t kMaxMotifNesting = 256;
 
 /// A set of motif patterns compiled into one NFA that recognizes
 /// "Σ* (p_0 | ... | p_{k-1})", with accepting states tagged by pattern index.
@@ -35,14 +33,15 @@ struct LengthRange {
 /// which patterns end there.
 struct CompiledMotifs {
   Nfa nfa;
-  std::vector<LengthRange> lengths;  // per pattern
-  /// Longest bounded pattern, or 0 when any pattern is unbounded. This is the
-  /// synchronization bound used by the chunk-parallel matcher.
+  /// Longest match of any pattern (at least 1): the synchronization bound
+  /// every chunked scan warms up over.
   std::size_t synchronization_bound = 0;
 };
 
 /// Compiles the given motif expressions (at most kMaxPatterns). Throws
-/// std::invalid_argument with a position-annotated message on syntax errors.
+/// std::invalid_argument with a position-annotated message on syntax errors,
+/// on '*' or '+', on nesting deeper than kMaxMotifNesting, and on a pattern
+/// that matches the empty string.
 [[nodiscard]] CompiledMotifs compile_motifs(const std::vector<std::string>& patterns);
 
 }  // namespace hetopt::automata

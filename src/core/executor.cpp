@@ -56,11 +56,6 @@ constexpr std::size_t kMaxChunkAttempts = 3;
 /// hold a pin at once.
 void check_paged(const dna::PagedGenome& genome, std::size_t sync_bound,
                  std::size_t workers) {
-  if (sync_bound == 0) {
-    throw std::invalid_argument(
-        "HeterogeneousExecutor: paged scanning needs a synchronization bound "
-        "(per-chunk warm-up out of the page halo); unbounded automata cannot stream");
-  }
   const std::size_t halo = genome.options().halo_bytes;
   if (halo < sync_bound - 1) {
     throw std::invalid_argument(
@@ -336,12 +331,12 @@ void HeterogeneousExecutor::build_fleet(std::vector<PoolSpec> pools) {
   if (pools.empty()) {
     throw std::invalid_argument("HeterogeneousExecutor: at least one pool required");
   }
-  // An unbounded engine enters each chunk by replaying the text before it,
-  // which is exact only on a DFA.
-  if (engine_->synchronization_bound() == 0 && engine_->kernel() == nullptr) {
+  // Every chunk scan enters its chunk by warming up over the bound - 1 bytes
+  // before it.
+  if (engine_->synchronization_bound() == 0) {
     throw std::invalid_argument("HeterogeneousExecutor: engine '" +
                                 std::string(engine_->name()) +
-                                "' has no synchronization bound and no DFA; "
+                                "' has no synchronization bound; "
                                 "chunked scanning would be inexact");
   }
   for (const PoolSpec& spec : pools) {
@@ -434,18 +429,12 @@ ExecutionReport HeterogeneousExecutor::run_chunks(std::string_view text,
       spans.push_back({begin, begin + genome->page_payload_bytes(p)});
     }
   }
-  // Without a synchronization bound a chunk cannot warm up on its own lead:
-  // the run is static with one chunk per pool, and count_chunk replays the
-  // whole prefix to enter each segment exactly.
-  if (sync_bound == 0) schedule = parallel::SchedulePolicy::kStatic;
   const bool is_static = schedule == parallel::SchedulePolicy::kStatic;
-  // The recovery policy is on only while an armed plan exercises it. Its
-  // naive fallback warms up per chunk (a positive bound) and the failed mask
-  // holds one bit per pool, so unbounded engines and >64-pool fleets run
-  // without it (no injection there).
+  // The recovery policy is on only while an armed plan exercises it. The
+  // failed mask holds one bit per pool, so >64-pool fleets run without it
+  // (no injection there).
   const util::FaultInjector* injector = util::FaultInjector::current();
-  const bool recover = injector != nullptr && injector->exercises_recovery() &&
-                       sync_bound > 0 && n <= 64;
+  const bool recover = injector != nullptr && injector->exercises_recovery() && n <= 64;
 
   ExecutionReport report;
   report.schedule = schedule;
@@ -456,10 +445,9 @@ ExecutionReport HeterogeneousExecutor::run_chunks(std::string_view text,
     return report;
   }
 
-  std::vector<std::size_t> chunk_counts(n, 1);
+  std::vector<std::size_t> chunk_counts(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t workers = pools_[i]->thread_count();
-    if (sync_bound > 0) chunk_counts[i] = specs_[i].chunks > 0 ? specs_[i].chunks : workers;
+    chunk_counts[i] = specs_[i].chunks > 0 ? specs_[i].chunks : pools_[i]->thread_count();
   }
   const FleetLayout layout = build_layout(spans, bounds, chunk_counts, total_workers, schedule);
   const std::vector<parallel::Chunk>& chunks = layout.chunks;

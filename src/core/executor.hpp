@@ -26,12 +26,11 @@
 //             two-ended scheme at every segment.
 //
 // Every policy produces byte-identical match counts (each chunk scan warms
-// up over its own lead bytes); what changes is who scans what and when.
-// Engines with no synchronization bound cannot warm up, so they run static
-// with one chunk per pool, each pool entering its segment through
-// count_chunk's prefix replay (in memory only). ExecutionReport is the one
-// record of a run: per-pool matches, bytes, seconds, configured vs realized
-// shares and steal counts, plus an imbalance metric.
+// up over its own lead bytes, which is why the executor rejects an engine
+// without a synchronization bound); what changes is who scans what and
+// when. ExecutionReport is the one record of a run: per-pool matches,
+// bytes, seconds, configured vs realized shares and steal counts, plus an
+// imbalance metric.
 // core::RealWorkloadEvaluator hands the report of the run it measured on
 // whole inside its RealMeasurement.
 //
@@ -142,8 +141,7 @@ struct ExecutionReport {
 
   double total_seconds = 0.0;  // max over the pools (overlapped execution)
 
-  /// The schedule that actually ran (a requested demand-driven schedule
-  /// degrades to kStatic when the engine has no synchronization bound).
+  /// The schedule that ran.
   parallel::SchedulePolicy schedule = parallel::SchedulePolicy::kStatic;
   /// (slowest pool - fastest pool) / slowest pool, over the pools that
   /// scanned bytes; 0 when fewer than two pools worked. 0 = perfectly
@@ -191,12 +189,13 @@ class HeterogeneousExecutor {
   /// OMP_PROC_BIND / KMP_AFFINITY knobs on the live code path. Throws
   /// std::invalid_argument when `pools` is empty, a share is outside
   /// [0, 100], or a spec sets both affinity kinds. The automaton is copied
-  /// into an owned compiled-DFA engine.
+  /// into an owned compiled-DFA engine, which rejects an automaton whose
+  /// synchronization bound is not set.
   HeterogeneousExecutor(const automata::DenseDfa& dfa, std::vector<PoolSpec> pools);
 
   /// Engine-generic fleet construction; the engine must outlive the
-  /// executor. Engines without a DFA behind them must have a positive
-  /// synchronization bound (throws std::invalid_argument otherwise).
+  /// executor and have a positive synchronization bound (throws
+  /// std::invalid_argument otherwise).
   HeterogeneousExecutor(const automata::MatchEngine& engine, std::vector<PoolSpec> pools);
 
   /// Scans `text` across the whole fleet using the constructed
@@ -217,9 +216,8 @@ class HeterogeneousExecutor {
 
   /// Scans a paged (out-of-core) corpus across the whole fleet, streaming
   /// pages through the genome's bounded cache; the shares cut the page range
-  /// (cuts land on page seams). Requires an engine with a positive
-  /// synchronization bound, a genome halo of at least bound-1 bytes, and a
-  /// resident budget covering the fleet's total workers (throws
+  /// (cuts land on page seams). Requires a genome halo of at least bound-1
+  /// bytes and a resident budget covering the fleet's total workers (throws
   /// std::invalid_argument otherwise). Counts are byte-identical to
   /// run_fleet over the same bytes (property-tested).
   [[nodiscard]] ExecutionReport run_fleet_paged(dna::PagedGenome& genome,

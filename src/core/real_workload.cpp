@@ -27,8 +27,8 @@ constexpr std::size_t kMeasureRetryBudget = 2;
 
 /// One concrete ACGT instantiation of an IUPAC motif (first base of every
 /// ambiguity class), used to plant findable copies into the genome. Regex
-/// operators ('?', '*', '+', '(', ')', '|') are skipped: planting works on
-/// the literal backbone and is best-effort anyway.
+/// operators ('?', '(', ')', '|') are skipped: planting works on the literal
+/// backbone and is best-effort anyway.
 [[nodiscard]] std::string instantiate_motif(std::string_view motif) {
   std::string out;
   out.reserve(motif.size());

@@ -1,5 +1,6 @@
 #include "util/cpu_features.hpp"
 
+#include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -11,6 +12,11 @@
 namespace hetopt::util {
 
 namespace {
+
+constexpr std::uint32_t kOsxsaveBit = 1u << 27;  // leaf 1 ECX
+constexpr std::uint32_t kAvxBit = 1u << 28;      // leaf 1 ECX
+constexpr std::uint32_t kAvx2Bit = 1u << 5;      // leaf 7 EBX
+constexpr std::uint64_t kXcr0SseAvx = 0b110;     // XMM (bit 1) and YMM (bit 2) state
 
 #if defined(HETOPT_CPUID_AVAILABLE)
 
@@ -36,16 +42,17 @@ std::string brand_string() {
 }
 
 CpuFeatures probe() {
-  CpuFeatures f;
   unsigned int eax = 0, ebx = 0, ecx = 0, edx = 0;
-  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) != 0) {
-    f.avx = (ecx & (1u << 28)) != 0;
+  const std::uint32_t leaf1_ecx = __get_cpuid(1, &eax, &ebx, &ecx, &edx) != 0 ? ecx : 0;
+  // Leaf 7 subleaf 0 (absent on old CPUs: __get_cpuid_count checks the max).
+  const std::uint32_t leaf7_ebx = __get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) != 0 ? ebx : 0;
+  // XCR0, the OS-enabled state bitmap: XGETBV faults unless OSXSAVE is set.
+  std::uint32_t xcr0_lo = 0, xcr0_hi = 0;
+  if ((leaf1_ecx & kOsxsaveBit) != 0) {
+    __asm__ volatile("xgetbv" : "=a"(xcr0_lo), "=d"(xcr0_hi) : "c"(0));
   }
-  // AVX2 lives in leaf 7 subleaf 0, EBX bit 5. AVX must also be OS-enabled;
-  // the CPUID OSXSAVE+AVX pair checked above is the standard proxy.
-  if (f.avx && __get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) != 0) {
-    f.avx2 = (ebx & (1u << 5)) != 0;
-  }
+  CpuFeatures f =
+      vector_features(leaf1_ecx, leaf7_ebx, (std::uint64_t{xcr0_hi} << 32) | xcr0_lo);
   f.model_name = brand_string();
   return f;
 }
@@ -57,6 +64,15 @@ CpuFeatures probe() { return CpuFeatures{}; }
 #endif
 
 }  // namespace
+
+CpuFeatures vector_features(std::uint32_t leaf1_ecx, std::uint32_t leaf7_ebx,
+                            std::uint64_t xcr0) {
+  CpuFeatures f;
+  f.avx = (leaf1_ecx & kAvxBit) != 0 && (leaf1_ecx & kOsxsaveBit) != 0 &&
+          (xcr0 & kXcr0SseAvx) == kXcr0SseAvx;
+  f.avx2 = f.avx && (leaf7_ebx & kAvx2Bit) != 0;
+  return f;
+}
 
 const CpuFeatures& cpu_features() {
   static const CpuFeatures features = probe();

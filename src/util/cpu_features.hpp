@@ -12,6 +12,7 @@
 // On non-x86 targets every feature probe reports false and only the scalar
 // level is available; the API shape is identical.
 
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -45,6 +46,14 @@ struct CpuFeatures {
   /// the leaves are unavailable), trimmed of padding.
   std::string model_name = "unknown";
 };
+
+/// The AVX/AVX2 decision from raw probe words; the model name stays
+/// "unknown". AVX needs the CPU bit (CPUID leaf 1 ECX bit 28), OSXSAVE (ECX
+/// bit 27) and an OS that saves XMM and YMM state (`xcr0` bits 1 and 2);
+/// AVX2 needs AVX plus leaf 7 EBX bit 5. `xcr0` is read only when OSXSAVE is
+/// set (pass 0 otherwise).
+[[nodiscard]] CpuFeatures vector_features(std::uint32_t leaf1_ecx, std::uint32_t leaf7_ebx,
+                                          std::uint64_t xcr0);
 
 /// The cached CPUID probe of the running machine. The probe runs once; the
 /// result never changes for the life of the process.

@@ -1,9 +1,9 @@
 // Property tests for the compiled scan kernels: every fast path — byte-fused,
-// paired 2-bases-per-step, multi-stream interleaved, and the kernel-backed
-// ParallelMatcher modes — must be byte-identical to the seed per-byte scanner
-// loops (scan_count_naive / scan_collect_naive): counts, collected matches,
-// final states, and invalid-byte errors. That includes count()'s split path,
-// which scans long inputs on bounded automata as warmed sub-streams.
+// paired 2-bases-per-step, and the kernel-backed ParallelMatcher — must be
+// byte-identical to the seed per-byte scanner loops (scan_count_naive /
+// scan_collect_naive): counts, collected matches, final states, and
+// invalid-byte errors. That includes count()'s split path, which scans long
+// inputs on bounded automata as warmed sub-streams interleaved in one loop.
 #include "automata/compiled_dfa.hpp"
 
 #include <gtest/gtest.h>
@@ -25,7 +25,8 @@ namespace hetopt::automata {
 namespace {
 
 /// A random (valid) automaton: arbitrary transitions, sparse accepts, random
-/// start. No synchronization bound, so the matcher runs its speculative waves.
+/// start. Its synchronization bound is not set: CompiledDfa scans it without
+/// splitting, and the match engines reject it.
 DenseDfa random_dfa(std::mt19937_64& rng, std::uint32_t states) {
   DenseDfa dfa(states);
   std::uniform_int_distribution<std::uint32_t> pick_state(0, states - 1);
@@ -74,29 +75,6 @@ TEST(CompiledDfa, CountKernelsMatchNaiveOnRandomAutomata) {
   }
 }
 
-TEST(CompiledDfa, MultiStreamMatchesPerStreamScans) {
-  std::mt19937_64 rng(11);
-  const DenseDfa dfa = random_dfa(rng, 23);
-  const CompiledDfa compiled(dfa);
-  // 13 streams of uneven lengths (> kMaxStreams, so batching kicks in),
-  // including empty ones.
-  std::vector<std::string> texts;
-  std::vector<std::string_view> views;
-  std::vector<StateId> entries;
-  for (std::size_t k = 0; k < 13; ++k) {
-    texts.push_back(random_text(rng, (k % 3 == 0) ? 0 : 100 + 997 * k));
-    entries.push_back(static_cast<StateId>(rng() % 23));
-  }
-  for (const std::string& t : texts) views.push_back(t);
-  std::vector<ScanResult> results(texts.size());
-  compiled.count_multi(views.data(), entries.data(), results.data(), texts.size());
-  for (std::size_t k = 0; k < texts.size(); ++k) {
-    const ScanResult expect = scan_count_naive(dfa, texts[k], entries[k]);
-    EXPECT_EQ(results[k].final_state, expect.final_state) << "stream " << k;
-    EXPECT_EQ(results[k].match_count, expect.match_count) << "stream " << k;
-  }
-}
-
 TEST(CompiledDfa, CollectMatchesNaiveEventsAndOffsets) {
   std::mt19937_64 rng(13);
   const DenseDfa dfa = build_aho_corasick({"ACG", "CGT", "TT", "acgtacgt"});
@@ -141,12 +119,6 @@ TEST(CompiledDfa, InvalidBytesThrowTheSeedScannerError) {
     expect_throw([&] { (void)compiled.count_fused(text, dfa.start()); });
     expect_throw([&] { (void)compiled.count_paired(text, dfa.start()); });
     expect_throw([&] { (void)scan_count(dfa, text, dfa.start()); });
-    expect_throw([&] {
-      const std::string_view view = text;
-      const StateId entry = dfa.start();
-      ScanResult result;
-      compiled.count_multi(&view, &entry, &result, 1);
-    });
     // Collect must leave exactly the seed scanner's partial output behind.
     std::vector<Match> expect_partial;
     EXPECT_THROW(
@@ -262,7 +234,7 @@ TEST(CompiledDfaSplit, StreamCountFollowsThresholdAndBound) {
     EXPECT_EQ(compiled.split_streams(4 * t), CompiledDfa::kMaxStreams);
     EXPECT_EQ(compiled.split_streams(100 * t), CompiledDfa::kMaxStreams);
   }
-  // Unbounded automata never split.
+  // An automaton whose bound is not set never splits.
   const CompiledDfa unbounded(random_dfa(rng, 9));
   EXPECT_EQ(unbounded.split_streams(std::size_t{1} << 30), 1u);
 }
@@ -374,7 +346,7 @@ TEST(CompiledDfaSplit, OneChunkPerWorkerMatcherStaysExact) {
   }
 }
 
-/// ParallelMatcher sweep: random + motif automata x chunk counts, counts
+/// ParallelMatcher sweep: motif + hand-built automata x chunk counts, counts
 /// and collected events vs sequential.
 struct KernelSweepParam {
   std::uint64_t seed;
@@ -388,14 +360,14 @@ TEST_P(KernelMatcherSweep, ParallelPathsEqualSequential) {
   std::mt19937_64 rng(seed);
   parallel::ThreadPool pool(3);
 
-  // One synchronizing motif automaton (exercises the warm-up path) and one
-  // random automaton with no bound (exercises the speculative wave rescans).
+  // A motif automaton and the hand-built shift register (random accepts and
+  // start state), both entered by the warm-up.
   const auto compiled_motifs = compile_motifs({"TATAWAW", "GGN?CC", "ACGT"});
   const DenseDfa motif_dfa =
       determinize(compiled_motifs.nfa, compiled_motifs.synchronization_bound);
-  const DenseDfa rand_dfa = random_dfa(rng, 11 + static_cast<std::uint32_t>(seed));
+  const DenseDfa shift_dfa = shift_register_dfa(rng);
 
-  for (const DenseDfa* dfa : {&motif_dfa, &rand_dfa}) {
+  for (const DenseDfa* dfa : {&motif_dfa, &shift_dfa}) {
     const std::string text = random_text(rng, 20000 + 137 * seed);
     const ScanResult expect = scan_count_naive(*dfa, text, dfa->start());
     std::vector<Match> expect_events;
@@ -416,24 +388,6 @@ INSTANTIATE_TEST_SUITE_P(
                       KernelSweepParam{2, 4}, KernelSweepParam{3, 7},
                       KernelSweepParam{4, 16}, KernelSweepParam{5, 33},
                       KernelSweepParam{6, 64}, KernelSweepParam{7, 12}));
-
-TEST(KernelMatcher, SpeculativeWaveRescanStaysExact) {
-  // Every chunk boundary sits mid-pattern, forcing rescans; the wave-parallel
-  // phase 2 must still produce the sequential answer and report the rescans.
-  // On 4 workers the chunk counts give waves of 1, 2 and 8 interleaved
-  // chunks per ticket.
-  parallel::ThreadPool pool(4);
-  const auto compiled = compile_motifs({"AAAAAAAA(A)*"});
-  const DenseDfa dfa = determinize(compiled.nfa, compiled.synchronization_bound);
-  ASSERT_EQ(dfa.synchronization_bound(), 0u);
-  const std::string text(64, 'A');
-  ParallelMatcher matcher(dfa, pool);
-  for (const std::size_t chunks : {4u, 8u, 32u}) {
-    const auto stats = matcher.count(text, chunks);
-    EXPECT_EQ(stats.match_count, 64u - 8u + 1u) << "chunks=" << chunks;
-    EXPECT_GT(stats.rescanned_chunks, 0u) << "chunks=" << chunks;
-  }
-}
 
 TEST(KernelMatcher, ScratchReuseAcrossRunsIsInvisible) {
   // Back-to-back runs of different shapes on one matcher must not leak state

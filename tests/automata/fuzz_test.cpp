@@ -24,17 +24,13 @@ std::string random_motif(util::Xoshiro256& rng, int depth) {
     return std::string(1, kAtoms[rng.bounded(11)]);
   };
   if (depth <= 0) return atom();
-  switch (rng.bounded(6)) {
+  switch (rng.bounded(4)) {
     case 0:  // concatenation
       return random_motif(rng, depth - 1) + random_motif(rng, depth - 1);
     case 1:  // alternation
       return "(" + random_motif(rng, depth - 1) + "|" + random_motif(rng, depth - 1) + ")";
     case 2:  // optional suffix after a required atom (stays non-empty)
       return atom() + "(" + random_motif(rng, depth - 1) + ")?";
-    case 3:  // plus
-      return "(" + random_motif(rng, depth - 1) + ")+";
-    case 4:  // star after a required atom (stays non-empty)
-      return atom() + "(" + random_motif(rng, depth - 1) + ")*";
     default:
       return atom();
   }

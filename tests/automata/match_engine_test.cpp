@@ -80,9 +80,11 @@ TEST(MatchEngine, LowerBuildsTheRightBackends) {
   EXPECT_NE(try_lower(EngineKind::kBitapSimd, iupac), nullptr);
 
   // Regex operators: compiled DFA only.
-  const std::vector<std::string> regex{"GC(N)*GC"};
+  const std::vector<std::string> regex{"GC(N|NN)?GC"};
   EXPECT_NE(try_lower(EngineKind::kCompiledDfa, regex), nullptr);
   EXPECT_EQ(try_lower(EngineKind::kBitapSimd, regex), nullptr);
+  // No engine scans an unbounded motif: the grammar rejects '*' and '+'.
+  EXPECT_THROW((void)lower(EngineKind::kCompiledDfa, {"GC(N)*GC"}), std::invalid_argument);
 
   // > 64 summed bits: no bitap, and the gap says why.
   const std::vector<std::string> wide{std::string(40, 'A'), std::string(30, 'C')};
@@ -220,19 +222,47 @@ TEST(MatchEngine, LowercaseInputIsDecodedByEveryEngine) {
   }
 }
 
-TEST(MatchEngine, ParallelMatcherRejectsUnboundedGenericEngines) {
-  // A generic (non-DFA) engine must declare a synchronization bound; bitap
-  // always has one, so construction through the engine path succeeds.
+/// A DFA-backed engine that reports no synchronization bound.
+class BoundlessEngine final : public MatchEngine {
+ public:
+  [[nodiscard]] EngineKind kind() const noexcept override { return inner_->kind(); }
+  [[nodiscard]] std::size_t synchronization_bound() const noexcept override { return 0; }
+  [[nodiscard]] std::size_t pattern_count() const noexcept override {
+    return inner_->pattern_count();
+  }
+  [[nodiscard]] std::uint64_t count_chunk(std::string_view text, std::size_t begin,
+                                          std::size_t end) const override {
+    return inner_->count_chunk(text, begin, end);
+  }
+  [[nodiscard]] std::uint64_t collect_chunk(std::string_view text, std::size_t begin,
+                                            std::size_t end,
+                                            std::vector<Match>& out) const override {
+    return inner_->collect_chunk(text, begin, end, out);
+  }
+  [[nodiscard]] const DenseDfa* dfa() const noexcept override { return inner_->dfa(); }
+  [[nodiscard]] const CompiledDfa* kernel() const noexcept override {
+    return inner_->kernel();
+  }
+
+ private:
+  std::unique_ptr<const MatchEngine> inner_ = lower(EngineKind::kCompiledDfa, {"ACGT"});
+};
+
+TEST(MatchEngine, EnginesWithoutABoundAreRejected) {
+  // Every engine lowered from motifs has a bound, so construction through
+  // the engine path succeeds.
   parallel::ThreadPool pool(2);
-  const auto bitap = lower(EngineKind::kBitapSimd, {"ACGT"});
-  EXPECT_NO_THROW(ParallelMatcher(*bitap, pool));
-  // DFA-backed engines may be unbounded (regex '+'); the matcher falls back
-  // to the speculative kernels, which stay exact.
-  const auto unbounded = lower(EngineKind::kCompiledDfa, {"GC(N)+GC"});
-  EXPECT_EQ(unbounded->synchronization_bound(), 0u);
-  const ParallelMatcher matcher(*unbounded, pool);
-  const std::string text = "GCAAGCTTGCGC";
-  EXPECT_EQ(matcher.count(text, 4).match_count, unbounded->count(text));
+  for (const EngineKind kind : kAllEngineKinds) {
+    const auto engine = lower(kind, {"ACGT", "GGWWCC"});
+    EXPECT_EQ(engine->synchronization_bound(), 6u) << engine->name();
+    EXPECT_NO_THROW(ParallelMatcher(*engine, pool)) << engine->name();
+  }
+  // An engine without one is rejected, a DFA behind it or not, and so is an
+  // automaton whose bound is not set.
+  EXPECT_THROW(ParallelMatcher(BoundlessEngine{}, pool), std::invalid_argument);
+  DenseDfa dfa = *lower(EngineKind::kCompiledDfa, {"ACGT"})->dfa();
+  dfa.set_synchronization_bound(0);
+  EXPECT_THROW(DenseDfaEngine{dfa}, std::invalid_argument);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Property tests for the PaREM-style chunk-parallel matcher: for every
-// schedule and chunk count, on bounded (warm-up) and unbounded (speculative)
-// automata, the parallel result must be byte-identical to a sequential scan.
+// schedule and chunk count, the warmed-up parallel result must be
+// byte-identical to a sequential scan.
 #include "automata/parallel_matcher.hpp"
 
 #include <gtest/gtest.h>
@@ -38,32 +38,6 @@ TEST_F(ParallelMatcherFixture, WarmupMatchesSequentialCounts) {
   }
 }
 
-TEST_F(ParallelMatcherFixture, SpeculativeMatchesSequentialCounts) {
-  // No synchronization bound: the automaton selects the speculative waves.
-  const auto compiled = compile_motifs({"TT(T)+"});
-  const DenseDfa dfa = determinize(compiled.nfa, compiled.synchronization_bound);
-  ASSERT_EQ(dfa.synchronization_bound(), 0u);
-  const std::string text = gen_.generate(100000, 5);
-  const std::uint64_t expected = count_matches(dfa, text);
-  ParallelMatcher matcher(dfa, pool_);
-  for (std::size_t chunks : {1u, 2u, 3u, 8u, 17u, 64u}) {
-    const auto stats = matcher.count(text, chunks);
-    EXPECT_EQ(stats.match_count, expected) << "chunks=" << chunks;
-  }
-}
-
-TEST_F(ParallelMatcherFixture, UnboundedPatternFallsBackToSpeculative) {
-  const auto compiled = compile_motifs({"GC(A)*GC"});
-  const DenseDfa dfa = determinize(compiled.nfa, compiled.synchronization_bound);
-  ASSERT_EQ(dfa.synchronization_bound(), 0u);
-  const std::string text = gen_.generate(40000, 9);
-  const std::uint64_t expected = count_matches(dfa, text);
-  ParallelMatcher matcher(dfa, pool_);
-  // No warm-up is possible: the scan runs the exact speculative path.
-  const auto stats = matcher.count(text, 16);
-  EXPECT_EQ(stats.match_count, expected);
-}
-
 TEST_F(ParallelMatcherFixture, CollectReturnsSortedIdenticalEvents) {
   const DenseDfa dfa = build_aho_corasick({"ACG", "CGT", "TT"});
   const std::string text = gen_.generate(30000, 11);
@@ -99,19 +73,6 @@ TEST_F(ParallelMatcherFixture, MoreChunksThanBytesClamps) {
   const auto stats = matcher.count("AAA", 100);
   EXPECT_EQ(stats.match_count, 3u);
   EXPECT_LE(stats.chunks, 3u);
-}
-
-TEST_F(ParallelMatcherFixture, SpeculativeReportsRescans) {
-  // A pattern automaton rarely mispredicts; force it with a text that keeps
-  // the automaton mid-pattern at chunk boundaries.
-  const auto compiled = compile_motifs({"AAAAAAAA(A)*"});
-  const DenseDfa dfa = determinize(compiled.nfa, compiled.synchronization_bound);
-  ASSERT_EQ(dfa.synchronization_bound(), 0u);
-  const std::string text(64, 'A');  // every boundary is mid-pattern
-  ParallelMatcher matcher(dfa, pool_);
-  const auto stats = matcher.count(text, 8);
-  EXPECT_EQ(stats.match_count, 64u - 8u + 1u);
-  EXPECT_GT(stats.rescanned_chunks, 0u);
 }
 
 TEST_F(ParallelMatcherFixture, EverySchedulePolicyMatchesSequentialCounts) {
@@ -156,21 +117,6 @@ TEST_F(ParallelMatcherFixture, DemandDrivenMultiStreamCountsExactly) {
             expected);
 }
 
-TEST_F(ParallelMatcherFixture, UnboundedPatternDegradesScheduleToStatic) {
-  // No synchronization bound -> per-chunk warm-up is impossible; demand
-  // schedules must fall back to the exact static speculative path.
-  const auto compiled = compile_motifs({"GC(A)*GC"});
-  const DenseDfa dfa = determinize(compiled.nfa, compiled.synchronization_bound);
-  ASSERT_EQ(dfa.synchronization_bound(), 0u);
-  const std::string text = gen_.generate(40000, 23);
-  const std::uint64_t expected = count_matches(dfa, text);
-  ParallelMatcher matcher(dfa, pool_);
-  for (const parallel::SchedulePolicy policy : parallel::kAllSchedulePolicies) {
-    EXPECT_EQ(matcher.count(text, 16, policy).match_count, expected)
-        << "policy=" << parallel::to_string(policy);
-  }
-}
-
 TEST_F(ParallelMatcherFixture, GuidedScheduleUsesDecreasingChunks) {
   const DenseDfa dfa = build_aho_corasick({"ACGT"});
   const std::string text = gen_.generate(50000, 29);
@@ -182,18 +128,28 @@ TEST_F(ParallelMatcherFixture, GuidedScheduleUsesDecreasingChunks) {
   EXPECT_EQ(stats.match_count, count_matches(dfa, text));
 }
 
-TEST_F(ParallelMatcherFixture, BoundedAutomatonNeverRunsSpeculative) {
-  // The automaton picks the path: a bounded one warms up every chunk under
-  // every schedule, so nothing is rescanned — even where every chunk
-  // boundary sits mid-pattern and a speculative guess would mispredict.
+TEST_F(ParallelMatcherFixture, WarmupIsExactWhereEveryBoundaryIsMidPattern) {
+  // Every chunk boundary sits mid-pattern: each chunk's warm-up over the
+  // bytes before it must still enter at the true state, under every schedule.
   const DenseDfa dfa = build_aho_corasick({"AAAAAAAA"});
   const std::string text(64, 'A');
   ParallelMatcher matcher(dfa, pool_);
   for (const parallel::SchedulePolicy policy : parallel::kAllSchedulePolicies) {
-    const auto stats = matcher.count(text, 8, policy);
-    EXPECT_EQ(stats.match_count, 64u - 8u + 1u) << parallel::to_string(policy);
-    EXPECT_EQ(stats.rescanned_chunks, 0u) << parallel::to_string(policy);
+    for (const std::size_t chunks : {8u, 32u}) {
+      EXPECT_EQ(matcher.count(text, chunks, policy).match_count, 64u - 8u + 1u)
+          << parallel::to_string(policy) << " chunks=" << chunks;
+    }
   }
+}
+
+TEST_F(ParallelMatcherFixture, AutomatonWithoutABoundIsRejected) {
+  // The warm-up is the only way a scan enters a chunk, so the bound is a
+  // construction invariant.
+  DenseDfa dfa = build_aho_corasick({"GATTACA"});
+  dfa.set_synchronization_bound(0);
+  EXPECT_THROW(ParallelMatcher(dfa, pool_), std::invalid_argument);
+  const auto compiled = compile_motifs({"TATAWAW"});
+  EXPECT_THROW(ParallelMatcher(determinize(compiled.nfa), pool_), std::invalid_argument);
 }
 
 /// Runs `scan` and expects std::invalid_argument naming the bad base 'N'.
@@ -231,13 +187,6 @@ TEST(ParallelMatcherErrors, InvalidByteThrowsOnEveryPath) {
       EXPECT_EQ(matcher.count(clean_text, 8, policy).match_count, clean) << where;
     }
   }
-  const auto compiled = compile_motifs({"GC(A)*GC"});
-  const DenseDfa unbounded = determinize(compiled.nfa, compiled.synchronization_bound);
-  ASSERT_EQ(unbounded.synchronization_bound(), 0u);
-  const ParallelMatcher speculative(unbounded, pool);
-  std::vector<Match> out;
-  expect_invalid_base([&] { (void)speculative.count(text, 8); }, "speculative count");
-  expect_invalid_base([&] { (void)speculative.collect(text, 8, out); }, "speculative collect");
 }
 
 /// A real engine that also records how many chunk scans ran on the thread

@@ -63,16 +63,12 @@ TEST_F(ExecutorFixture, MatchSpanningTheSplitIsCountedOnce) {
   EXPECT_EQ(r.pools[0].matches, 0u);
 }
 
-TEST_F(ExecutorFixture, UnboundedPatternsStillExact) {
-  const auto compiled = automata::compile_motifs({"GC(A)*GC"});
-  const automata::DenseDfa dfa =
-      automata::determinize(compiled.nfa, compiled.synchronization_bound);
-  const std::string text = gen_.generate(50000, 7);
-  const std::uint64_t expected = automata::count_matches(dfa, text);
-  HeterogeneousExecutor exec(dfa, pair_fleet(3, 3));
-  for (double pct : {0.0, 33.0, 66.0, 100.0}) {
-    EXPECT_EQ(exec.run_fleet(text, split(pct), kStatic).total_matches(), expected) << pct;
-  }
+TEST_F(ExecutorFixture, AutomatonWithoutABoundIsRejected) {
+  // Every chunk scan warms up over the bound - 1 bytes before its chunk, so
+  // an automaton whose bound is not set cannot drive a fleet.
+  const auto compiled = automata::compile_motifs({"GCAGC"});
+  EXPECT_THROW(HeterogeneousExecutor(automata::determinize(compiled.nfa), pair_fleet(2, 2)),
+               std::invalid_argument);
 }
 
 TEST_F(ExecutorFixture, EmptyTextProducesEmptyReport) {
@@ -188,22 +184,6 @@ TEST_F(ExecutorFixture, RandomMotifSetsAgreeAcrossPoliciesAndFractions) {
       }
     }
   }
-}
-
-TEST_F(ExecutorFixture, SharedQueueUnboundedEngineDegradesToStatic) {
-  // An unbounded pattern has no warm-up bound: demand schedules must run
-  // the static path and say so in the report.
-  const auto compiled = automata::compile_motifs({"GC(A)*GC"});
-  const automata::DenseDfa dfa =
-      automata::determinize(compiled.nfa, compiled.synchronization_bound);
-  ASSERT_EQ(dfa.synchronization_bound(), 0u);
-  const std::string text = gen_.generate(30000, 7);
-  const std::uint64_t expected = automata::count_matches(dfa, text);
-  HeterogeneousExecutor exec(dfa, pair_fleet(2, 2));
-  const ExecutionReport r =
-      exec.run_fleet(text, split(60.0), parallel::SchedulePolicy::kAdaptive);
-  EXPECT_EQ(r.schedule, parallel::SchedulePolicy::kStatic);
-  EXPECT_EQ(r.total_matches(), expected);
 }
 
 TEST_F(ExecutorFixture, AdaptiveStealAccountingIsConsistent) {

@@ -245,36 +245,6 @@ TEST_F(MultiPoolFixture, EveryEngineKindRunsTheFleetExactly) {
   }
 }
 
-TEST_F(MultiPoolFixture, UnboundedEngineFleetDegradesToStaticAndStaysExact) {
-  // Unbounded patterns cannot warm up per chunk; an N-pool fleet must run
-  // the static path (prefix replay per pool) and still be exact.
-  const auto compiled = automata::compile_motifs({"GC(A)*GC"});
-  const automata::DenseDfa dfa =
-      automata::determinize(compiled.nfa, compiled.synchronization_bound);
-  ASSERT_EQ(dfa.synchronization_bound(), 0u);
-  const std::string text = gen_.generate(20000, 7);
-  const std::uint64_t expected =
-      automata::scan_count_naive(dfa, text, dfa.start()).match_count;
-  std::vector<automata::Match> expected_pos;
-  (void)automata::scan_collect_naive(dfa, text, dfa.start(), 0, expected_pos);
-  ASSERT_FALSE(expected_pos.empty());
-  for (std::size_t pools = 1; pools <= 4; ++pools) {
-    HeterogeneousExecutor exec(dfa, fleet_specs(pools));
-    const std::vector<double> shares(pools, 100.0 / static_cast<double>(pools));
-    for (const parallel::SchedulePolicy policy : parallel::kAllSchedulePolicies) {
-      const ExecutionReport r = exec.run_fleet(text, shares, policy);
-      EXPECT_EQ(r.schedule, parallel::SchedulePolicy::kStatic) << pools;
-      EXPECT_EQ(r.total_matches(), expected)
-          << "pools=" << pools << " policy=" << parallel::to_string(policy);
-      std::vector<automata::Match> got;
-      const ExecutionReport rc = exec.collect_fleet(text, shares, policy, got);
-      EXPECT_EQ(rc.schedule, parallel::SchedulePolicy::kStatic) << pools;
-      EXPECT_TRUE(got == expected_pos)
-          << "pools=" << pools << " policy=" << parallel::to_string(policy);
-    }
-  }
-}
-
 TEST_F(MultiPoolFixture, FleetReportToStringListsEveryPool) {
   const automata::DenseDfa dfa = automata::build_aho_corasick({"ACG"});
   const std::string text = gen_.generate(20000, 3);
@@ -289,7 +259,7 @@ TEST_F(MultiPoolFixture, FleetReportToStringListsEveryPool) {
   EXPECT_NE(line.find("steals"), std::string::npos) << line;
 }
 
-/// An engine with no synchronization bound and no kernel behind it.
+/// An engine with no synchronization bound.
 class UnboundedEngine final : public automata::MatchEngine {
  public:
   [[nodiscard]] automata::EngineKind kind() const noexcept override {
@@ -316,8 +286,7 @@ TEST_F(MultiPoolFixture, InvalidFleetsAndSharesAreRejected) {
   both[0].host_affinity = parallel::HostAffinity::kScatter;
   both[0].device_affinity = parallel::DeviceAffinity::kCompact;
   EXPECT_THROW(HeterogeneousExecutor(dfa, both), std::invalid_argument);
-  // An engine with no synchronization bound and no DFA cannot enter a
-  // chunk exactly.
+  // An engine with no synchronization bound cannot enter a chunk exactly.
   EXPECT_THROW(HeterogeneousExecutor(UnboundedEngine{}, fleet_specs(2)), std::invalid_argument);
   HeterogeneousExecutor exec(dfa, fleet_specs(3));
   const std::string text = gen_.generate(1000, 1);

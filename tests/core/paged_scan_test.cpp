@@ -17,9 +17,7 @@
 
 #include "automata/aho_corasick.hpp"
 #include "automata/match_engine.hpp"
-#include "automata/regex.hpp"
 #include "automata/scanner.hpp"
-#include "automata/subset.hpp"
 #include "dna/generator.hpp"
 
 namespace hetopt::core {
@@ -244,17 +242,6 @@ TEST(PagedScanFixture, ValidatesHaloBudgetAndBound) {
     // A halo of exactly bound-1 is enough.
     dna::PagedGenome exact = paged(text, 2048, 6, /*halo=*/6);
     EXPECT_EQ(exec.run_fleet_paged(exact).total_matches(), automata::count_matches(dfa, text));
-  }
-  {
-    // Unbounded operators have no synchronization bound: the per-chunk
-    // warm-up out of the halo is impossible, so streaming must refuse.
-    const auto compiled = automata::compile_motifs({"GC(A)*GC"});
-    const automata::DenseDfa unbounded =
-        automata::determinize(compiled.nfa, compiled.synchronization_bound);
-    ASSERT_EQ(unbounded.synchronization_bound(), 0u);
-    HeterogeneousExecutor streaming(unbounded, fleet({4}));
-    dna::PagedGenome genome = paged(text, 2048, 6);
-    EXPECT_THROW((void)streaming.run_fleet_paged(genome), std::invalid_argument);
   }
 }
 

@@ -60,6 +60,43 @@ TEST(CpuFeatures, ProbeIsCachedAndInternallyConsistent) {
   if (a.avx2) EXPECT_TRUE(a.avx);
 }
 
+// Raw probe words for the pure AVX/AVX2 decision.
+constexpr std::uint32_t kAvx = 1u << 28;      // leaf 1 ECX
+constexpr std::uint32_t kOsxsave = 1u << 27;  // leaf 1 ECX
+constexpr std::uint32_t kAvx2 = 1u << 5;      // leaf 7 EBX
+constexpr std::uint64_t kXmmYmm = 0b111;      // XCR0: x87, SSE and AVX state
+
+TEST(CpuFeatures, AvxWithoutOsxsaveIsOff) {
+  // The CPU has AVX and AVX2, but the OS never enabled XSAVE: YMM state is
+  // not saved across context switches, so no AVX code may run.
+  const CpuFeatures f = vector_features(kAvx, kAvx2, 0);
+  EXPECT_FALSE(f.avx);
+  EXPECT_FALSE(f.avx2);
+}
+
+TEST(CpuFeatures, OsxsaveWithoutYmmStateInXcr0IsOff) {
+  for (const std::uint64_t xcr0 : {std::uint64_t{0b011}, std::uint64_t{0b101},
+                                   std::uint64_t{0b001}, std::uint64_t{0}}) {
+    const CpuFeatures f = vector_features(kAvx | kOsxsave, kAvx2, xcr0);
+    EXPECT_FALSE(f.avx) << "xcr0=" << xcr0;
+    EXPECT_FALSE(f.avx2) << "xcr0=" << xcr0;
+  }
+}
+
+TEST(CpuFeatures, AvxOsxsaveAndYmmStateEnableAvxAndAvx2FollowsLeaf7) {
+  const CpuFeatures with = vector_features(kAvx | kOsxsave, kAvx2, kXmmYmm);
+  EXPECT_TRUE(with.avx);
+  EXPECT_TRUE(with.avx2);
+  const CpuFeatures without = vector_features(kAvx | kOsxsave, ~kAvx2, kXmmYmm);
+  EXPECT_TRUE(without.avx);
+  EXPECT_FALSE(without.avx2);
+  // No AVX bit: neither, whatever the rest says.
+  const CpuFeatures no_avx = vector_features(kOsxsave, kAvx2, kXmmYmm);
+  EXPECT_FALSE(no_avx.avx);
+  EXPECT_FALSE(no_avx.avx2);
+  EXPECT_EQ(with.model_name, "unknown");
+}
+
 TEST(CpuFeatures, DetectedIsaMatchesTheFeatureFlags) {
   EXPECT_EQ(detected_isa(), cpu_features().avx2 ? IsaLevel::kAvx2 : IsaLevel::kScalar);
 }
