@@ -71,6 +71,7 @@
 #include "automata/parallel_matcher.hpp"
 #include "automata/simd/simd_kernels.hpp"
 #include "automata/simd_engine.hpp"
+#include "bench/common.hpp"
 #include "core/hetopt.hpp"
 #include "sim/multi.hpp"
 #include "util/cli.hpp"
@@ -722,19 +723,6 @@ int main(int argc, char** argv) {
   // honest statement of what EML/SAML can know without engine-varied
   // training data.
   {
-    struct MotifSet {
-      const char* name;
-      std::vector<std::string> motifs;
-    };
-    const std::vector<MotifSet> motif_sets = {
-        {"default_mixed", {"TATAWAW", "GGGCGG"}},
-        {"few_long_literals", {"GATTACAGATTACA", "CCCGGGTTTAAACC"}},
-        {"many_short_iupac",
-         {"TATAWAW", "GGNCC", "CCWGG", "RRYYRR", "ACGTN", "TTSAA"}},
-        {"many_long_literals",
-         {"GATTACAGATTA", "CCCGGGTTTAAA", "ACGTACGTACGT", "TTTTGGGGCCCC",
-          "AGAGAGAGAGAG", "CTCTCTCTCTCT"}},  // 72 summed bits: no bitap
-    };
     const std::size_t engine_reps = suite == "full" ? 3 : 2;
     std::vector<std::size_t> chunk_axis{1};
     if (hw > 1) chunk_axis.push_back(hw);
@@ -746,7 +734,7 @@ int main(int argc, char** argv) {
     const std::vector<int> device_axis = host_axis;
 
     json.key("engine_matrix").begin_array();
-    for (const MotifSet& set : motif_sets) {
+    for (const bench::MotifSet& set : bench::engine_matrix_motif_sets()) {
       core::RealWorkloadOptions set_options;
       set_options.motifs = set.motifs;
       set_options.bytes_per_logical_mb = scale;

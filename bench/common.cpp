@@ -22,6 +22,18 @@ const std::vector<std::size_t>& iteration_budgets() {
   return budgets;
 }
 
+const std::vector<MotifSet>& engine_matrix_motif_sets() {
+  static const std::vector<MotifSet> sets = {
+      {"default_mixed", {"TATAWAW", "GGGCGG"}},
+      {"few_long_literals", {"GATTACAGATTACA", "CCCGGGTTTAAACC"}},
+      {"many_short_iupac", {"TATAWAW", "GGNCC", "CCWGG", "RRYYRR", "ACGTN", "TTSAA"}},
+      {"many_long_literals",
+       {"GATTACAGATTA", "CCCGGGTTTAAA", "ACGTACGTACGT", "TTTTGGGGCCCC", "AGAGAGAGAGAG",
+        "CTCTCTCTCTCT"}},  // 72 summed bits: no bitap
+  };
+  return sets;
+}
+
 namespace {
 
 [[nodiscard]] std::size_t one_hot_index(std::span<const double> row) {

@@ -40,6 +40,16 @@ struct Env {
 /// The SA iteration budgets of Fig. 9 / Tables VI-IX.
 [[nodiscard]] const std::vector<std::size_t>& iteration_budgets();
 
+/// A named motif set of one shape.
+struct MotifSet {
+  const char* name;
+  std::vector<std::string> motifs;
+};
+
+/// The contrasting motif-set shapes of bench_main's engine_matrix, which
+/// micro_automata's BM_CompiledCount also times.
+[[nodiscard]] const std::vector<MotifSet>& engine_matrix_motif_sets();
+
 /// One decoded evaluation experiment (undoes the one-hot feature layout).
 struct EvalPoint {
   double size_mb = 0.0;

@@ -1,14 +1,18 @@
 // google-benchmark microbenchmarks for the finite-automata substrate:
-// construction costs and scan throughput (sequential and chunk-parallel).
+// construction costs and scan throughput (sequential, the compiled kernel's
+// split count, and chunk-parallel).
 #include <benchmark/benchmark.h>
 
 #include "automata/aho_corasick.hpp"
 #include "automata/bitap.hpp"
+#include "automata/compiled_dfa.hpp"
 #include "automata/hopcroft.hpp"
+#include "automata/match_engine.hpp"
 #include "automata/parallel_matcher.hpp"
 #include "automata/regex.hpp"
 #include "automata/scanner.hpp"
 #include "automata/subset.hpp"
+#include "bench/common.hpp"
 #include "dna/generator.hpp"
 
 namespace {
@@ -64,6 +68,24 @@ void BM_SequentialScan(benchmark::State& state) {
                           static_cast<std::int64_t>(text.size()));
 }
 BENCHMARK(BM_SequentialScan);
+
+void BM_CompiledCount(benchmark::State& state) {
+  // The compiled-dfa engine's kernel on one thread: count() splits the
+  // 4 MiB text into interleaved sub-streams and steps them on the quad
+  // table.
+  const bench::MotifSet& set =
+      bench::engine_matrix_motif_sets()[static_cast<std::size_t>(state.range(0))];
+  const auto engine = automata::lower(automata::EngineKind::kCompiledDfa, set.motifs);
+  const automata::CompiledDfa& kernel = *engine->kernel();
+  const auto& text = sample_text();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kernel.count(text, kernel.start()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+  state.SetLabel(set.name);
+}
+BENCHMARK(BM_CompiledCount)->DenseRange(0, 3)->UseRealTime();
 
 void BM_ParallelScanWarmup(benchmark::State& state) {
   const auto& dfa = sample_dfa();

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -36,7 +37,14 @@ int main(int argc, char** argv) {
   }
 
   const dna::GenomeCatalog catalog;
-  const dna::GenomeInfo& info = catalog.get(genome);
+  const dna::GenomeInfo* found = nullptr;
+  try {
+    found = &catalog.get(genome);
+  } catch (const std::out_of_range& e) {
+    std::cerr << "adaptive_split: " << e.what() << '\n';
+    return 2;
+  }
+  const dna::GenomeInfo& info = *found;
   const core::Workload workload(info.name, info.size_mb);
 
   const auto requested_bytes = static_cast<std::size_t>(mb * 1024.0 * 1024.0);

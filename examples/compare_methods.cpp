@@ -8,6 +8,7 @@
 // Run:  ./compare_methods [--genome=cat] [--iterations=1000] [--threads=4]
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 
 #include "core/hetopt.hpp"
 #include "parallel/thread_pool.hpp"
@@ -26,7 +27,14 @@ int main(int argc, char** argv) {
   const sim::Machine machine = sim::emil_machine();
   const opt::ConfigSpace space = opt::ConfigSpace::paper();
   const dna::GenomeCatalog catalog;
-  const dna::GenomeInfo& info = catalog.get(genome);
+  const dna::GenomeInfo* found = nullptr;
+  try {
+    found = &catalog.get(genome);
+  } catch (const std::out_of_range& e) {
+    std::cerr << "compare_methods: " << e.what() << '\n';
+    return 2;
+  }
+  const dna::GenomeInfo& info = *found;
   const core::Workload workload(info.name, info.size_mb);
 
   std::cout << "Training predictor for the ML-based methods...\n";

@@ -42,7 +42,14 @@ int main(int argc, char** argv) {
   }
 
   const dna::GenomeCatalog catalog;
-  const dna::GenomeInfo& info = catalog.get(genome);
+  const dna::GenomeInfo* found = nullptr;
+  try {
+    found = &catalog.get(genome);
+  } catch (const std::out_of_range& e) {
+    std::cerr << "dna_search: " << e.what() << '\n';
+    return 2;
+  }
+  const dna::GenomeInfo& info = *found;
   const core::Workload workload(info.name, info.size_mb);
 
   std::cout << "Compiling motifs:";

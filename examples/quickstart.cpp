@@ -11,6 +11,7 @@
 //
 // Run:  ./quickstart [--genome=human] [--iterations=1000]
 #include <iostream>
+#include <stdexcept>
 
 #include "core/hetopt.hpp"
 #include "util/cli.hpp"
@@ -22,7 +23,14 @@ int main(int argc, char** argv) {
   const auto iterations = static_cast<std::size_t>(args.get("iterations", std::int64_t{1000}));
 
   const dna::GenomeCatalog catalog;
-  const dna::GenomeInfo& info = catalog.get(genome);
+  const dna::GenomeInfo* found = nullptr;
+  try {
+    found = &catalog.get(genome);
+  } catch (const std::out_of_range& e) {
+    std::cerr << "quickstart: " << e.what() << '\n';
+    return 2;
+  }
+  const dna::GenomeInfo& info = *found;
   const core::Workload workload(info.name, info.size_mb);
 
   const sim::Machine machine = sim::emil_machine();

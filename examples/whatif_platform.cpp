@@ -9,6 +9,7 @@
 // Run:  ./whatif_platform [--genome=human]
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 
 #include "core/hetopt.hpp"
 #include "util/cli.hpp"
@@ -47,7 +48,14 @@ int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
   const std::string genome = args.get("genome", std::string("human"));
   const dna::GenomeCatalog catalog;
-  const dna::GenomeInfo& info = catalog.get(genome);
+  const dna::GenomeInfo* found = nullptr;
+  try {
+    found = &catalog.get(genome);
+  } catch (const std::out_of_range& e) {
+    std::cerr << "whatif_platform: " << e.what() << '\n';
+    return 2;
+  }
+  const dna::GenomeInfo& info = *found;
   const core::Workload workload(info.name, info.size_mb);
 
   std::vector<Variant> variants;

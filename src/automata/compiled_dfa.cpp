@@ -16,6 +16,13 @@ constexpr std::size_t kTranslateBlock = 8192;
 /// count() switches from the byte kernel to the paired kernel at this length
 /// (below it the translation buffer overhead is not worth it).
 constexpr std::size_t kPairedMin = 256;
+/// Quads per sub-stream the split path packs at a time: 4 KiB of text per
+/// stream, so the packed block of all kMaxStreams streams (8 KiB) and the
+/// quad table of a typical automaton share L1.
+constexpr std::size_t kQuadBlock = 1024;
+/// A quad-table entry's low byte holds the step's accept sum; the rest the
+/// premultiplied next state.
+constexpr std::uint32_t kQuadCountMask = 0xFF;
 
 /// Advances `K` interleaved scan streams by `steps` bytes. K is a compile-time
 /// constant so the inner loop fully unrolls and each stream's state chain
@@ -44,6 +51,33 @@ void step_streams(const std::uint32_t* nx, const std::uint32_t* ac,
     c[k] = cn[k];
     p[k] += steps;
   }
+}
+
+/// Advances `K` interleaved sub-streams by `steps` quads each on the quad
+/// table: idx[k] is stream k's premultiplied state (state << 8) and
+/// quads[k] its packed block. Returns the streams' summed accept count.
+template <std::size_t K>
+std::uint64_t step_quads(const std::uint32_t* qn, const std::uint8_t (*quads)[kQuadBlock],
+                         std::uint32_t* idx, std::size_t steps) {
+  std::uint32_t ix[K];
+  std::uint64_t cn[K];
+  for (std::size_t k = 0; k < K; ++k) {
+    ix[k] = idx[k];
+    cn[k] = 0;
+  }
+  for (std::size_t i = 0; i < steps; ++i) {
+    for (std::size_t k = 0; k < K; ++k) {
+      const std::uint32_t v = qn[ix[k] | quads[k][i]];
+      cn[k] += v & kQuadCountMask;
+      ix[k] = v & ~kQuadCountMask;
+    }
+  }
+  std::uint64_t count = 0;
+  for (std::size_t k = 0; k < K; ++k) {
+    idx[k] = ix[k];
+    count += cn[k];
+  }
+  return count;
 }
 
 }  // namespace
@@ -101,6 +135,30 @@ CompiledDfa::CompiledDfa(const DenseDfa& dfa) {
       }
     }
   }
+
+  // Quad table, composed from two pair steps (the sink row stays absorbing
+  // with no accepts). Only the split path reads it, so an automaton whose
+  // bound is not set gets none; nor does one whose premultiplied states
+  // overflow 32 bits or whose four-step accept sum overflows the low byte.
+  if (sync_bound_ > 0 && states <= (std::size_t{1} << 24)) {
+    quad_next_.assign(states * 256, 0);
+    std::uint32_t max_sum = 0;
+    for (std::size_t s = 0; s < states; ++s) {
+      for (std::size_t p0 = 0; p0 < 16; ++p0) {
+        const std::uint32_t mid = pair_next_[(s << 4) | p0];
+        const std::uint32_t lead_sum = pair_count_[(s << 4) | p0];
+        for (std::size_t p1 = 0; p1 < 16; ++p1) {
+          const std::size_t pair = (static_cast<std::size_t>(mid) << 4) | p1;
+          const std::uint32_t sum = lead_sum + pair_count_[pair];
+          max_sum = std::max(max_sum, sum);
+          quad_next_[(s << 8) | (p0 << 4) | p1] =
+              (pair_next_[pair] << 8) | (sum & kQuadCountMask);
+        }
+      }
+    }
+    if (max_sum > kQuadCountMask) quad_next_ = {};
+  }
+  pack_ = simd::quad_pack(simd::resolve_isa(std::nullopt));
 }
 
 void CompiledDfa::check_entry(StateId state) const {
@@ -153,12 +211,17 @@ ScanResult CompiledDfa::count_split(std::string_view text, StateId state,
   }
   count_multi_batch(views, entries, res, streams);
   // Body pass from the warmed states; the last body takes the remainder.
+  // With a quad table, every body's first 4 * (len / 4) bytes step four
+  // bases per load, and the byte loop finishes the rest of each body.
+  for (std::size_t k = 0; k < streams; ++k) entries[k] = res[k].final_state;
+  const std::size_t quads = quad_next_.empty() ? 0 : len / 4;
+  const std::uint64_t quad_count = count_quads(text, len, quads, streams, entries);
   for (std::size_t k = 0; k < streams; ++k) {
-    entries[k] = res[k].final_state;
-    views[k] = text.substr(k * len, k + 1 < streams ? len : std::string_view::npos);
+    views[k] = text.substr(k * len + 4 * quads,
+                           k + 1 < streams ? len - 4 * quads : std::string_view::npos);
   }
   count_multi_batch(views, entries, res, streams);
-  ScanResult out{res[streams - 1].final_state, 0};
+  ScanResult out{res[streams - 1].final_state, quad_count};
   bool bad = false;
   for (std::size_t k = 0; k < streams; ++k) {
     out.match_count += res[k].match_count;
@@ -168,6 +231,34 @@ ScanResult CompiledDfa::count_split(std::string_view text, StateId state,
   // some sub-stream in it; report the whole text's first bad byte.
   if (bad) throw_invalid(text);
   return out;
+}
+
+std::uint64_t CompiledDfa::count_quads(std::string_view text, std::size_t len,
+                                       std::size_t quads, std::size_t streams,
+                                       StateId* states) const {
+  alignas(64) std::uint8_t packed[kMaxStreams][kQuadBlock];
+  std::uint32_t idx[kMaxStreams];
+  for (std::size_t k = 0; k < streams; ++k) idx[k] = states[k] << 8;
+  const std::uint32_t* const qn = quad_next_.data();
+  std::uint64_t count = 0;
+  for (std::size_t done = 0; done < quads; done += kQuadBlock) {
+    const std::size_t block = std::min(kQuadBlock, quads - done);
+    for (std::size_t k = 0; k < streams; ++k) {
+      // A flagged block's bad byte need not be the text's first; find that one.
+      if (!pack_(text.data() + k * len + 4 * done, block, packed[k])) throw_invalid(text);
+    }
+    switch (streams) {
+      case 2: count += step_quads<2>(qn, packed, idx, block); break;
+      case 3: count += step_quads<3>(qn, packed, idx, block); break;
+      case 4: count += step_quads<4>(qn, packed, idx, block); break;
+      case 5: count += step_quads<5>(qn, packed, idx, block); break;
+      case 6: count += step_quads<6>(qn, packed, idx, block); break;
+      case 7: count += step_quads<7>(qn, packed, idx, block); break;
+      default: count += step_quads<8>(qn, packed, idx, block); break;
+    }
+  }
+  for (std::size_t k = 0; k < streams; ++k) states[k] = idx[k] >> 8;
+  return count;
 }
 
 ScanResult CompiledDfa::count_fused(std::string_view text, StateId state) const {

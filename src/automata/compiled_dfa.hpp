@@ -34,6 +34,26 @@
 //                chains in flight, with no stream bookkeeping of its own. An
 //                automaton whose bound is not set is scanned sequentially.
 //
+//  quad table    the split count's bodies step four bases per load:
+//                quad_next[(state << 8) | quad], where a quad packs four
+//                2-bit codes (A0 C1 G2 T3), c0 << 6 | c1 << 4 | c2 << 2 | c3
+//                with c0 the earliest. An entry is (next << 8) | the summed
+//                accept counts of the four intermediate states, so one step
+//                is `v = q[idx | quad]; count += v & 0xFF; idx = v & ~0xFF`
+//                with no accept load. The table is the byte table's size.
+//                Each body is first packed, block by block, into quads by
+//                the SIMD tier's QuadPackFn (AVX2 or SWAR, resolved once at
+//                construction, like the bitap-simd engine's ISA), which also
+//                returns an exact validity flag; a flagged block reports the
+//                whole text's first bad byte, as a sink does.
+//
+//                These stay on the byte loop: the warm-up leads, each body's
+//                bytes after its last full quad, and every body of an
+//                automaton whose four-step accept sum can exceed 255 or
+//                whose states do not fit in 24 bits (no quad table is
+//                built). The cuts are those of the byte loop, so every
+//                count, final state and exception is unchanged.
+//
 // Accept metadata lives in flat arrays indexed without bounds checks; the
 // constructor validates the automaton once (and throws std::invalid_argument
 // on corruption) so the hot loops never have to.
@@ -49,6 +69,7 @@
 
 #include "automata/dense_dfa.hpp"
 #include "automata/scanner.hpp"
+#include "automata/simd/simd_kernels.hpp"
 #include "util/aligned_buffer.hpp"
 
 namespace hetopt::automata {
@@ -62,8 +83,11 @@ class CompiledDfa {
   /// default-construct and assign once the automaton is built.
   CompiledDfa() = default;
 
-  /// Lowers `dfa` into the fused tables. Validates the automaton once and
-  /// throws std::invalid_argument("CompiledDfa: ...") if it is corrupt.
+  /// Lowers `dfa` into the fused tables and resolves the quad pack's ISA
+  /// (simd::resolve_isa: HETOPT_FORCE_ISA, else the widest available).
+  /// Validates the automaton once and throws std::invalid_argument
+  /// ("CompiledDfa: ...") if it is corrupt; an unknown or unavailable forced
+  /// ISA throws std::runtime_error.
   explicit CompiledDfa(const DenseDfa& dfa);
 
   /// States of the source automaton (the sink is one past this).
@@ -82,8 +106,9 @@ class CompiledDfa {
 
   /// Counts occurrences from `state`. Long inputs on a bounded automaton are
   /// split into split_streams(text.size()) warmed sub-streams scanned
-  /// interleaved; other inputs go to the paired kernel (long runs) or the
-  /// byte kernel (short ones). Same results and errors as scan_count_naive:
+  /// interleaved, four bases per step where the quad table exists; other
+  /// inputs go to the paired kernel (long runs) or the byte kernel (short
+  /// ones). Same results and errors as scan_count_naive:
   /// invalid input raises the exception for the first bad byte of the whole
   /// text, whichever sub-stream it fell in.
   [[nodiscard]] ScanResult count(std::string_view text, StateId state) const;
@@ -124,6 +149,13 @@ class CompiledDfa {
   /// count()'s split path over `streams` >= 2 sub-streams.
   [[nodiscard]] ScanResult count_split(std::string_view text, StateId state,
                                        std::size_t streams) const;
+  /// The split path's stride-4 pass: steps the first 4 * quads bytes of each
+  /// of the `streams` bodies text[k * len, ...) on the quad table, from and
+  /// back into states[k], and returns their summed count (0 quads: a no-op).
+  /// Throws the whole text's invalid-byte error if a packed block is flagged.
+  [[nodiscard]] std::uint64_t count_quads(std::string_view text, std::size_t len,
+                                          std::size_t quads, std::size_t streams,
+                                          StateId* states) const;
   /// Locates the first non-ACGT byte of `text` and throws the seed scanner's
   /// exact exception for it.
   [[noreturn]] void throw_invalid(std::string_view text) const;
@@ -134,9 +166,11 @@ class CompiledDfa {
   util::AlignedBuffer<std::uint32_t> byte_next_;     // (states + 1) * 256
   util::AlignedBuffer<std::uint32_t> pair_next_;     // (states + 1) * 16
   util::AlignedBuffer<std::uint32_t> pair_count_;    // accept sum of the two half-steps
+  util::AlignedBuffer<std::uint32_t> quad_next_;     // (states + 1) * 256, or empty
   util::AlignedBuffer<std::uint32_t> accept_count_;  // states + 1 (sink accepts nothing)
   util::AlignedBuffer<std::uint64_t> accept_mask_;   // states + 1
   std::uint8_t code_[256] = {};              // byte -> 2-bit base code, 0xFF invalid
+  simd::QuadPackFn pack_ = nullptr;          // the resolved ISA's quad pack
   std::uint32_t state_count_ = 0;
   StateId start_ = 0;
   std::size_t sync_bound_ = 0;

@@ -1,7 +1,7 @@
 // Runtime ISA dispatch for the SIMD kernel tier: what is compiled in, what
-// the CPU supports, what the user forced — resolved once per engine
-// construction. No intrinsics here; only the kernel tables the per-ISA TUs
-// export.
+// the CPU supports, what the user forced — resolved once per engine (or
+// CompiledDfa) construction. No intrinsics here; only the kernel tables the
+// per-ISA TUs export.
 #include <stdexcept>
 #include <string>
 
@@ -65,6 +65,13 @@ util::IsaLevel resolve_isa(std::optional<util::IsaLevel> request) {
 const BitapKernel& bitap_kernel(util::IsaLevel isa) {
   require_available(isa);
   return *bitap_for(isa);
+}
+
+QuadPackFn quad_pack(util::IsaLevel isa) {
+  require_available(isa);
+  // One TU per level exports both kernels, so a level with a Shift-And
+  // kernel has a pack too.
+  return isa == util::IsaLevel::kAvx2 ? avx2_quad_pack() : scalar_quad_pack();
 }
 
 }  // namespace hetopt::automata::simd

@@ -1,8 +1,10 @@
-// Scalar reference kernel for the SIMD tier, and what HETOPT_FORCE_ISA=scalar
-// (or a non-x86 build) executes: one stream, the exact BitapMatcher::scan
-// recurrence over the PaREM warm-up lead — so forced-scalar dispatch
-// reproduces BitapMatcher's counts byte for byte, as every vector variant
-// must.
+// Scalar kernels for the SIMD tier, and what HETOPT_FORCE_ISA=scalar (or a
+// non-x86 build) executes:
+//   - the Shift-And reference: one stream, the exact BitapMatcher::scan
+//     recurrence over the PaREM warm-up lead — so forced-scalar dispatch
+//     reproduces BitapMatcher's counts byte for byte, as every vector
+//     variant must;
+//   - the quad pack: the SWAR form in simd_common.hpp.
 #include <algorithm>
 
 #include "automata/simd/simd_common.hpp"
@@ -28,5 +30,7 @@ constexpr BitapKernel kScalarBitap{util::IsaLevel::kScalar, /*lanes=*/1,
 }  // namespace
 
 const BitapKernel& scalar_bitap_kernel() noexcept { return kScalarBitap; }
+
+QuadPackFn scalar_quad_pack() noexcept { return &detail::swar_pack; }
 
 }  // namespace hetopt::automata::simd

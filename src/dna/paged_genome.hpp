@@ -1,6 +1,6 @@
 // Out-of-core genome storage: a page-granular corpus abstraction so scans
-// can stream sequences larger than RAM (ROADMAP item 2, the xgboost
-// external-memory page idiom).
+// can stream sequences larger than RAM (the xgboost external-memory page
+// idiom).
 //
 // A PagedGenome cuts a corpus of `size()` bytes into fixed-size pages and
 // serves them from a bounded cache of util::AlignedBuffers:

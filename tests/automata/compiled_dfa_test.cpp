@@ -11,6 +11,7 @@
 #include <functional>
 #include <random>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "automata/aho_corasick.hpp"
@@ -175,6 +176,25 @@ DenseDfa shift_register_dfa(std::mt19937_64& rng) {
   return dfa;
 }
 
+/// A hand-built bounded automaton whose accepts are too heavy for the quad
+/// table: the state is the last two bases read (bound 2), and every state
+/// accepts 64-127 times, so any four-step accept sum exceeds the table's
+/// 8-bit count and the split path keeps every body on the byte loop.
+DenseDfa heavy_accept_dfa(std::mt19937_64& rng) {
+  constexpr std::uint32_t kStates = 16;
+  DenseDfa dfa(kStates);
+  for (StateId s = 0; s < kStates; ++s) {
+    for (unsigned b = 0; b < dna::kAlphabetSize; ++b) {
+      dfa.set_transition(s, static_cast<dna::Base>(b), (s * 4 + b) % kStates);
+    }
+    dfa.set_accept(s, 1, 64 + static_cast<std::uint32_t>(rng() % 64));
+  }
+  dfa.set_start(static_cast<StateId>(rng() % kStates));
+  dfa.set_synchronization_bound(2);
+  EXPECT_TRUE(dfa.validate().empty());
+  return dfa;
+}
+
 /// A bounded automaton plus a bound-length occurrence to plant so it ends on
 /// the first byte after a cut: only a full bound - 1 warm-up lead counts it.
 struct BoundedCase {
@@ -185,7 +205,8 @@ struct BoundedCase {
 /// The bounded automata the split path must stay exact on: Aho-Corasick
 /// (one set with a motif long enough that 8x its lead outgrows the
 /// kSplitMinBytes sub-stream floor), regex/IUPAC motifs determinized with and without
-/// minimization, and the hand-built shift register.
+/// minimization, the hand-built shift register, and the heavy-accept
+/// automaton that has no quad table.
 std::vector<BoundedCase> bounded_automata(std::mt19937_64& rng) {
   std::vector<BoundedCase> out;
   out.push_back({build_aho_corasick({"GATTACA", "TTT", "ACGTACGTAC"}), "ACGTACGTAC"});
@@ -197,6 +218,7 @@ std::vector<BoundedCase> bounded_automata(std::mt19937_64& rng) {
   out.push_back({minimize(determinize(iupac.nfa, iupac.synchronization_bound)), "TATAAAT"});
   out.push_back({determinize(iupac.nfa, iupac.synchronization_bound), "TATATAA"});
   out.push_back({shift_register_dfa(rng), ""});
+  out.push_back({heavy_accept_dfa(rng), ""});
   for (const BoundedCase& c : out) {
     EXPECT_GT(c.dfa.synchronization_bound(), 0u);
     EXPECT_TRUE(c.plant.empty() || c.plant.size() == c.dfa.synchronization_bound());
@@ -245,9 +267,14 @@ TEST(CompiledDfaSplit, CountMatchesNaiveAroundTheThreshold) {
     const CompiledDfa compiled(dfa);
     const std::size_t t = split_threshold(compiled);
     // Below/at/above the threshold, 8x it, and lengths the stream count does
-    // not divide (3, 5 and 7 sub-streams with odd remainders).
+    // not divide (3, 5 and 7 sub-streams with odd remainders). t is a
+    // multiple of 4, so the last six put every body 1, 2 or 3 bytes past its
+    // last quad (8 and 3 sub-streams; the 3-stream ones also leave the last
+    // body a 2-byte remainder).
     for (const std::size_t size :
-         {t - 1, t, t + 1, 8 * t, 3 * t / 2 + 1, 5 * t / 2 + 3, 7 * t / 2 + 5}) {
+         {t - 1, t, t + 1, 8 * t, 3 * t / 2 + 1, 5 * t / 2 + 3, 7 * t / 2 + 5,
+          8 * (t + 1), 8 * (t + 2), 8 * (t + 3), 3 * (t / 2 + 1) + 2, 3 * (t / 2 + 2) + 2,
+          3 * (t / 2 + 3) + 2}) {
       const std::string text = split_text(rng, compiled, size, plant);
       for (int trial = 0; trial < 3; ++trial) {
         const StateId entry =
@@ -294,6 +321,7 @@ TEST(CompiledDfaSplit, InvalidBytesThrowTheSeedErrorForTheWholeText) {
         texts.back()[n - 2] = '#';
       }
     }
+
     for (const std::string& text : texts) {
       const StateId entry = static_cast<StateId>(rng() % dfa.state_count());
       std::string expect_message;
@@ -312,6 +340,35 @@ TEST(CompiledDfaSplit, InvalidBytesThrowTheSeedErrorForTheWholeText) {
         } catch (const std::invalid_argument& e) {
           EXPECT_EQ(std::string(e.what()), expect_message);
         }
+      }
+    }
+    // Every non-ACGT byte value at each of the four offsets inside a quad of
+    // a body (bodies start at multiples of len, and len is a multiple of 4),
+    // spread over the sub-streams. The byte is the text's only bad one, so
+    // the seed scanner's error is the one it raises for that byte alone.
+    ASSERT_EQ(len % 4, 0u);
+    std::string text = clean;
+    for (unsigned value = 0; value < 256; ++value) {
+      const char bad = static_cast<char>(value);
+      if (std::string_view("ACGTacgt").find(bad) != std::string_view::npos) continue;
+      std::string expect_message;
+      try {
+        (void)scan_count_naive(dfa, std::string(1, bad), dfa.start());
+        FAIL() << "naive scanner accepted byte " << value;
+      } catch (const std::invalid_argument& e) {
+        expect_message = e.what();
+      }
+      for (std::size_t offset = 0; offset < 4; ++offset) {
+        const std::size_t body = (value + offset) % CompiledDfa::kMaxStreams;
+        const std::size_t pos = body * len + len / 2 + offset;
+        text[pos] = bad;
+        try {
+          (void)compiled.count(text, dfa.start());
+          FAIL() << "kernel accepted byte " << value << " at " << pos;
+        } catch (const std::invalid_argument& e) {
+          EXPECT_EQ(std::string(e.what()), expect_message) << "at " << pos;
+        }
+        text[pos] = clean[pos];
       }
     }
   }

@@ -2,8 +2,10 @@
 // can run (and the forced-scalar path) must produce counts, collected match
 // events, and error behavior byte-identical to BitapMatcher — the one-stream
 // Shift-And recurrence, scanned from offset 0 — across random motif sets,
-// chunk counts, and every schedule policy. Suite names matter: the
-// `simd_parity` ctest entry runs exactly SimdEngine* and SimdDispatch*.
+// chunk counts, and every schedule policy. Every level's quad pack (the
+// feed of CompiledDfa's stride-4 split count) must equal a plain per-byte
+// reference. Suite names matter: the `simd_parity` ctest entry runs exactly
+// SimdEngine* and SimdDispatch*.
 #include "automata/simd_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -12,10 +14,16 @@
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "automata/compiled_dfa.hpp"
+#include "automata/hopcroft.hpp"
 #include "automata/parallel_matcher.hpp"
+#include "automata/regex.hpp"
+#include "automata/scanner.hpp"
 #include "automata/simd/simd_kernels.hpp"
+#include "automata/subset.hpp"
 #include "dna/generator.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -279,10 +287,99 @@ TEST(SimdDispatch, UnknownOrUnavailableForcedIsaIsAHardError) {
       all_available = false;
       EXPECT_THROW((void)BitapSimdEngine(motifs, level), std::runtime_error);
       EXPECT_THROW((void)simd::bitap_kernel(level), std::runtime_error);
+      EXPECT_THROW((void)simd::quad_pack(level), std::runtime_error);
     }
   }
   if (all_available) {
     GTEST_SKIP() << "every ISA level is runnable on this host";
+  }
+}
+
+// --- The quad pack -----------------------------------------------------------
+
+/// The quad pack's contract, one byte at a time: a base's code is its index
+/// in "ACGT" (either case); any other byte b codes as ((b >> 1) ^ (b >> 2)) & 3.
+std::uint8_t reference_code(unsigned char b) {
+  static constexpr char kBases[] = "ACGT";
+  for (std::uint8_t code = 0; code < 4; ++code) {
+    if (b == kBases[code] || b == (kBases[code] | 0x20)) return code;
+  }
+  return static_cast<std::uint8_t>(((b >> 1) ^ (b >> 2)) & 3);
+}
+
+bool reference_valid(unsigned char b) {
+  return std::string_view("ACGTacgt").find(static_cast<char>(b)) != std::string_view::npos;
+}
+
+/// Packs `text` (4 bytes per quad) one byte at a time.
+std::vector<std::uint8_t> reference_pack(const std::vector<char>& text, bool* valid) {
+  std::vector<std::uint8_t> quads(text.size() / 4, 0);
+  *valid = true;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto b = static_cast<unsigned char>(text[i]);
+    quads[i / 4] = static_cast<std::uint8_t>(quads[i / 4] << 2 | reference_code(b));
+    *valid = *valid && reference_valid(b);
+  }
+  return quads;
+}
+
+TEST(SimdDispatchQuadPack, EveryIsaEqualsThePlainReferenceOnEveryByteValue) {
+  std::mt19937_64 rng(79);
+  static constexpr char kValid[] = {'A', 'C', 'G', 'T', 'a', 'c', 'g', 't'};
+  // 1-72 quads leave 0-7 quads after the last 8-quad vector and 0-3 vectors
+  // after the last 32-quad block, at every combination.
+  for (std::size_t quads = 1; quads <= 72; ++quads) {
+    std::vector<char> clean(4 * quads);
+    for (char& c : clean) c = kValid[rng() % 8];
+    for (unsigned value = 0; value < 256; ++value) {
+      for (std::size_t offset = 0; offset < 4; ++offset) {
+        // The byte goes into the first, a middle or the last quad.
+        for (const std::size_t quad : {std::size_t{0}, quads / 2, quads - 1}) {
+          // Exactly 4 * quads bytes: a pack reading past its last quad
+          // reads past the allocation.
+          std::vector<char> text = clean;
+          text[4 * quad + offset] = static_cast<char>(value);
+          bool expect_valid = false;
+          const std::vector<std::uint8_t> expect = reference_pack(text, &expect_valid);
+          for (const util::IsaLevel isa : simd::available_isas()) {
+            std::vector<std::uint8_t> got(quads, 0);
+            const bool valid = simd::quad_pack(isa)(text.data(), quads, got.data());
+            ASSERT_EQ(valid, expect_valid) << util::to_string(isa) << " quads=" << quads
+                                           << " byte=" << value << " at " << 4 * quad + offset;
+            ASSERT_EQ(got, expect) << util::to_string(isa) << " quads=" << quads
+                                   << " byte=" << value << " at " << 4 * quad + offset;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdDispatchQuadPack, SplitCountsAgreeUnderEveryForcedIsa) {
+  // CompiledDfa resolves its pack at construction, so forcing the ISA there
+  // switches the stride-4 split count's feed; counts and errors must not
+  // move.
+  const ForceIsaGuard guard;
+  std::mt19937_64 rng(83);
+  const auto motifs = compile_motifs({"TATAWAW", "GGGCGG", "GGN?CC"});
+  const DenseDfa dfa = minimize(determinize(motifs.nfa, motifs.synchronization_bound));
+  const std::string text = random_text(rng, 100003, 5);
+  const ScanResult expect = scan_count_naive(dfa, text, dfa.start());
+  std::string bad = text;
+  bad[60001] = 'N';
+  for (const util::IsaLevel isa : simd::available_isas()) {
+    ::setenv("HETOPT_FORCE_ISA", util::to_string(isa), 1);
+    const CompiledDfa compiled(dfa);
+    ASSERT_GT(compiled.split_streams(text.size()), 1u);
+    const ScanResult got = compiled.count(text, dfa.start());
+    EXPECT_EQ(got.final_state, expect.final_state) << util::to_string(isa);
+    EXPECT_EQ(got.match_count, expect.match_count) << util::to_string(isa);
+    try {
+      (void)compiled.count(bad, dfa.start());
+      ADD_FAILURE() << util::to_string(isa) << " accepted an invalid byte";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), "scan: invalid base 'N'") << util::to_string(isa);
+    }
   }
 }
 
