@@ -215,7 +215,9 @@ ScanResult CompiledDfa::count_split(std::string_view text, StateId state,
   // bases per load, and the byte loop finishes the rest of each body.
   for (std::size_t k = 0; k < streams; ++k) entries[k] = res[k].final_state;
   const std::size_t quads = quad_next_.empty() ? 0 : len / 4;
-  const std::uint64_t quad_count = count_quads(text, len, quads, streams, entries);
+  // Without a quad table the states need not fit count_quads' 24 bits.
+  const std::uint64_t quad_count =
+      quads > 0 ? count_quads(text, len, quads, streams, entries) : 0;
   for (std::size_t k = 0; k < streams; ++k) {
     views[k] = text.substr(k * len + 4 * quads,
                            k + 1 < streams ? len - 4 * quads : std::string_view::npos);

@@ -120,10 +120,10 @@ class CompiledDfa {
   /// sub-stream warming up).
   [[nodiscard]] std::size_t split_streams(std::size_t bytes) const noexcept;
 
-  /// Smallest sub-stream count() cuts (4 KiB, so any input of at least
-  /// 8 KiB splits — a paged scan's per-worker slice of one page included);
-  /// fixed, not a tuning knob.
-  static constexpr std::size_t kSplitMinBytes = std::size_t{4} << 10;
+  /// Smallest sub-stream count() cuts (1 KiB, so any input of at least
+  /// 2 KiB splits and one of 8 KiB gets all kMaxStreams — a paged ticket
+  /// included); fixed, not a tuning knob.
+  static constexpr std::size_t kSplitMinBytes = std::size_t{1} << 10;
 
   /// The byte-at-a-time fused kernel (one table load + one accept load per
   /// byte, no branches). Exposed for benchmarks and tests.
@@ -149,9 +149,9 @@ class CompiledDfa {
   /// count()'s split path over `streams` >= 2 sub-streams.
   [[nodiscard]] ScanResult count_split(std::string_view text, StateId state,
                                        std::size_t streams) const;
-  /// The split path's stride-4 pass: steps the first 4 * quads bytes of each
-  /// of the `streams` bodies text[k * len, ...) on the quad table, from and
-  /// back into states[k], and returns their summed count (0 quads: a no-op).
+  /// The split path's stride-4 pass: steps the first 4 * quads >= 4 bytes
+  /// of each of the `streams` bodies text[k * len, ...) on the quad table,
+  /// from and back into states[k], and returns their summed count.
   /// Throws the whole text's invalid-byte error if a packed block is flagged.
   [[nodiscard]] std::uint64_t count_quads(std::string_view text, std::size_t len,
                                           std::size_t quads, std::size_t streams,

@@ -146,13 +146,7 @@ bool avx2_pack_quads(const char* text, std::size_t quads, std::uint8_t* out) noe
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
                         _mm256_permutevar8x32_epi32(packed, order));
   }
-  for (; i + 8 <= quads; i += 8) {
-    const __m256i a = avx2_quads8(text + 4 * i, mismatch);
-    const __m128i words =
-        _mm_packs_epi32(_mm256_castsi256_si128(a), _mm256_extracti128_si256(a, 1));
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + i), _mm_packus_epi16(words, words));
-  }
-  // Fewer than 8 quads left: a vector load would run past the last one.
+  // Fewer than 32 quads left: SWAR, so no vector load runs past the last one.
   const bool tail_ok = detail::swar_pack(text + 4 * i, quads - i, out + i);
   return tail_ok && _mm256_testz_si256(mismatch, mismatch) != 0;
 }

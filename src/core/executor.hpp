@@ -36,11 +36,12 @@
 //
 // A paged ticket pins its page (at most one pin per worker, kept across the
 // worker's tickets on that page) and is scanned on the pinned halo+payload
-// view: the stored halo supplies the warm-up lead across page seams. Each
-// segment's pool streams its pages through its own PrefetchReader (the
-// shared-queue schedules use one reader); only ascending claims from a
-// queue's front publish its reader's frontier, so a steal never drags a
-// reader past pages its owner has not reached.
+// view: the stored halo supplies the warm-up lead across page seams. No
+// paged ticket is cut under 16 KiB, so the fixed cost of a ticket stays a
+// small part of its scan. Each segment's pool streams its pages through its
+// own PrefetchReader (the shared-queue schedules use one reader); only
+// ascending claims from a queue's front publish its reader's frontier, so a
+// steal never drags a reader past pages its owner has not reached.
 //
 // Fault tolerance is a policy on the same loop, switched on only while an
 // armed util::FaultInjector plan exercises recovery: a watchdog gives every
@@ -89,7 +90,8 @@ struct PoolSpec {
   double share_percent = 0.0;
   /// Chunks this pool's segment (on a paged run, each page of it) is cut
   /// into under the static and adaptive schedules; 0 means one chunk per
-  /// worker.
+  /// worker. A paged run cuts no ticket under 16 KiB: a page gets at most
+  /// one chunk per 16 KiB, and at least one.
   std::size_t chunks = 0;
   std::optional<parallel::HostAffinity> host_affinity;
   std::optional<parallel::DeviceAffinity> device_affinity;

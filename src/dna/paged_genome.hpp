@@ -8,8 +8,8 @@
 //   - pages are filled on demand from a PageSource (an on-disk raw file or
 //     an in-memory buffer);
 //   - acquire(page) pins a page and returns a RAII PageRef; pinned pages
-//     cannot be evicted, unpinned pages are recycled LRU-first when the
-//     resident budget is hit;
+//     cannot be evicted, unpinned pages are recycled least recently
+//     released first when the resident budget is hit;
 //   - when every slot is pinned, acquire() blocks until a pin drops — the
 //     backpressure that keeps the scan frontier from outrunning the budget;
 //   - every page is stored with up to `halo_bytes` of *preceding* corpus
@@ -31,6 +31,13 @@
 //
 // Page buffers are recycled: a load reuses the evicted slot's buffer, so a
 // steady-state scan allocates nothing after the cache fills.
+//
+// Pinning a resident page takes no lock. Every slot keeps its pin count and
+// the page it serves in one atomic word; a hit is one compare-exchange on it,
+// a release one fetch_sub, and only loads, evictions and blocking waits take
+// the cache mutex. A fleet scan cuts each page into several tickets, so its
+// workers re-pin on almost every ticket and reach each page together; behind
+// one mutex those pins queued up on every page.
 #pragma once
 
 #include <atomic>
@@ -229,20 +236,46 @@ class PagedGenome {
  private:
   static constexpr std::size_t kNoPage = static_cast<std::size_t>(-1);
 
+  /// The mutex-guarded half of a slot: what loads and evictions manage.
   struct Slot {
     std::size_t page = kNoPage;
     util::AlignedBuffer<char> bytes;  // halo + payload, possibly oversized (recycled)
-    std::size_t length = 0;           // halo + payload bytes of `page`
-    std::size_t halo = 0;
-    std::size_t pins = 0;
-    std::uint64_t last_use = 0;
     bool loading = false;
   };
 
+  /// The lock-free half of a slot: what a pin reads and writes.
+  ///
+  /// `word` is (tag << kTagShift) | pins, where tag is page + 1 while the
+  /// slot serves a loaded page and 0 while it is free or loading. A pin is a
+  /// compare-exchange that adds 1 only while the tag names the wanted page;
+  /// an eviction is a compare-exchange from (tag, 0 pins) to (0, 1 pin, the
+  /// loader's), under the mutex, so a pin and an eviction cannot both win.
+  /// The loader writes `view` and `halo` and then publishes the tag with a
+  /// release store; a pin's acquire makes them visible, and they stay put
+  /// until the pin is dropped. Every pin is a live PageRef, so the count
+  /// stays far below 2^kTagShift. One cache line per slot, so pins of
+  /// different slots never share a line.
+  struct alignas(64) Pin {
+    std::atomic<std::uint64_t> word{0};
+    /// The cache clock at the last release that dropped the pins to zero —
+    /// the eviction order.
+    std::atomic<std::uint64_t> last_release{0};
+    /// Lock-free hits on this slot since the last reset_stats().
+    std::atomic<std::uint64_t> hits{0};
+    std::string_view view;  // halo + payload of the page the tag names
+    std::size_t halo = 0;
+  };
+  static constexpr unsigned kTagShift = 24;
+  static constexpr std::uint64_t kPinMask = (std::uint64_t{1} << kTagShift) - 1;
+
   [[nodiscard]] PageRef acquire_impl(std::size_t page, bool prefetch,
                                      const std::atomic<bool>* cancel);
-  /// A free or evictable (unpinned, not loading) slot; kNoPage when none.
-  [[nodiscard]] std::size_t pick_slot_locked() HETOPT_REQUIRES(mutex_);
+  /// Pins `page` if slot `slot` serves it loaded; an invalid PageRef if not.
+  [[nodiscard]] PageRef try_pin(std::size_t slot, std::size_t page) noexcept;
+  /// Claims a free slot, or evicts the least recently released unpinned
+  /// one, holding the loader's pin; kNoPage when every slot is pinned or
+  /// loading.
+  [[nodiscard]] std::size_t claim_slot_locked() HETOPT_REQUIRES(mutex_);
   void unpin(std::size_t slot) noexcept;
 
   std::unique_ptr<PageSource> source_;
@@ -251,13 +284,19 @@ class PagedGenome {
   std::size_t page_count_ = 0;
 
   mutable util::Mutex mutex_;
-  util::CondVar cv_;  // signaled on load completion and pin release
+  util::CondVar cv_;  // signaled on load completion and on a freed slot
   std::vector<Slot> slots_ HETOPT_GUARDED_BY(mutex_);
-  /// slot_of_[p] = slot holding page p, or kNoPage. Dense: page_count_ is
-  /// bounded by corpus/page_bytes, and one std::size_t per page is noise
-  /// next to the pages themselves.
-  std::vector<std::size_t> slot_of_ HETOPT_GUARDED_BY(mutex_);
-  std::uint64_t tick_ HETOPT_GUARDED_BY(mutex_) = 0;
+  std::unique_ptr<Pin[]> pins_;  // one per slot; the protocol on Pin
+  /// slot_of_[p] = slot holding page p, or kNoPage. Written under the mutex,
+  /// read without it by the lock-free pin, which checks the slot's tag. Dense:
+  /// page_count_ is bounded by corpus/page_bytes, and one word per page is
+  /// noise next to the pages themselves.
+  std::unique_ptr<std::atomic<std::size_t>[]> slot_of_;
+  /// Ticks once per release that drops a slot's pins to zero.
+  std::atomic<std::uint64_t> clock_{0};
+  /// Acquires blocked because every slot is pinned. A release that frees a
+  /// slot takes the mutex to wake them only while this is nonzero.
+  std::atomic<std::size_t> budget_waiters_{0};
   CacheStats stats_ HETOPT_GUARDED_BY(mutex_);
 };
 

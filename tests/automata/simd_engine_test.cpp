@@ -326,8 +326,8 @@ std::vector<std::uint8_t> reference_pack(const std::vector<char>& text, bool* va
 TEST(SimdDispatchQuadPack, EveryIsaEqualsThePlainReferenceOnEveryByteValue) {
   std::mt19937_64 rng(79);
   static constexpr char kValid[] = {'A', 'C', 'G', 'T', 'a', 'c', 'g', 't'};
-  // 1-72 quads leave 0-7 quads after the last 8-quad vector and 0-3 vectors
-  // after the last 32-quad block, at every combination.
+  // 1-72 quads leave every tail of 0-31 quads after zero or one 32-quad
+  // block, and 0-8 after two.
   for (std::size_t quads = 1; quads <= 72; ++quads) {
     std::vector<char> clean(4 * quads);
     for (char& c : clean) c = kValid[rng() % 8];

@@ -7,12 +7,14 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "automata/aho_corasick.hpp"
 #include "automata/scanner.hpp"
 #include "dna/generator.hpp"
 #include "dna/paged_genome.hpp"
+#include "util/fault.hpp"
 
 namespace hetopt::core {
 namespace {
@@ -80,6 +82,36 @@ TEST(PagedFleet, ConstructedSharesOverloadAndAdaptiveSchedule) {
   const ExecutionReport report = exec.run_fleet_paged(genome, {50.0, 50.0}, options);
   EXPECT_EQ(report.total_matches(), expected);
   EXPECT_EQ(report.schedule, parallel::SchedulePolicy::kAdaptive);
+}
+
+TEST(PagedFleet, PagesAreCutIntoTicketsOfAtLeast16KiB) {
+  // A chunk-throw plan degrades a run only if its chunk exists, which makes
+  // the ticket count observable. Four workers cut each page into four
+  // tickets, or fewer where that would leave a ticket under 16 KiB; on a
+  // two-page corpus, chunk 2t - 1 must exist and chunk 2t must not.
+  const automata::DenseDfa dfa = automata::build_aho_corasick({"GATTACA", "CCGG"});
+  dna::GenomeGenerator gen;
+  const std::string corpus = gen.generate(2 * 65536, 43);
+  std::vector<PoolSpec> specs(1);
+  specs[0].threads = 4;
+  specs[0].share_percent = 100.0;
+  HeterogeneousExecutor exec(dfa, specs);
+  exec.set_recovery({0.02});
+  const std::vector<std::pair<std::size_t, std::size_t>> cuts{
+      {65536, 4}, {49152, 3}, {32768, 2}, {32767, 1}, {4096, 1}};
+  for (const auto& [page_bytes, tickets] : cuts) {
+    const std::string text = corpus.substr(0, 2 * page_bytes);
+    const std::uint64_t expected = automata::count_matches(dfa, text);
+    for (const std::size_t chunk : {2 * tickets - 1, 2 * tickets}) {
+      const util::FaultInjector injector(
+          util::FaultPlan::parse("chunk-throw:chunk=" + std::to_string(chunk) + ",times=99"));
+      dna::PagedGenome genome = paged_of(text, page_bytes, 8);
+      const ExecutionReport report = exec.run_fleet_paged(genome);
+      EXPECT_EQ(report.total_matches(), expected) << "page=" << page_bytes;
+      EXPECT_EQ(report.degraded, chunk < 2 * tickets)
+          << "page=" << page_bytes << " chunk=" << chunk;
+    }
+  }
 }
 
 TEST(PagedFleet, ZeroSharePoolsScanNothing) {

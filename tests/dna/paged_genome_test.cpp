@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -144,6 +145,41 @@ TEST(PagedGenome, BackpressureWaitsUntilAPinDrops) {
   blocked.join();
   EXPECT_TRUE(acquired.load(std::memory_order_acquire));
   EXPECT_GE(genome.stats().backpressure_waits, 1u);
+}
+
+TEST(PagedGenome, ConcurrentPinsNeverSeeAnEvictedPage) {
+  // Four threads pin random pages of a 12-page corpus through a 4-slot
+  // cache, so lock-free hits race evictions and reloads of the same slots.
+  // Every pin must hold its own page's bytes, halo included, until it is
+  // released; the random text makes every page's bytes unique.
+  std::mt19937_64 rng(5);
+  std::string text(12 * 256, 'A');
+  for (char& c : text) c = "ACGT"[rng() % 4];
+  PagedGenome genome = make_buffer_genome(text, 256, 4, /*halo=*/16);
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPins = 3000;
+  std::atomic<std::size_t> wrong{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::mt19937_64 pick(t + 11);
+      for (std::size_t i = 0; i < kPins; ++i) {
+        const std::size_t page = pick() % genome.page_count();
+        const PagedGenome::PageRef ref = genome.acquire(page);
+        const std::string_view want = std::string_view(text).substr(
+            ref.begin() - ref.halo(), ref.halo() + genome.page_payload_bytes(page));
+        if (ref.page() != page || ref.view() != want) wrong.fetch_add(1);
+        std::this_thread::yield();  // give an eviction the chance to strike
+        if (ref.view() != want) wrong.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0u);
+  // Every acquire is exactly one of a hit, a cold stall or a waiter stall.
+  const CacheStats stats = genome.stats();
+  EXPECT_EQ(stats.hits + stats.cold_stalls + stats.waiter_stalls, kThreads * kPins);
+  EXPECT_GT(stats.evictions, 0u);
 }
 
 TEST(PagedGenome, PageRefMoveTransfersThePin) {
